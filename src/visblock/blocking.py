@@ -4,19 +4,19 @@ bounds, and the blocked complete-bipartite constructions."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
+from .cliques import _deadline
 from .errors import GeometryError, NotGeneralPosition, SegmentOverlap
 from .geometry import (
     Point,
     PointSet,
     convex_hull_size,
     is_general_position,
-    max_collinear,
     midpoint,
     on_open_segment,
     segment_intersection,
@@ -322,7 +322,7 @@ def min_blocking_set(
     and the best proven lower bound.
     """
     inst = candidate_blockers(source)
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    deadline = _deadline(budget_ms)
     cover_masks = [
         sum(1 << s for s in cand.covers) for cand in inst.candidates
     ]
@@ -347,11 +347,6 @@ def triangulation_lower_bound(ps: PointSet) -> int:
     if not is_general_position(ps):
         raise NotGeneralPosition("triangulation bound assumes no 3 collinear points")
     return 3 * n - 3 - convex_hull_size(ps)
-
-
-def hull_free_lower_bound(n: int) -> int:
-    """The hull-free corollary of the triangulation bound."""
-    return 2 * n - 3
 
 
 def midpoint_blocking_set(ps: PointSet) -> BlockingSet:
@@ -436,89 +431,3 @@ def construct_knn_parabola(n: int) -> BipartiteDrawing:
     edges = tuple((v, w) for v in left for w in right)
     blockers = tuple(Point(0, 2 ** k) for k in range(2, 2 * n + 1))
     return BipartiteDrawing(n, left, right, edges, blockers, f"knn-parabola-{n}")
-
-
-def product_set_drawing(s_values: Sequence[int]) -> tuple[BipartiteDrawing, set[int]]:
-    """K_{n,n} on the parabola with vertex scales S: edge (i, j) crosses the
-    y-axis at height s_i * s_j, so the blocker heights form the product set
-    S * S (squares included, since i = j edges exist)."""
-    s = list(s_values)
-    if len(set(s)) != len(s) or any(v <= 0 for v in s):
-        raise GeometryError("S must be distinct positive integers")
-    products = {a * b for a in s for b in s}
-    left = tuple(Point(-v, v * v) for v in s)
-    right = tuple(Point(v, v * v) for v in s)
-    edges = tuple((v, w) for v in left for w in right)
-    blockers = tuple(Point(0, p) for p in sorted(products))
-    d = BipartiteDrawing(len(s), left, right, edges, blockers, f"product-set-{len(s)}")
-    return d, products
-
-
-@dataclass(frozen=True)
-class SurveyRow:
-    name: str
-    n: int
-    max_collinear: int
-    b_size: int
-    b_optimal: bool
-    b_lower: int
-    m: int
-
-    def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "max_collinear": self.max_collinear,
-            "b_size": self.b_size,
-            "b_optimal": self.b_optimal,
-            "b_lower": self.b_lower,
-            "m": self.m,
-        }
-
-
-@dataclass(frozen=True)
-class SurveyResult:
-    ell: int
-    rows: tuple[SurveyRow, ...]
-    # per n: smallest blocking number and midpoint count seen
-    envelope: tuple[tuple[int, int, int], ...]
-
-    def to_obj(self) -> dict:
-        return {
-            "ell": self.ell,
-            "rows": [r.to_obj() for r in self.rows],
-            "envelope": [list(e) for e in self.envelope],
-        }
-
-
-def bounded_collinearity_survey(
-    point_sets: Iterable[PointSet], ell: int, budget_ms: Optional[int] = None
-) -> SurveyResult:
-    """Blocking and midpoint statistics over sets with max_collinear < ell.
-
-    The envelope rows give, per n, the best (smallest) exact blocking number
-    and midpoint count observed: empirical upper bounds for the
-    line-bounded minima."""
-    if ell < 3:
-        raise GeometryError("ell must be at least 3")
-    rows = []
-    for ps in point_sets:
-        mc = max_collinear(ps)
-        if mc >= ell:
-            continue
-        bs = min_blocking_set(ps, budget_ms)
-        mids = {midpoint(a, b) for a, b in combinations(list(ps), 2)}
-        rows.append(
-            SurveyRow(ps.name, len(ps), mc, bs.size, bs.optimal, bs.lower_bound, len(mids))
-        )
-    env: dict[int, tuple[int, int]] = {}
-    for r in rows:
-        if not r.b_optimal:
-            continue
-        cur = env.get(r.n)
-        env[r.n] = (
-            min(cur[0], r.b_size) if cur else r.b_size,
-            min(cur[1], r.m) if cur else r.m,
-        )
-    envelope = tuple((n, b, m) for n, (b, m) in sorted(env.items()))
-    return SurveyResult(ell, tuple(rows), envelope)

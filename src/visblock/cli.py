@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -276,7 +276,6 @@ class ExperimentConfig:
     tasks: tuple[str, ...]
     budgets_ms: dict = field(default_factory=dict)
     output_dir: str = "runs"
-    formats: tuple[str, ...] = ("json",)
 
     def __post_init__(self):
         if not self.tasks:
@@ -289,9 +288,6 @@ class ExperimentConfig:
                 raise GeometryError(f"budget for unknown task {t!r}")
             if not isinstance(b, int) or b < 0:
                 raise GeometryError(f"budget for {t!r} must be a non-negative integer")
-        for f in self.formats:
-            if f not in ("json", "csv"):
-                raise GeometryError(f"unknown format {f!r}")
 
     def to_obj(self) -> dict:
         return {
@@ -299,7 +295,6 @@ class ExperimentConfig:
             "tasks": list(self.tasks),
             "budgets_ms": dict(sorted(self.budgets_ms.items())),
             "output_dir": self.output_dir,
-            "formats": list(self.formats),
         }
 
     @classmethod
@@ -316,7 +311,6 @@ class ExperimentConfig:
             tasks,
             dict(obj.get("budgets_ms", {})),
             str(obj.get("output_dir", "runs")),
-            tuple(obj.get("formats", ["json"])),
         )
 
 
@@ -334,6 +328,7 @@ def run(config: ExperimentConfig) -> Path:
     handler = logging.FileHandler(run_dir / "logs" / "run.log", mode="w")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     log.addHandler(handler)
+    prev_level = log.level
     log.setLevel(logging.INFO)
     manifest: dict = {
         "run_id": run_dir.name,
@@ -349,9 +344,8 @@ def run(config: ExperimentConfig) -> Path:
         (run_dir / "config.json").write_text(_dumps(config.to_obj()))
         try:
             subject = generate(config.generator)
-        except GeometryError as exc:
-            log.error("generation failed: %s", exc)
-            manifest["generation"] = {"status": "error", "message": str(exc)}
+        except Exception as exc:
+            manifest["generation"] = _error_entry("generation", exc)
             subject = None
         else:
             manifest["generation"] = {"status": "ok"}
@@ -366,10 +360,8 @@ def run(config: ExperimentConfig) -> Path:
             t0 = time.perf_counter()
             try:
                 outcome = TASK_FNS[task](subject, config.budgets_ms.get(task))
-            except GeometryError as exc:
-                log.error("task %s failed: %s", task, exc)
-                entry["status"] = "error"
-                entry["message"] = str(exc)
+            except Exception as exc:
+                entry.update(_error_entry(f"task {task}", exc))
             else:
                 outcomes[task] = outcome
                 if outcome.verification_failed:
@@ -391,7 +383,19 @@ def run(config: ExperimentConfig) -> Path:
     finally:
         log.removeHandler(handler)
         handler.close()
+        log.setLevel(prev_level)
     return run_dir
+
+
+def _error_entry(what: str, exc: Exception) -> dict:
+    """Manifest status of a failed step. A GeometryError is bad input; any
+    other exception is a bug, logged with its traceback, and the run goes on
+    so the manifest is still written."""
+    if isinstance(exc, GeometryError):
+        log.error("%s failed: %s", what, exc)
+    else:
+        log.exception("%s crashed", what)
+    return {"status": "error", "error_type": type(exc).__name__, "message": str(exc)}
 
 
 def _cross_checks(subject, outcomes: dict[str, TaskOutcome], manifest: dict) -> None:
@@ -624,7 +628,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True)
         p.add_argument("--budget-ms", type=int, dest="budget_ms")
         p.add_argument("--output-dir")
-        p.add_argument("--format", choices=["json"], default="json")
 
     rn = sub.add_parser("run", help="execute an experiment config")
     rn.add_argument("--config", required=True)
@@ -635,7 +638,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("report", help="aggregate run directories into tables")
     rp.add_argument("dirs", nargs="+")
     rp.add_argument("--output-dir")
-    rp.add_argument("--format", choices=["csv"], default="csv")
     return parser
 
 
@@ -699,16 +701,10 @@ def _dispatch(args) -> int:
             raise GeometryError(f"config {args.config} is not valid JSON: {exc}") from exc
         config = ExperimentConfig.from_obj(cfg_obj)
         if output_dir:
-            config = ExperimentConfig(
-                config.generator, config.tasks, config.budgets_ms,
-                output_dir, config.formats,
-            )
+            config = replace(config, output_dir=output_dir)
         if budget is not None:
             budgets = {t: config.budgets_ms.get(t, budget) for t in config.tasks}
-            config = ExperimentConfig(
-                config.generator, config.tasks, budgets,
-                config.output_dir, config.formats,
-            )
+            config = replace(config, budgets_ms=budgets)
         run_dir = run(config)
         manifest = json.loads((run_dir / "manifest.json").read_text())
         print(run_dir)

@@ -12,6 +12,10 @@ import time
 from typing import Optional, Sequence
 
 
+def _deadline(budget_ms: Optional[int]) -> Optional[float]:
+    return None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask

@@ -11,19 +11,14 @@ ring, and nothing approximate leaks into the rational modules.
 
 from __future__ import annotations
 
-import csv
-import math
-import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from pathlib import Path
 from typing import Optional, Sequence
 
 import mpmath
 
-from .cliques import chromatic_number
+from .cliques import _deadline, chromatic_number
 from .errors import GeometryError, NotGeneralPosition
 from .geometry import (
     Point,
@@ -33,10 +28,6 @@ from .geometry import (
     on_open_segment,
     orientation,
 )
-
-
-def _deadline(budget_ms: Optional[int]) -> Optional[float]:
-    return None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
 
 
 def proper_crossing(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -121,20 +112,27 @@ def _check_partition(g: CrossingGraph, classes: Sequence[Sequence[int]]) -> None
         raise GeometryError("partition smaller than the counting floor; solver bug")
 
 
+def _min_clique_cover(adj: Sequence[int], budget_ms: Optional[int],
+                      ) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Minimum clique cover as an exact colouring of the complement graph;
+    returns (classes ordered by colour, exact)."""
+    m = len(adj)
+    full = (1 << m) - 1
+    comp = tuple(full ^ adj[s] ^ (1 << s) for s in range(m))
+    _, colouring, exact, _, _ = chromatic_number(m, comp, _deadline(budget_ms))
+    buckets: dict[int, list[int]] = {}
+    for s, c in enumerate(colouring):
+        buckets.setdefault(c, []).append(s)
+    return tuple(tuple(sorted(b)) for _, b in sorted(buckets.items())), exact
+
+
 def crossing_family_partition(ps: PointSet, budget_ms: Optional[int] = None,
                               ) -> CrossingFamilyPartition:
     """Minimum partition of all segments into pairwise-crossing classes,
     found as an exact colouring of the complement of the crossing graph.
     On budget exhaustion the best greedy partition is returned, exact=False."""
     g = crossing_graph(ps)
-    m = g.m
-    full = (1 << m) - 1
-    comp = tuple(full ^ g.adj[s] ^ (1 << s) for s in range(m))
-    k, colouring, exact, _, _ = chromatic_number(m, comp, _deadline(budget_ms))
-    buckets: dict[int, list[int]] = {}
-    for s, c in enumerate(colouring):
-        buckets.setdefault(c, []).append(s)
-    classes = tuple(tuple(sorted(b)) for _, b in sorted(buckets.items()))
+    classes, exact = _min_clique_cover(g.adj, budget_ms)
     _check_partition(g, classes)
     return CrossingFamilyPartition(classes, exact)
 
@@ -193,13 +191,7 @@ def circle_graph_cover(n: int, chords: Sequence[tuple[int, int]],
         if _interleaves(tuple(chords[s]), tuple(chords[t]), n):
             adj[s] |= 1 << t
             adj[t] |= 1 << s
-    full = (1 << m) - 1
-    comp = tuple(full ^ adj[s] ^ (1 << s) for s in range(m))
-    k, colouring, exact, _, _ = chromatic_number(m, comp, _deadline(budget_ms))
-    buckets: dict[int, list[int]] = {}
-    for s, c in enumerate(colouring):
-        buckets.setdefault(c, []).append(s)
-    classes = tuple(tuple(sorted(b)) for _, b in sorted(buckets.items()))
+    classes, exact = _min_clique_cover(adj, budget_ms)
     for cls in classes:
         for s, t in combinations(cls, 2):
             if not (adj[s] >> t & 1):
@@ -214,18 +206,6 @@ def cyclic_order_of_convex(ps: PointSet) -> list[int]:
         raise GeometryError("points are not in convex position")
     index = {p: i for i, p in enumerate(ps)}
     return [index[p] for p in hull]
-
-
-@dataclass(frozen=True)
-class ConvexFloors:
-    quadratic: Fraction  # n^2 / 14
-    n_log_n: float
-
-
-def blocker_count_floor_convex(n: int) -> ConvexFloors:
-    if n < 3:
-        raise GeometryError("need n >= 3")
-    return ConvexFloors(Fraction(n * n, 14), n * math.log(n))
 
 
 # Regular polygon census. Positions 0..n-1 on the unit circle; every 4-subset
@@ -327,23 +307,23 @@ class _UnionFind:
 
 
 def _numeric_clusters(events, n: int, tau: int) -> list[list[int]]:
-    mpmath.mp.prec = tau + 40
-    zeta = [mpmath.expjpi(mpmath.mpf(2 * t) / n) for t in range(n)]
     uf = _UnionFind(len(events))
     cells: dict[tuple[int, int], int] = {}
-    scale = mpmath.mpf(2) ** tau
-    for idx, (i, j, k, l) in enumerate(events):
-        num = zeta[i] + zeta[k] - zeta[j] - zeta[l]
-        den = zeta[i] * zeta[k] - zeta[j] * zeta[l]
-        zbar = num / den
-        cx = int(mpmath.floor(zbar.real * scale))
-        cy = int(mpmath.floor(-zbar.imag * scale))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = cells.get((cx + dx, cy + dy))
-                if other is not None:
-                    uf.union(other, idx)
-        cells[(cx, cy)] = idx
+    with mpmath.workprec(tau + 40):
+        zeta = [mpmath.expjpi(mpmath.mpf(2 * t) / n) for t in range(n)]
+        scale = mpmath.mpf(2) ** tau
+        for idx, (i, j, k, l) in enumerate(events):
+            num = zeta[i] + zeta[k] - zeta[j] - zeta[l]
+            den = zeta[i] * zeta[k] - zeta[j] * zeta[l]
+            zbar = num / den
+            cx = int(mpmath.floor(zbar.real * scale))
+            cy = int(mpmath.floor(-zbar.imag * scale))
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    other = cells.get((cx + dx, cy + dy))
+                    if other is not None:
+                        uf.union(other, idx)
+            cells[(cx, cy)] = idx
     groups: dict[int, list[int]] = {}
     for idx in range(len(events)):
         groups.setdefault(uf.find(idx), []).append(idx)
@@ -413,15 +393,3 @@ def regular_ngon_multiplicity(n: int, max_passes: int = 4,
             return NgonCensus(n, center_mult, max_excl, True)
         tau *= 2
     return NgonCensus(n, center_mult, max_excl, False, tuple(ambiguous))
-
-
-def ngon_census_csv(rows: Sequence[NgonCensus], path: str | Path) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "center_mult", "max_excl_center", "certified"])
-        for r in rows:
-            w.writerow([r.n, r.center_multiplicity,
-                        r.max_multiplicity_excluding_center, r.certified])
-    return out

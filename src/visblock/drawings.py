@@ -12,11 +12,9 @@ radii, and common points are identified by the tag (x, sign(y), y^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 from .errors import GeometryError
 from .geometry import Point
@@ -206,36 +204,3 @@ def verified_arc_drawing(n: int) -> ArcDrawing:
             "no alternative realization is wired in, this needs attention"
         )
     return d
-
-
-@dataclass(frozen=True)
-class TrivialBound:
-    linear_bound: int  # n - 1
-    exact_ceiling: int  # ceil(C(n,2) / floor(n/2))
-
-
-def trivial_blocker_lower_bound(n: int) -> TrivialBound:
-    """A point blocks at most floor(n/2) edges of a drawing on n vertices,
-    so C(n,2)/floor(n/2) blockers are needed; n - 1 is the weaker round
-    number usually quoted."""
-    if n < 2:
-        raise GeometryError("need n >= 2")
-    pairs = n * (n - 1) // 2
-    ceiling = -(-pairs // (n // 2))
-    return TrivialBound(n - 1, ceiling)
-
-
-def edge_polyline(e: ArcEdge, samples_per_arc: int = 32) -> list[tuple[float, float]]:
-    """Float sample points along the edge curve, for external plotting only."""
-    if samples_per_arc < 2:
-        raise GeometryError("need at least 2 samples per arc")
-    pts: list[tuple[float, float]] = []
-    cu, ru = float(e.upper.center_x), float(e.upper.radius)
-    for k in range(samples_per_arc + 1):
-        th = math.pi * k / samples_per_arc
-        pts.append((cu + ru * math.cos(th), ru * math.sin(th)))
-    cl, rl = float(e.lower.center_x), float(e.lower.radius)
-    for k in range(1, samples_per_arc + 1):
-        th = math.pi + math.pi * k / samples_per_arc
-        pts.append((cl + rl * math.cos(th), rl * math.sin(th)))
-    return pts

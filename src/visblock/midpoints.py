@@ -8,13 +8,10 @@ slack exactly |P| on the right.
 
 from __future__ import annotations
 
-import csv
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .errors import GeometryError
@@ -86,11 +83,6 @@ def progression_points(g: Progression, name: str = "") -> ProgressionPoints:
     pts = set(coords)
     ordered = tuple(sorted(pts))
     return ProgressionPoints(PointSet(ordered, name=name), g.nominal_size() - len(pts))
-
-
-def contains_all(g: Progression, ps: PointSet | Sequence[Point]) -> bool:
-    generated = set(progression_points(g).points)
-    return all(p in generated for p in ps)
 
 
 def _line_load_through(p: Point, others: Sequence[Point]) -> int:
@@ -229,30 +221,3 @@ def low_midpoint_search(n: int, ell: int, strategy: str = "random-restart",
     m, pts = best
     name = f"search-n{n}-l{ell}-{strategy}-s{seed}"
     return MidpointSearchResult(PointSet(pts, name=name), m, strategy, seed, evals)
-
-
-def write_search_survey(results: Sequence[tuple[int, MidpointSearchResult]],
-                        out_dir: str | Path) -> Path:
-    """rows of (ell, result) -> survey.csv plus one JSON file per best set."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "midpoint_survey.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "ell", "strategy", "seed", "m", "m_over_n", "best_set_json_path"])
-        for ell, res in results:
-            n = len(res.points)
-            set_path = out / f"{res.points.name or f'set-n{n}'}.json"
-            set_path.write_text(res.points.to_json())
-            w.writerow([n, ell, res.strategy, res.seed, res.midpoints,
-                        f"{res.midpoints / n:.4f}", str(set_path)])
-    return csv_path
-
-
-def convex_fraction_line(ps: PointSet) -> str:
-    """Report line: observed midpoint fraction of a set against the 0.80..0.90
-    window seen for large convex configurations. Informational only."""
-    n = len(ps)
-    pairs = n * (n - 1) // 2
-    m = len(midpoint_set(ps))
-    return (f"n={n} m={m} m/C(n,2)={m / pairs:.4f} reference_window=[0.8000, 0.9000]")

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
 from typing import Optional
 
 from . import cliques
+from .cliques import _bits, _deadline
 from .errors import DisconnectedVisibility, GeometryError
 from .geometry import (
     LineRecord,
-    Point,
     PointSet,
     max_collinear,
     on_open_segment,
@@ -90,7 +89,7 @@ def diameter(g: VisibilityGraph) -> int:
             d += 1
             nxt = []
             for v in frontier:
-                for u in _mask_bits(g.adj[v]):
+                for u in _bits(g.adj[v]):
                     if u not in dist:
                         dist[u] = d
                         nxt.append(u)
@@ -103,17 +102,6 @@ def diameter(g: VisibilityGraph) -> int:
             )
         worst = max(worst, max(dist.values()))
     return worst
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _deadline(budget_ms: Optional[int]) -> Optional[float]:
-    return None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
 
 
 @dataclass(frozen=True)
@@ -193,15 +181,6 @@ class ChromaticResult:
 def chromatic_number(g: VisibilityGraph, budget_ms: Optional[int] = None) -> ChromaticResult:
     k, colours, exact, lower, upper = cliques.chromatic_number(g.n, g.adj, _deadline(budget_ms))
     return ChromaticResult(k, Colouring(max(colours), tuple(colours)), exact, lower, upper)
-
-
-def turan_edges(n: int, k: int) -> int:
-    """Edge count of the balanced complete k-partite graph on n vertices."""
-    if n < 1 or k < 1:
-        raise GeometryError("turan_edges needs n >= 1 and k >= 1")
-    q, r = divmod(n, k)
-    parts = [q + 1] * r + [q] * (k - r)
-    return n * (n - 1) // 2 - sum(p * (p - 1) // 2 for p in parts)
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,13 @@ import pytest
 from visblock.blocking import (
     all_pairs_instance,
     blocks_drawing,
-    bounded_collinearity_survey,
     candidate_blockers,
     construct_knn_grid,
     construct_knn_parabola,
     drawing_instance,
-    hull_free_lower_bound,
     is_blocking_set,
     midpoint_blocking_set,
     min_blocking_set,
-    product_set_drawing,
     triangulation_lower_bound,
 )
 from visblock.errors import GeometryError, NotGeneralPosition, SegmentOverlap
@@ -193,10 +190,6 @@ class TestTriangulationBound:
     def test_triangle_plus_interior(self):
         assert triangulation_lower_bound(pset((0, 0), (4, 0), (0, 4), (1, 1))) == 6
 
-    def test_hull_free(self):
-        assert hull_free_lower_bound(3) == 3
-        assert hull_free_lower_bound(7) == 11
-
     def test_non_general_position_rejected(self):
         with pytest.raises(NotGeneralPosition):
             triangulation_lower_bound(pset((0, 0), (1, 0), (2, 0), (0, 1)))
@@ -275,54 +268,3 @@ class TestKnnConstructions:
     def test_bad_n(self):
         with pytest.raises(GeometryError):
             construct_knn_grid(0)
-
-
-class TestProductSetDrawing:
-    def test_geometric_three(self):
-        d, products = product_set_drawing([2, 4, 8])
-        assert len(products) == 5
-        assert d.check().ok
-
-    def test_one_two_three(self):
-        d, products = product_set_drawing([1, 2, 3])
-        assert products == {1, 2, 3, 4, 6, 9}
-        assert d.check().ok
-
-    def test_geometric_progression_size(self):
-        for n in (2, 4, 6):
-            _, products = product_set_drawing([2 ** i for i in range(1, n + 1)])
-            assert len(products) == 2 * n - 1
-
-    def test_rejects_bad_s(self):
-        with pytest.raises(GeometryError):
-            product_set_drawing([2, 2])
-        with pytest.raises(GeometryError):
-            product_set_drawing([0, 1])
-
-
-class TestSurvey:
-    def test_triangle_row(self):
-        res = bounded_collinearity_survey([TRIANGLE], 3)
-        assert len(res.rows) == 1
-        assert res.rows[0].b_size == 3 and res.rows[0].m == 3
-        assert res.envelope == ((3, 3, 3),)
-
-    def test_filter_by_collinearity(self):
-        grid = pset(*[(x, y) for x in range(3) for y in range(3)], name="grid")
-        res3 = bounded_collinearity_survey([grid], 3)
-        assert not res3.rows
-        res4 = bounded_collinearity_survey([grid], 4)
-        assert len(res4.rows) == 1
-        assert res4.rows[0].max_collinear == 3
-
-    def test_envelope_takes_minimum(self):
-        sets = [SQUARE, pset((0, 0), (6, 1), (5, 6), (1, 5), name="skew")]
-        res = bounded_collinearity_survey(sets, 3)
-        ns = {r.n for r in res.rows}
-        assert ns == {4}
-        assert res.envelope[0][0] == 4
-        assert res.envelope[0][1] == min(r.b_size for r in res.rows)
-
-    def test_bad_ell(self):
-        with pytest.raises(GeometryError):
-            bounded_collinearity_survey([TRIANGLE], 2)

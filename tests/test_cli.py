@@ -1,8 +1,10 @@
 import hashlib
 import json
+import logging
 
 import pytest
 
+from visblock import cli
 from visblock.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -59,12 +61,6 @@ class TestConfig:
         with pytest.raises(GeometryError, match="non-negative"):
             ExperimentConfig(
                 GeneratorSpec("grid", {"w": 2, "h": 2}), ("visgraph",), {"visgraph": -1}
-            )
-
-    def test_unknown_format(self):
-        with pytest.raises(GeometryError, match="format"):
-            ExperimentConfig(
-                GeneratorSpec("grid", {"w": 2, "h": 2}), ("visgraph",), formats=("xml",)
             )
 
     def test_from_obj_missing_generator(self):
@@ -147,6 +143,7 @@ class TestRunHarness:
         run_dir = run(cfg)
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["tasks"]["crossing"]["status"] == "error"
+        assert manifest["tasks"]["crossing"]["error_type"] == "NotGeneralPosition"
         assert manifest["tasks"]["visgraph"]["status"] == "ok"
         assert exit_code_from_manifest(manifest) == EXIT_INPUT
         assert not (run_dir / "results" / "crossing.json").exists()
@@ -162,6 +159,59 @@ class TestRunHarness:
         assert manifest["generation"]["status"] == "error"
         assert manifest["tasks"]["visgraph"]["status"] == "skipped"
         assert exit_code_from_manifest(manifest) == EXIT_INPUT
+
+    def test_task_crash_recorded_and_run_continues(self, tmp_path, monkeypatch):
+        def crash(obj, budget_ms):
+            return 1 / 0
+
+        monkeypatch.setitem(cli.TASK_FNS, "visgraph", crash)
+        cfg = ExperimentConfig(
+            GeneratorSpec("grid", {"w": 2, "h": 2}), ("visgraph", "midpoints"),
+            output_dir=str(tmp_path),
+        )
+        run_dir = run(cfg)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        entry = manifest["tasks"]["visgraph"]
+        assert entry["status"] == "error"
+        assert entry["error_type"] == "ZeroDivisionError"
+        assert entry["message"] == "division by zero"
+        assert manifest["tasks"]["midpoints"]["status"] == "ok"
+        assert exit_code_from_manifest(manifest) == EXIT_INPUT
+        assert not (run_dir / "results" / "visgraph.json").exists()
+        assert "Traceback" in (run_dir / "logs" / "run.log").read_text()
+        summary = report([run_dir], tmp_path / "rpt")["summary"].read_text()
+        assert len(summary.splitlines()) == 2
+
+    def test_generation_crash_recorded(self, tmp_path, monkeypatch):
+        def crash(spec):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "generate", crash)
+        cfg = ExperimentConfig(
+            GeneratorSpec("grid", {"w": 2, "h": 2}), ("visgraph",),
+            output_dir=str(tmp_path),
+        )
+        run_dir = run(cfg)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["generation"]["status"] == "error"
+        assert manifest["generation"]["error_type"] == "KeyError"
+        assert manifest["tasks"]["visgraph"]["status"] == "skipped"
+        assert exit_code_from_manifest(manifest) == EXIT_INPUT
+
+    def test_logger_state_restored(self, tmp_path):
+        logger = logging.getLogger("visblock")
+        before = logger.level
+        logger.setLevel(logging.WARNING)
+        try:
+            cfg = ExperimentConfig(
+                GeneratorSpec("grid", {"w": 2, "h": 2}), ("visgraph",),
+                output_dir=str(tmp_path),
+            )
+            run(cfg)
+            assert logger.level == logging.WARNING
+            assert not any(isinstance(h, logging.FileHandler) for h in logger.handlers)
+        finally:
+            logger.setLevel(before)
 
     def test_budget_exhaustion_status(self, tmp_path):
         cfg = ExperimentConfig(

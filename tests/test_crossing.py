@@ -2,18 +2,17 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import pytest
 
 from visblock.blocking import min_blocking_set
 from visblock.crossing import (
-    blocker_count_floor_convex,
     circle_graph_cover,
     cover_from_blockers,
     crossing_family_partition,
     crossing_graph,
     cyclic_order_of_convex,
     cyclotomic,
-    ngon_census_csv,
     partition_size_floor,
     proper_crossing,
     regular_ngon_multiplicity,
@@ -180,18 +179,6 @@ class TestCyclicOrder:
             cyclic_order_of_convex(PointSet.build([(0, 0), (4, 0), (0, 4), (1, 1)]))
 
 
-class TestConvexFloors:
-    def test_exact_quadratic(self):
-        assert blocker_count_floor_convex(14).quadratic == 14
-
-    def test_n_log_n(self):
-        assert f"{blocker_count_floor_convex(10).n_log_n:.2f}" == "23.03"
-
-    def test_rejects_small(self):
-        with pytest.raises(GeometryError):
-            blocker_count_floor_convex(2)
-
-
 # Float oracle for the polygon census: build chords with trig, intersect
 # pairs with the schoolbook line-line formula, cluster by distance. Entirely
 # separate from the cyclotomic path.
@@ -254,17 +241,14 @@ class TestNgonCensus:
         with pytest.raises(GeometryError):
             regular_ngon_multiplicity(3)
 
+    def test_leaves_mpmath_precision_alone(self, monkeypatch):
+        monkeypatch.setattr(mpmath.mp, "prec", 53)
+        regular_ngon_multiplicity(12)
+        assert mpmath.mp.prec == 53
+
     def test_cyclotomic_degrees(self):
         # degree = Euler phi; spot values
         assert cyclotomic(1) == (-1, 1)
         assert cyclotomic(2) == (1, 1)
         assert cyclotomic(4) == (1, 0, 1)
         assert len(cyclotomic(30)) - 1 == 8
-
-    def test_census_csv(self, tmp_path):
-        rows = [regular_ngon_multiplicity(n) for n in (4, 6)]
-        path = ngon_census_csv(rows, tmp_path / "census.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,center_mult,max_excl_center,certified"
-        assert lines[1] == "4,2,0,True"
-        assert lines[2] == "6,3,2,True"

@@ -4,13 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from visblock.crossing import partition_size_floor
 from visblock.drawings import (
     Arc,
     ArcEdge,
     construct_kn_arc_drawing,
     edge_common_points,
-    edge_polyline,
-    trivial_blocker_lower_bound,
     verified_arc_drawing,
     verify_drawing_blocking,
     verify_simplicity,
@@ -193,21 +192,18 @@ class TestVerifiedConstructor:
 
 
 class TestTrivialBound:
+    # A point blocks at most floor(n/2) edges of a drawing on n vertices, so
+    # partition_size_floor(n) = ceil(C(n,2) / floor(n/2)) blockers are needed;
+    # n - 1 is the weaker round number usually quoted.
     @pytest.mark.parametrize("n,linear,exact", [(2, 1, 1), (4, 3, 3), (7, 6, 7), (10, 9, 9)])
     def test_values(self, n, linear, exact):
-        b = trivial_blocker_lower_bound(n)
-        assert (b.linear_bound, b.exact_ceiling) == (linear, exact)
+        assert (n - 1, partition_size_floor(n)) == (linear, exact)
 
     @pytest.mark.parametrize("n", range(2, 40))
     def test_ceiling_dominates(self, n):
-        b = trivial_blocker_lower_bound(n)
-        assert b.exact_ceiling >= b.linear_bound
+        assert partition_size_floor(n) >= n - 1
         # and the 2n-3 blockers actually used are enough headroom
-        assert 2 * n - 3 >= b.exact_ceiling
-
-    def test_rejects_small_n(self):
-        with pytest.raises(GeometryError):
-            trivial_blocker_lower_bound(1)
+        assert 2 * n - 3 >= partition_size_floor(n)
 
 
 class TestExport:
@@ -224,18 +220,3 @@ class TestExport:
         assert up == {"center": ["-1/1", "0/1"], "radius_squared": "4/1", "half": "upper"}
         assert lo["half"] == "lower"
         assert lo["radius_squared"] == "25/4"
-
-    def test_polyline_traces_the_curve(self):
-        d = construct_kn_arc_drawing(2)
-        pts = edge_polyline(d.edges[0], samples_per_arc=16)
-        assert len(pts) == 33
-        assert pts[0] == pytest.approx((1.0, 0.0))
-        assert pts[16] == pytest.approx((-3.0, 0.0), abs=1e-12)
-        assert pts[-1] == pytest.approx((2.0, 0.0), abs=1e-12)
-        assert all(y >= -1e-12 for _, y in pts[:17])
-        assert all(y <= 1e-12 for _, y in pts[16:])
-
-    def test_polyline_needs_samples(self):
-        d = construct_kn_arc_drawing(2)
-        with pytest.raises(GeometryError):
-            edge_polyline(d.edges[0], samples_per_arc=1)

@@ -5,20 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visblock.blocking import construct_knn_parabola
 from visblock.errors import GeometryError
 from visblock.geometry import Point, PointSet, collinear, is_general_position, max_collinear
 from visblock.midpoints import (
     MidpointSearchResult,
     Progression,
-    contains_all,
-    convex_fraction_line,
     low_midpoint_search,
     midpoint_set,
     product_set,
     progression_points,
     sum_set,
-    write_search_survey,
 )
 
 SQUARE = PointSet.build([(0, 0), (2, 0), (0, 2), (2, 2)])
@@ -174,29 +170,6 @@ class TestProgression:
         assert len(res.points) <= g.nominal_size()
 
 
-class TestContainsAll:
-    def test_grid_inside_unit_progression(self):
-        grid = PointSet.build([(x, y) for x in range(3) for y in range(3)])
-        g = Progression(Point(-1, -1), (Point(1, 0), Point(0, 1)), (3, 3))
-        assert contains_all(g, grid)
-
-    def test_triangle_not_on_axis_progression(self):
-        tri = PointSet.build([(0, 0), (1, 0), (0, 1)])
-        g = Progression(Point(-1, 0), (Point(1, 0),), (8,))
-        assert not contains_all(g, tri)
-
-    def test_bipartite_parabola_vertices_not_one_dimensional(self):
-        drawing = construct_knn_parabola(2)
-        verts = drawing.vertices
-        # vertices are not collinear, so no 1-generator progression holds them
-        for v0 in verts:
-            for w in verts:
-                if v0 == w:
-                    continue
-                g = Progression(v0 - (w - v0), (w - v0,), (8,))
-                assert not contains_all(g, verts)
-
-
 class TestSearch:
     def test_triangle_floor(self):
         # any 3 points in general position give exactly 3 distinct midpoints
@@ -255,27 +228,3 @@ class TestSearch:
     def test_ratio(self):
         res = low_midpoint_search(4, 3, budget_evals=30, seed=5)
         assert res.ratio == Fraction(res.midpoints, 4)
-
-
-class TestSurveyOutput:
-    def test_csv_and_json_round_trip(self, tmp_path):
-        rows = [
-            (3, low_midpoint_search(4, 3, budget_evals=30, seed=0)),
-            (4, low_midpoint_search(5, 4, budget_evals=30, seed=1)),
-        ]
-        csv_path = write_search_survey(rows, tmp_path)
-        text = csv_path.read_text().strip().splitlines()
-        assert text[0] == "n,ell,strategy,seed,m,m_over_n,best_set_json_path"
-        assert len(text) == 3
-        first = text[1].split(",")
-        assert first[0] == "4" and first[1] == "3"
-        set_path = first[-1]
-        restored = PointSet.from_json(open(set_path).read())
-        assert set(restored) == set(rows[0][1].points)
-
-
-class TestReportLines:
-    def test_convex_fraction_line(self):
-        line = convex_fraction_line(SQUARE)
-        assert "n=4" in line and "m=5" in line
-        assert "0.8000" in line and "0.9000" in line

@@ -15,7 +15,6 @@ from visblock.visibility import (
     diameter,
     monochromatic_line_check,
     proposition1_check,
-    turan_edges,
     visibility_graph,
 )
 
@@ -158,28 +157,6 @@ class TestCliqueAndChromatic:
         assert cq.exact and cq.omega == ow
         assert ch.exact and ch.chi == cw
         assert cq.omega <= ch.chi
-
-
-class TestTuran:
-    def test_small(self):
-        assert turan_edges(4, 2) == 4
-        assert turan_edges(5, 2) == 6
-        assert turan_edges(9, 4) == 30
-
-    def test_direct_construction(self):
-        # build the balanced 4-partite graph on 9 vertices and count
-        parts = [[0, 1, 2], [3, 4], [5, 6], [7, 8]]
-        count = 0
-        for a, b in combinations(range(4), 2):
-            count += len(parts[a]) * len(parts[b])
-        assert count == turan_edges(9, 4)
-
-    def test_edge_cases(self):
-        assert turan_edges(1, 1) == 0
-        assert turan_edges(5, 1) == 0
-        assert turan_edges(5, 5) == 10
-        with pytest.raises(GeometryError):
-            turan_edges(0, 2)
 
 
 class TestBigLineBigClique:
