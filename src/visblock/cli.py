@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -301,6 +301,9 @@ class ExperimentConfig:
     def from_obj(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise GeometryError("config must be a JSON object")
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise GeometryError(f"config has unknown keys {sorted(unknown)}")
         try:
             gen = GeneratorSpec.from_obj(obj["generator"])
             tasks = tuple(obj["tasks"])
@@ -325,6 +328,8 @@ def run(config: ExperimentConfig) -> Path:
     run_dir = Path(config.output_dir) / f"run-{_config_hash(config)}"
     for sub in ("inputs", "results", "logs"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
+        for f in (run_dir / sub).glob("*.json"):  # a step that fails now leaves no old artifact
+            f.unlink()
     handler = logging.FileHandler(run_dir / "logs" / "run.log", mode="w")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     log.addHandler(handler)

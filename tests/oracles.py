@@ -4,7 +4,6 @@ Everything here is deliberately naive: direct definitions, exhaustive
 enumeration, no shared code with the implementation under test.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
 
 

@@ -1,8 +1,10 @@
-"""Guard against public API that only its own unit tests reach.
+"""Guard against public API that only its own unit tests reach, and against
+imports nothing uses.
 
 A public top-level function or class of a visblock module must be used by
 other package code (outside its own definition), be exported in
-`visblock.__all__`, or be used by the acceptance gate.
+`visblock.__all__`, or be used by the acceptance gate. Every name a package
+or test module imports must be referenced in that module.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 import visblock
 
 PACKAGE = Path(visblock.__file__).parent
-ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+TESTS = Path(__file__).parent
+ACCEPTANCE = TESTS / "test_acceptance.py"
 
 
 def _referenced_names(tree) -> set[str]:
@@ -44,3 +47,20 @@ def test_every_public_name_is_reached_outside_its_unit_tests():
         and not any(node.name in r for j, r in enumerate(refs) if j != i)
     ]
     assert not unreached, f"public names reached only from unit tests: {unreached}"
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = set(visblock.__all__) if path == PACKAGE / "__init__.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and name not in exported:
+                        unused.append(f"{path.parent.name}/{path.name}: {name}")
+    assert not unused, f"imported but never used: {unused}"

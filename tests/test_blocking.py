@@ -1,11 +1,8 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from visblock.blocking import (
-    all_pairs_instance,
-    blocks_drawing,
     candidate_blockers,
     construct_knn_grid,
     construct_knn_parabola,

@@ -67,6 +67,12 @@ class TestConfig:
         with pytest.raises(GeometryError, match="missing"):
             ExperimentConfig.from_obj({"tasks": ["visgraph"]})
 
+    @pytest.mark.parametrize("key,value", [("budget_ms", {"visgraph": 5}), ("formats", ["json"])])
+    def test_from_obj_unknown_key(self, key, value):
+        obj = {"generator": {"kind": "grid", "params": {"w": 2, "h": 2}}, "tasks": ["visgraph"]}
+        with pytest.raises(GeometryError, match=f"unknown keys.*{key}"):
+            ExperimentConfig.from_obj(obj | {key: value})
+
 
 class TestRunHarness:
     def test_grid_visgraph_example(self, tmp_path):
@@ -181,6 +187,25 @@ class TestRunHarness:
         assert "Traceback" in (run_dir / "logs" / "run.log").read_text()
         summary = report([run_dir], tmp_path / "rpt")["summary"].read_text()
         assert len(summary.splitlines()) == 2
+
+    def test_rerun_drops_stale_results(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(
+            GeneratorSpec("grid", {"w": 2, "h": 2}), ("visgraph", "midpoints"),
+            output_dir=str(tmp_path),
+        )
+        run_dir = run(cfg)
+        assert (run_dir / "results" / "visgraph.json").exists()
+
+        def crash(obj, budget_ms):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.TASK_FNS, "visgraph", crash)
+        assert run(cfg) == run_dir
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["tasks"]["visgraph"]["status"] == "error"
+        assert not (run_dir / "results" / "visgraph.json").exists()
+        assert "results/visgraph.json" not in manifest["artifact_hashes"]
+        assert "results/midpoints.json" in manifest["artifact_hashes"]
 
     def test_generation_crash_recorded(self, tmp_path, monkeypatch):
         def crash(spec):
@@ -415,6 +440,18 @@ class TestMainEntry:
         assert rc == EXIT_OK
         out = capsys.readouterr().out.strip()
         assert out.startswith(str(tmp_path / "elsewhere"))
+
+    def test_run_config_with_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "generator": {"kind": "grid", "params": {"w": 2, "h": 2}},
+            "tasks": ["visgraph"],
+            "budget_ms": {"visgraph": 5},
+        }))
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "unknown keys ['budget_ms']" in err
+        assert "Traceback" not in err
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == EXIT_INPUT

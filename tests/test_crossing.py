@@ -1,10 +1,13 @@
 import math
-from fractions import Fraction
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
-import mpmath
 import pytest
 
+from visblock import crossing
 from visblock.blocking import min_blocking_set
 from visblock.crossing import (
     circle_graph_cover,
@@ -241,10 +244,23 @@ class TestNgonCensus:
         with pytest.raises(GeometryError):
             regular_ngon_multiplicity(3)
 
-    def test_leaves_mpmath_precision_alone(self, monkeypatch):
-        monkeypatch.setattr(mpmath.mp, "prec", 53)
-        regular_ngon_multiplicity(12)
-        assert mpmath.mp.prec == 53
+    def test_needs_no_mpmath(self):
+        code = (
+            "import sys\n"
+            "from visblock.crossing import regular_ngon_multiplicity\n"
+            "assert regular_ngon_multiplicity(12).certified\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(crossing.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_result_does_not_hinge_on_the_grid(self, monkeypatch):
+        base = [regular_ngon_multiplicity(n).to_obj() for n in range(4, 31)]
+        for exp in (24, 36):
+            monkeypatch.setattr(crossing, "_CELL_EXP", exp)
+            assert [regular_ngon_multiplicity(n).to_obj() for n in range(4, 31)] == base
 
     def test_cyclotomic_degrees(self):
         # degree = Euler phi; spot values

@@ -7,7 +7,6 @@ import pytest
 from visblock.crossing import partition_size_floor
 from visblock.drawings import (
     Arc,
-    ArcEdge,
     construct_kn_arc_drawing,
     edge_common_points,
     verified_arc_drawing,

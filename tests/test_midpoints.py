@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from visblock.errors import GeometryError
 from visblock.geometry import Point, PointSet, collinear, is_general_position, max_collinear
 from visblock.midpoints import (
-    MidpointSearchResult,
     Progression,
     low_midpoint_search,
     midpoint_set,

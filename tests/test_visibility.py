@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from visblock.errors import GeometryError
 from visblock.geometry import PointSet
 from visblock.visibility import (
-    BigLineBigCliqueVerdict,
     Colouring,
     big_line_big_clique_check,
     chromatic_number,
