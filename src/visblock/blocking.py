@@ -15,6 +15,7 @@ from .errors import GeometryError, NotGeneralPosition, SegmentOverlap
 from .geometry import (
     Point,
     PointSet,
+    _first_blockers,
     convex_hull_size,
     is_general_position,
     midpoint,
@@ -42,9 +43,6 @@ class BlockingInstance:
     segments: tuple[tuple[Point, Point], ...]
     vertices: tuple[Point, ...]
     candidates: tuple[Candidate, ...]
-    origin: str  # "all-pairs" | "drawing-edges"
-    pair_labels: Optional[tuple[tuple[int, int], ...]] = None
-    notes: tuple[str, ...] = ()
 
     @property
     def m(self) -> int:
@@ -70,16 +68,15 @@ def _point_at(a: Point, b: Point, t: Fraction) -> Point:
 def _build_instance(
     segments: Sequence[tuple[Point, Point]],
     vertices: Sequence[Point],
-    origin: str,
-    pair_labels: Optional[tuple[tuple[int, int], ...]],
     gap_segments: Sequence[int],
-    notes: tuple[str, ...],
+    drawing: bool,
 ) -> BlockingInstance:
     """Shared candidate construction.
 
     gap_segments lists the segment indices that need a schedule-placed
     candidate of their own (gaps of multi-point lines, private positions of
     drawing edges). Pairwise intersection points contribute the rest.
+    A drawing's edges must not overlap along a line; all-pairs segments may.
     """
     segs = list(segments)
     if len({(a, b) for a, b in segs}) != len(segs):
@@ -90,7 +87,7 @@ def _build_instance(
     for i, j in combinations(range(len(segs)), 2):
         m = segment_intersection(*segs[i], *segs[j])
         if m.kind == "overlap":
-            if origin == "drawing-edges":
+            if drawing:
                 raise SegmentOverlap(
                     f"segments {i} and {j} overlap along a line; "
                     "blocked drawings must have interior-disjoint collinear edges"
@@ -116,9 +113,7 @@ def _build_instance(
         )
         if covers:
             cands.append(Candidate(p, covers))
-    return BlockingInstance(
-        tuple(segs), tuple(vertices), tuple(cands), origin, pair_labels, notes
-    )
+    return BlockingInstance(tuple(segs), tuple(vertices), tuple(cands))
 
 
 def all_pairs_instance(ps: PointSet) -> BlockingInstance:
@@ -136,10 +131,7 @@ def all_pairs_instance(ps: PointSet) -> BlockingInstance:
         order = sorted_along_line(ps, rec)
         for a, b in zip(order, order[1:]):
             gap_segments.append(seg_index[(a, b) if a < b else (b, a)])
-    notes = ()
-    if not is_general_position(ps):
-        notes = ("collinear pairs kept as segments; blockers are outside the set",)
-    return _build_instance(segments, list(ps), "all-pairs", labels, gap_segments, notes)
+    return _build_instance(segments, list(ps), gap_segments, drawing=False)
 
 
 def drawing_instance(
@@ -153,9 +145,7 @@ def drawing_instance(
                 if p not in seen:
                     seen.append(p)
         vertices = seen
-    return _build_instance(
-        edges, list(vertices), "drawing-edges", None, list(range(len(edges))), ()
-    )
+    return _build_instance(edges, list(vertices), list(range(len(edges))), drawing=True)
 
 
 def candidate_blockers(
@@ -174,7 +164,6 @@ class BlockingSet:
     covers: tuple[tuple[int, int], ...]  # (segment index, blocker index)
     optimal: bool
     lower_bound: int
-    notes: tuple[str, ...] = ()
 
     @property
     def size(self) -> int:
@@ -204,34 +193,27 @@ class BlockCheck:
         }
 
 
-def is_blocking_set(ps: PointSet, blockers: Iterable[Point]) -> BlockCheck:
-    """Certificate check: blockers avoid the set and cover every pair."""
-    bl = list(blockers)
-    members = set(ps)
-    for b in bl:
-        if b in members:
-            return BlockCheck(False, vertex_clash=b)
-    for i, j in combinations(range(len(ps)), 2):
-        if not any(on_open_segment(b, ps[i], ps[j]) for b in bl):
-            return BlockCheck(False, uncovered=(i, j))
-    return BlockCheck(True)
-
-
-def blocks_drawing(
-    vertices: Sequence[Point],
-    edges: Sequence[tuple[Point, Point]],
+def _check_blocked(
+    vertices: Iterable[Point],
+    segments: Sequence[tuple[Point, Point]],
+    labels: Sequence[tuple[int, int]],
     blockers: Iterable[Point],
 ) -> BlockCheck:
-    """Same certificate for an explicit edge list; uncovered is an edge index."""
     bl = list(blockers)
     vset = set(vertices)
     for b in bl:
         if b in vset:
             return BlockCheck(False, vertex_clash=b)
-    for k, (a, c) in enumerate(edges):
-        if not any(on_open_segment(b, a, c) for b in bl):
-            return BlockCheck(False, uncovered=(k, k))
+    for label, owner in zip(labels, _first_blockers(segments, bl)):
+        if owner is None:
+            return BlockCheck(False, uncovered=label)
     return BlockCheck(True)
+
+
+def is_blocking_set(ps: PointSet, blockers: Iterable[Point]) -> BlockCheck:
+    """Certificate check: blockers avoid the set and cover every pair."""
+    pairs = list(combinations(range(len(ps)), 2))
+    return _check_blocked(ps, [(ps[i], ps[j]) for i, j in pairs], pairs, blockers)
 
 
 def _solve_hitting_set(
@@ -335,7 +317,7 @@ def min_blocking_set(
             if s in inst.candidates[c].covers:
                 covers.append((s, bi))
                 break
-    return BlockingSet(points, tuple(covers), optimal, lower, inst.notes)
+    return BlockingSet(points, tuple(covers), optimal, lower)
 
 
 def triangulation_lower_bound(ps: PointSet) -> int:
@@ -357,7 +339,7 @@ def midpoint_blocking_set(ps: PointSet) -> BlockingSet:
     mids = sorted({midpoint(ps[i], ps[j]) for i, j in labels})
     index = {p: k for k, p in enumerate(mids)}
     covers = tuple((s, index[midpoint(ps[i], ps[j])]) for s, (i, j) in enumerate(labels))
-    return BlockingSet(tuple(mids), covers, False, 0, ("midpoint construction",))
+    return BlockingSet(tuple(mids), covers, False, 0)
 
 
 @dataclass(frozen=True)
@@ -376,7 +358,10 @@ class BipartiteDrawing:
         return self.left + self.right
 
     def check(self) -> BlockCheck:
-        return blocks_drawing(self.vertices, self.edges, self.blockers)
+        """Blocking certificate of the stated blockers; uncovered is (k, k)
+        for edge index k."""
+        labels = [(k, k) for k in range(len(self.edges))]
+        return _check_blocked(self.vertices, self.edges, labels, self.blockers)
 
     def to_obj(self) -> dict:
         return {

@@ -184,7 +184,7 @@ def task_midpoints(obj, budget_ms: Optional[int]) -> TaskOutcome:
 def task_crossing(obj, budget_ms: Optional[int]) -> TaskOutcome:
     ps = _as_pointset(obj)
     g = crossing_graph(ps)
-    part = crossing_family_partition(ps, budget_ms)
+    part = crossing_family_partition(g, budget_ms)
     floor = partition_size_floor(len(ps))
     result = {
         "n": len(ps),
@@ -286,7 +286,7 @@ class ExperimentConfig:
         for t, b in self.budgets_ms.items():
             if t not in TASKS:
                 raise GeometryError(f"budget for unknown task {t!r}")
-            if not isinstance(b, int) or b < 0:
+            if not isinstance(b, int) or isinstance(b, bool) or b < 0:
                 raise GeometryError(f"budget for {t!r} must be a non-negative integer")
 
     def to_obj(self) -> dict:
@@ -306,15 +306,18 @@ class ExperimentConfig:
             raise GeometryError(f"config has unknown keys {sorted(unknown)}")
         try:
             gen = GeneratorSpec.from_obj(obj["generator"])
-            tasks = tuple(obj["tasks"])
+            tasks = obj["tasks"]
         except KeyError as exc:
             raise GeometryError(f"config missing {exc}") from exc
-        return cls(
-            gen,
-            tasks,
-            dict(obj.get("budgets_ms", {})),
-            str(obj.get("output_dir", "runs")),
-        )
+        budgets = obj.get("budgets_ms", {})
+        output_dir = obj.get("output_dir", "runs")
+        if not isinstance(tasks, list):
+            raise GeometryError(f"config 'tasks' must be a list, got {tasks!r}")
+        if not isinstance(budgets, dict):
+            raise GeometryError(f"config 'budgets_ms' must be an object, got {budgets!r}")
+        if not isinstance(output_dir, str):
+            raise GeometryError(f"config 'output_dir' must be a string, got {output_dir!r}")
+        return cls(gen, tuple(tasks), dict(budgets), output_dir)
 
 
 def _config_hash(config: ExperimentConfig) -> str:

@@ -16,16 +16,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .cliques import _deadline, chromatic_number
 from .errors import GeometryError, NotGeneralPosition
 from .geometry import (
     Point,
     PointSet,
+    _first_blockers,
     _hull_vertices,
     is_general_position,
-    on_open_segment,
     orientation,
 )
 
@@ -95,17 +95,19 @@ def partition_size_floor(n: int) -> int:
     return -(- (n * (n - 1) // 2) // (n // 2))
 
 
-def _check_partition(g: CrossingGraph, classes: Sequence[Sequence[int]]) -> None:
-    seen: set[int] = set()
+def _check_classes(adj: Sequence[int], labels: Sequence, classes: Sequence[Sequence[int]],
+                   ) -> None:
     for cls in classes:
         for s, t in combinations(cls, 2):
-            if not g.crosses(s, t):
+            if not adj[s] >> t & 1:
                 raise GeometryError(
-                    f"segments {g.segments[s]} and {g.segments[t]} share a class "
-                    "but do not cross"
+                    f"{labels[s]} and {labels[t]} share a class but do not cross"
                 )
-        seen.update(cls)
-    if seen != set(range(g.m)):
+
+
+def _check_partition(g: CrossingGraph, classes: Sequence[Sequence[int]]) -> None:
+    _check_classes(g.adj, g.segments, classes)
+    if {s for cls in classes for s in cls} != set(range(g.m)):
         raise GeometryError("classes do not partition the segments")
     n = len(g.source)
     if len(classes) < partition_size_floor(n):
@@ -126,12 +128,14 @@ def _min_clique_cover(adj: Sequence[int], budget_ms: Optional[int],
     return tuple(tuple(sorted(b)) for _, b in sorted(buckets.items())), exact
 
 
-def crossing_family_partition(ps: PointSet, budget_ms: Optional[int] = None,
+def crossing_family_partition(source: Union[PointSet, CrossingGraph],
+                              budget_ms: Optional[int] = None,
                               ) -> CrossingFamilyPartition:
     """Minimum partition of all segments into pairwise-crossing classes,
     found as an exact colouring of the complement of the crossing graph.
-    On budget exhaustion the best greedy partition is returned, exact=False."""
-    g = crossing_graph(ps)
+    On budget exhaustion the best greedy partition is returned, exact=False.
+    A CrossingGraph is used as given; a PointSet gets its graph built."""
+    g = source if isinstance(source, CrossingGraph) else crossing_graph(source)
     classes, exact = _min_clique_cover(g.adj, budget_ms)
     _check_partition(g, classes)
     return CrossingFamilyPartition(classes, exact)
@@ -143,12 +147,9 @@ def cover_from_blockers(ps: PointSet, blockers: Sequence[Point]) -> CrossingFami
     partition of the same size or smaller; this is the witness behind
     comparing partition sizes with blocking numbers."""
     g = crossing_graph(ps)
+    owners = _first_blockers([(ps[i], ps[j]) for i, j in g.segments], blockers)
     classes: dict[int, list[int]] = {}
-    for s, (i, j) in enumerate(g.segments):
-        owner = next(
-            (b for b, blk in enumerate(blockers) if on_open_segment(blk, ps[i], ps[j])),
-            None,
-        )
+    for s, owner in enumerate(owners):
         if owner is None:
             raise GeometryError(f"segment {g.segments[s]} is not blocked; cover impossible")
         classes.setdefault(owner, []).append(s)
@@ -192,10 +193,7 @@ def circle_graph_cover(n: int, chords: Sequence[tuple[int, int]],
             adj[s] |= 1 << t
             adj[t] |= 1 << s
     classes, exact = _min_clique_cover(adj, budget_ms)
-    for cls in classes:
-        for s, t in combinations(cls, 2):
-            if not (adj[s] >> t & 1):
-                raise GeometryError("cover class contains non-interleaving chords")
+    _check_classes(adj, chords, classes)
     return CrossingFamilyPartition(classes, exact)
 
 
@@ -290,99 +288,89 @@ class NgonCensus:
         }
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-# float64 clustering on a grid of side 2^-_CELL_EXP. Crossing chords have
-# |den| = |1 - zeta^(j+l-i-k)| >= 2 sin(pi/n) and |conj(z)| <= 1, so the float
-# error is a few ulp / 2 sin(pi/n) (2.3e-15 at n = 24, 30, 40 against a 120-bit
-# reference), far below the cell side 9.3e-10. Equal events thus land in the
-# same or adjacent cells; all occupants of a cell share a union-find root, so
-# equal events share a cluster and the exact checks see every coincidence.
-_CELL_EXP = 30
+# float64 proposals, one chord (0, k) at a time: the events sorted by
+# Re(conj z), neighbours at most 2^-_GAP_EXP apart chained into a cluster.
+# Crossing chords have |den| = |1 - zeta^(j+l-i-k)| >= 2 sin(pi/n) and
+# |conj(z)| <= 1, so the float error of conj(z) is a few ulp / 2 sin(pi/n);
+# projecting onto the real axis cannot increase it. Against a 120-bit
+# reference the real part is off by at most 6.9e-15 for n = 4..60 (worst at
+# n = 55). Two equal events thus lie at most about 1.4e-14 apart, and so does
+# every event sorted between them; each step of that stretch is far below
+# the gap 9.3e-10, so equal events always share a cluster and the exact
+# checks see every coincidence.
+_GAP_EXP = 30
 _CHECK_BUDGET = 2_000_000
 
 
-def _numeric_clusters(events, n: int) -> list[list[int]]:
-    uf = _UnionFind(len(events))
-    cells: dict[tuple[int, int], int] = {}
+def _chord_clusters(n: int, k: int) -> list[list[tuple[int, int, int, int]]]:
     zeta = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
-    scale = 2.0 ** _CELL_EXP
-    for idx, (i, j, k, l) in enumerate(events):
-        num = zeta[i] + zeta[k] - zeta[j] - zeta[l]
-        den = zeta[i] * zeta[k] - zeta[j] * zeta[l]
-        zbar = num / den
-        cx = math.floor(zbar.real * scale)
-        cy = math.floor(-zbar.imag * scale)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = cells.get((cx + dx, cy + dy))
-                if other is not None:
-                    uf.union(other, idx)
-        cells[(cx, cy)] = idx
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(events)):
-        groups.setdefault(uf.find(idx), []).append(idx)
-    return list(groups.values())
+    keyed = []
+    for j in range(1, k):
+        for l in range(k + 1, n):
+            if 2 * k == n and 2 * (l - j) == n:
+                continue  # two diameters, meeting at the center
+            num = zeta[0] + zeta[k] - zeta[j] - zeta[l]
+            den = zeta[0] * zeta[k] - zeta[j] * zeta[l]
+            keyed.append(((num / den).real, (0, j, k, l)))
+    keyed.sort()
+    gap = 2.0 ** -_GAP_EXP
+    clusters: list[list[tuple[int, int, int, int]]] = []
+    prev = -math.inf
+    for x, ev in keyed:
+        if x - prev > gap:
+            clusters.append([])
+        clusters[-1].append(ev)
+        prev = x
+    return clusters
 
 
 def regular_ngon_multiplicity(n: int) -> NgonCensus:
     """Census of interior chord intersections of the regular polygon with n
     vertices. Diameter pairs meet at the center and are counted separately;
-    all other coincidences are certified in exact arithmetic."""
+    all other coincidences are certified in exact arithmetic.
+
+    Rotation maps every off-center point, with its multiplicity, onto a chord
+    through vertex 0, and two such chords meet only at the vertex. So only
+    the events (0, j, k, l) are examined, and a point of multiplicity m on
+    the chord (0, k) is one group of m - 1 of them."""
     if n < 4:
         raise GeometryError("census needs n >= 4")
-    events = []
-    half = n // 2
-    for i, j, k, l in combinations(range(n), 4):
-        if n % 2 == 0 and k - i == half and l - j == half:
-            continue  # two diameters, meeting at the center
-        events.append((i, j, k, l))
-    center_mult = half if n % 2 == 0 else 0
+    center_mult = n // 2 if n % 2 == 0 else 0
     phi = list(cyclotomic(n))
     checks = 0
     ambiguous: list[tuple] = []
-    max_excl = 0
-    for cluster in _numeric_clusters(events, n):
-        members: list[list[int]] = []
-        overran = False
-        for idx in cluster:
-            for grp in members:
-                checks += 1
-                if checks > _CHECK_BUDGET:
-                    overran = True
+    groups_by_mult: dict[int, int] = {}
+    for k in range(2, n - 1):
+        for cluster in _chord_clusters(n, k):
+            members: list[list[tuple[int, int, int, int]]] = []
+            overran = False
+            for ev in cluster:
+                for grp in members:
+                    checks += 1
+                    if checks > _CHECK_BUDGET:
+                        overran = True
+                        break
+                    if _events_equal(ev, grp[0], n, phi):
+                        grp.append(ev)
+                        break
+                else:
+                    members.append([ev])
+                if overran:
                     break
-                if _events_equal(events[idx], events[grp[0]], n, phi):
-                    grp.append(idx)
-                    break
-            else:
-                members.append([idx])
             if overran:
-                break
-        if overran:
-            ambiguous.append(tuple(events[idx] for idx in cluster))
-            continue
-        for grp in members:
-            chords = set()
-            for idx in grp:
-                i, j, k, l = events[idx]
-                chords.add((i, k))
-                chords.add((j, l))
-            mult = len(chords)
-            if len(grp) != mult * (mult - 1) // 2:
-                raise AssertionError("event count inconsistent with chord coincidence")
-            max_excl = max(max_excl, mult)
+                ambiguous.append(tuple(cluster))
+                continue
+            for grp in members:
+                mult = len(grp) + 1
+                groups_by_mult[mult] = groups_by_mult.get(mult, 0) + 1
+    # A point of multiplicity m has 2m distinct chord endpoints, so exactly
+    # 2m points of its rotation orbit lie on chords through vertex 0; with
+    # clusters left undecided the count is partial.
+    for mult, count in groups_by_mult.items():
+        if count % (2 * mult) and not ambiguous:
+            raise AssertionError(
+                f"{count} points of multiplicity {mult} on the chords through "
+                f"vertex 0, not a multiple of {2 * mult}"
+            )
+    max_excl = max(groups_by_mult, default=0)
     return NgonCensus(n, center_mult, max_excl, not ambiguous, tuple(ambiguous))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 from .blocking import BipartiteDrawing, construct_knn_grid, construct_knn_parabola
@@ -72,12 +72,19 @@ class GeneratorSpec:
     def from_obj(cls, obj: dict) -> "GeneratorSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise GeometryError("generator spec needs a 'kind'")
-        return cls(
-            obj["kind"],
-            dict(obj.get("params", {})),
-            obj.get("max_collinear_bound"),
-            bool(obj.get("dedupe_symmetry", False)),
-        )
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise GeometryError(f"generator spec has unknown keys {sorted(unknown)}")
+        params = obj.get("params", {})
+        bound = obj.get("max_collinear_bound")
+        dedupe = obj.get("dedupe_symmetry", False)
+        if not isinstance(params, dict):
+            raise GeometryError(f"generator 'params' must be an object, got {params!r}")
+        if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool)):
+            raise GeometryError(f"'max_collinear_bound' must be an integer, got {bound!r}")
+        if not isinstance(dedupe, bool):
+            raise GeometryError(f"'dedupe_symmetry' must be true or false, got {dedupe!r}")
+        return cls(obj["kind"], dict(params), bound, dedupe)
 
 
 def _positive_int(params: dict, key: str) -> int:
@@ -226,9 +233,8 @@ def generate(spec: GeneratorSpec) -> Union[PointSet, BipartiteDrawing]:
         seed = p.get("seed")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise GeometryError("seed must be an integer")
-        out = random_general_position_set(
-            _positive_int(p, "n"), p.get("bound"), seed
-        )
+        bound = None if p.get("bound") is None else _positive_int(p, "bound")
+        out = random_general_position_set(_positive_int(p, "n"), bound, seed)
     elif spec.kind == "progression":
         out = progression_set(p)
     else:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DegenerateHull, DegenerateSegment, GeometryError
 
@@ -95,6 +95,17 @@ def on_open_segment(x: Point, a: Point, b: Point) -> bool:
     return lo < x.y < hi
 
 
+def _first_blockers(
+    segments: Iterable[tuple[Point, Point]], blockers: Sequence[Point]
+) -> Iterator[Optional[int]]:
+    """Per segment, lazily, the index of the first blocker strictly inside
+    it, or None."""
+    return (
+        next((k for k, x in enumerate(blockers) if on_open_segment(x, a, b)), None)
+        for a, b in segments
+    )
+
+
 @dataclass(frozen=True)
 class SegmentMeet:
     """Intersection outcome of two segments: kind in {empty, point, overlap}.
@@ -106,10 +117,6 @@ class SegmentMeet:
 
     kind: str
     point: Optional[Point] = None
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
 
 
 _EMPTY = SegmentMeet("empty")
@@ -173,12 +180,11 @@ class LineRecord:
     """A maximal collinear subset of a point set, by index.
 
     member_indices is sorted by index; direction is a primitive integer
-    vector along the line; anchor is the lowest-index member.
+    vector along the line.
     """
 
     member_indices: tuple[int, ...]
     direction: tuple[int, int]
-    anchor: Point
 
     def __len__(self) -> int:
         return len(self.member_indices)
@@ -262,7 +268,7 @@ def lines_of(ps: PointSet | Sequence[Point]) -> tuple[LineRecord, ...]:
     for members in groups.values():
         idx = tuple(sorted(members))
         p, q = pts[idx[0]], pts[idx[1]]
-        records.append(LineRecord(idx, _primitive(q.x - p.x, q.y - p.y), pts[idx[0]]))
+        records.append(LineRecord(idx, _primitive(q.x - p.x, q.y - p.y)))
     records.sort(key=lambda r: r.member_indices)
     return tuple(records)
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import GeometryError
-from .geometry import Point, PointSet, max_collinear, midpoint, _primitive
+from .geometry import Point, PointSet, midpoint, _primitive
 
 
 def midpoint_set(ps: PointSet | Sequence[Point]) -> frozenset[Point]:
@@ -93,10 +93,6 @@ def _line_load_through(p: Point, others: Sequence[Point]) -> int:
         key = _primitive(d.x, d.y)
         groups[key] = groups.get(key, 0) + 1
     return 1 + max(groups.values(), default=0)
-
-
-def _admissible(pts: Sequence[Point], ell: int) -> bool:
-    return max_collinear(pts) < ell
 
 
 @dataclass(frozen=True)

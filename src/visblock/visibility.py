@@ -14,8 +14,8 @@ from .errors import DisconnectedVisibility, GeometryError
 from .geometry import (
     LineRecord,
     PointSet,
+    _first_blockers,
     max_collinear,
-    on_open_segment,
     sorted_along_line,
 )
 
@@ -207,11 +207,10 @@ def big_line_big_clique_check(
     for rec in ps.lines:
         if len(rec) >= ell:
             return BigLineBigCliqueVerdict("line", line=rec)
-    g = visibility_graph(ps)
-    size, witness, exact = cliques.max_clique(g.n, g.adj, _deadline(budget_ms))
-    if size >= k:
-        return BigLineBigCliqueVerdict("clique", clique=tuple(witness[:k]))
-    if not exact:
+    om = clique_number(visibility_graph(ps), budget_ms)
+    if om.omega >= k:
+        return BigLineBigCliqueVerdict("clique", clique=om.witness[:k])
+    if not om.exact:
         raise GeometryError("clique search budget exhausted before a verdict")
     return BigLineBigCliqueVerdict("neither")
 
@@ -268,11 +267,9 @@ def proposition1_check(ps: PointSet, col: Colouring, ell: int = 3) -> Prop1Repor
     if violations:
         return Prop1Report(False, violations, mc, largest_colour, largest, s, s_lower, None, None)
     others = [ps[i] for i in range(n) if i not in set(largest)]
-    uncovered = None
-    for i, j in combinations(largest, 2):
-        if not any(on_open_segment(b, ps[i], ps[j]) for b in others):
-            uncovered = (i, j)
-            break
+    pairs = list(combinations(largest, 2))
+    owners = _first_blockers([(ps[i], ps[j]) for i, j in pairs], others)
+    uncovered = next((pair for pair, owner in zip(pairs, owners) if owner is None), None)
     return Prop1Report(
         True, (), mc, largest_colour, largest, s, s_lower, uncovered is None, uncovered
     )

@@ -1,10 +1,11 @@
-"""Guard against public API that only its own unit tests reach, and against
-imports nothing uses.
+"""Guard against public API that only its own unit tests reach, private
+helpers nothing calls, and imports nothing uses.
 
 A public top-level function or class of a visblock module must be used by
 other package code (outside its own definition), be exported in
-`visblock.__all__`, or be used by the acceptance gate. Every name a package
-or test module imports must be referenced in that module.
+`visblock.__all__`, or be used by the acceptance gate. A private one must be
+used by other package code. Every name a package or test module imports must
+be referenced in that module.
 """
 
 import ast
@@ -29,7 +30,9 @@ def _referenced_names(tree) -> set[str]:
     return out
 
 
-def test_every_public_name_is_reached_outside_its_unit_tests():
+def _unreferenced(private: bool) -> list[tuple[str, str]]:
+    """(module, name) of the top-level functions and classes, private or
+    public, that no other package code references."""
     nodes = [
         (p.stem, node)
         for p in sorted(PACKAGE.glob("*.py"))
@@ -37,16 +40,24 @@ def test_every_public_name_is_reached_outside_its_unit_tests():
         for node in ast.parse(p.read_text()).body
     ]
     refs = [_referenced_names(node) for _, node in nodes]
-    allowed = set(visblock.__all__) | _referenced_names(ast.parse(ACCEPTANCE.read_text()))
-    unreached = [
-        f"{module}.{node.name}"
+    return [
+        (module, node.name)
         for i, (module, node) in enumerate(nodes)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in allowed
+        and node.name.startswith("_") == private
         and not any(node.name in r for j, r in enumerate(refs) if j != i)
     ]
+
+
+def test_every_public_name_is_reached_outside_its_unit_tests():
+    allowed = set(visblock.__all__) | _referenced_names(ast.parse(ACCEPTANCE.read_text()))
+    unreached = [f"{m}.{name}" for m, name in _unreferenced(private=False) if name not in allowed]
     assert not unreached, f"public names reached only from unit tests: {unreached}"
+
+
+def test_every_private_name_is_used_by_package_code():
+    unused = [f"{m}.{name}" for m, name in _unreferenced(private=True)]
+    assert not unused, f"private names no package code references: {unused}"
 
 
 def test_every_imported_name_is_used():

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
-from visblock import cli
+from visblock import cli, crossing
 from visblock.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -18,6 +19,9 @@ from visblock.cli import (
 )
 from visblock.errors import GeometryError
 from visblock.generators import GeneratorSpec
+
+
+GRID_2X2 = {"kind": "grid", "params": {"w": 2, "h": 2}}
 
 
 def write_config(tmp_path, generator, tasks, budgets=None, name="cfg.json"):
@@ -126,6 +130,24 @@ class TestRunHarness:
         t = read_result(run_dir, "crossing")["partition_size"]
         b = read_result(run_dir, "block")["blocking"]["size"]
         assert t <= b
+
+    def test_block_and_crossing_build_the_crossing_graph_twice(self, tmp_path, monkeypatch):
+        builds = []
+        build = crossing.crossing_graph
+
+        def counted(ps):
+            builds.append(ps)
+            return build(ps)
+
+        monkeypatch.setattr(crossing, "crossing_graph", counted)
+        monkeypatch.setattr(cli, "crossing_graph", counted)
+        cfg = ExperimentConfig(
+            GeneratorSpec("convex_parabola", {"n": 5}), ("block", "crossing"),
+            output_dir=str(tmp_path),
+        )
+        manifest = json.loads((run(cfg) / "manifest.json").read_text())
+        assert manifest["cross_checks"]["partition_at_most_blocking"] is True
+        assert len(builds) == 2  # task_crossing, then the blocker-induced cover
 
     def test_knn_parabola_bundle(self, tmp_path):
         cfg = ExperimentConfig(
@@ -452,6 +474,36 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "unknown keys ['budget_ms']" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("generator", GRID_2X2 | {"max_colinear_bound": 2}),
+        ("generator", GRID_2X2 | {"max_collinear_bound": "3"}),
+        ("generator", GRID_2X2 | {"dedupe_symmetry": "false"}),
+        ("generator", {"kind": "grid", "params": [1, 2]}),
+        ("tasks", 5),
+        ("budgets_ms", 5),
+        ("budgets_ms", {"visgraph": True}),
+        ("output_dir", 5),
+    ], ids=["generator-typo", "collinear-bound-str", "dedupe-str", "params-list",
+            "tasks-int", "budgets-int", "budget-bool", "output-dir-int"])
+    def test_run_malformed_config(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, GRID_2X2, ["visgraph"])
+        cfg.write_text(json.dumps(json.loads(cfg.read_text()) | {key: value}))
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_run_bound_is_validated_like_n(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kind": "random_general_position", "params": {"n": 5, "seed": 0, "bound": "9"},
+        }, ["visgraph"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        run_dir = Path(capsys.readouterr().out.strip())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["generation"]["error_type"] == "GeometryError"
+        assert "'bound'" in manifest["generation"]["message"]
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == EXIT_INPUT

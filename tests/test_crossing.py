@@ -259,8 +259,33 @@ class TestNgonCensus:
     def test_result_does_not_hinge_on_the_grid(self, monkeypatch):
         base = [regular_ngon_multiplicity(n).to_obj() for n in range(4, 31)]
         for exp in (24, 36):
-            monkeypatch.setattr(crossing, "_CELL_EXP", exp)
+            monkeypatch.setattr(crossing, "_GAP_EXP", exp)
             assert [regular_ngon_multiplicity(n).to_obj() for n in range(4, 31)] == base
+
+    @pytest.mark.parametrize("n", range(41, 61))
+    def test_poonen_rubinstein_maximum(self, n):
+        # off-center maximum for n >= 13, Poonen & Rubinstein (1998)
+        expected = 2 if n % 2 else 3 if n % 6 else 7 if n % 30 == 0 else 5
+        c = regular_ngon_multiplicity(n)
+        assert c.certified
+        assert c.max_multiplicity_excluding_center == expected
+
+    def test_split_cluster_breaks_the_rotation_count(self, monkeypatch):
+        chord_clusters = crossing._chord_clusters
+        split = []
+
+        def split_first(n, k):
+            clusters = chord_clusters(n, k)
+            for i, cl in enumerate(clusters):
+                if len(cl) > 1 and not split:
+                    split.append(cl)
+                    return clusters[:i] + [cl[:1], cl[1:]] + clusters[i + 1:]
+            return clusters
+
+        monkeypatch.setattr(crossing, "_chord_clusters", split_first)
+        with pytest.raises(AssertionError, match="not a multiple of"):
+            regular_ngon_multiplicity(12)
+        assert split
 
     def test_cyclotomic_degrees(self):
         # degree = Euler phi; spot values
