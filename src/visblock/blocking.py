@@ -10,7 +10,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .cliques import _deadline
+from .cliques import _bits, _deadline, _maximise, max_matching
 from .errors import GeometryError, NotGeneralPosition, SegmentOverlap
 from .geometry import (
     Point,
@@ -216,6 +216,56 @@ def is_blocking_set(ps: PointSet, blockers: Iterable[Point]) -> BlockCheck:
     return _check_blocked(ps, [(ps[i], ps[j]) for i, j in pairs], pairs, blockers)
 
 
+def _certified_matching_size(
+    adj: Sequence[int], mate: Sequence[int], barrier: Sequence[int]
+) -> int:
+    """Size of the matching mate of the graph adj, proved maximum by the
+    Tutte-Berge barrier S: every matching has at most
+    (|V| + |S| - odd(H - S)) / 2 edges, so reaching that proves it.
+    Recomputed here without the matcher; raises AssertionError on failure."""
+    n = len(adj)
+    for v, u in enumerate(mate):
+        if u >= 0 and not (mate[u] == v and (adj[v] >> u) & 1):
+            raise AssertionError(f"mate[{v}] = {u} is not a matching edge")
+    size = (n - mate.count(-1)) // 2
+    removed = sum(1 << v for v in barrier)
+    seen = removed
+    odd = 0
+    for v in range(n):
+        if (seen >> v) & 1:
+            continue
+        comp = frontier = 1 << v
+        while frontier:
+            grown = 0
+            for u in _bits(frontier):
+                grown |= adj[u]
+            frontier = grown & ~comp & ~removed
+            comp |= frontier
+        seen |= comp
+        odd += comp.bit_count() & 1
+    if 2 * size != n + len(barrier) - odd:
+        raise AssertionError(
+            f"matching of size {size} is not certified by a barrier of {len(barrier)}"
+        )
+    return size
+
+
+def _matching_bound(uncov: int, nu: int, big: Sequence[int]) -> int:
+    """Blockers needed for the uncovered segments U, given the matching
+    number nu of H_U and the cover masks of the big candidates.
+
+    A cover of U gives each blocker c some k' <= k_c = |cover_c & U| of its
+    segments; pairing them up is a matching of H_U with sum floor(k'/2)
+    edges, so m_U - nu <= sum of ceil(k'/2) over the blockers. With no big
+    candidate this is Gallai's b = m - nu."""
+    excess = uncov.bit_count() - nu
+    ks = [k for k in ((cm & uncov).bit_count() for cm in big) if k >= 3]
+    if not ks:
+        return excess
+    spare = sum((k + 1) // 2 - 1 for k in ks)
+    return max(excess - spare, -(-excess // ((max(ks) + 1) // 2)))
+
+
 def _solve_hitting_set(
     cover_masks: Sequence[int], m: int, deadline: Optional[float]
 ) -> tuple[list[int], bool, int]:
@@ -247,6 +297,25 @@ def _solve_hitting_set(
                 used |= cand_union[s]
         return lb
 
+    # H: segments s ~ t when one candidate covers both; big candidates cover 3+
+    share = [0] * m
+    for cm in cover_masks:
+        for s in _bits(cm):
+            share[s] |= cm & ~(1 << s)
+    big = [cm for cm in cover_masks if cm.bit_count() >= 3]
+
+    def matching_in(uncov: int, warm: list[int]) -> list[int]:
+        # maximum matching of H_U, warm-started from the edges of an
+        # ancestor's matching that stay inside U
+        adj = [share[s] & uncov if (uncov >> s) & 1 else 0 for s in range(m)]
+        mate = [t if t >= 0 and (adj[s] >> t) & 1 else -1 for s, t in enumerate(warm)]
+        _maximise(m, adj, mate)
+        return mate
+
+    mate, barrier = max_matching(m, share)
+    nu = _certified_matching_size(share, mate, barrier)
+    root_lb = max(lower_bound(all_mask), _matching_bound(all_mask, nu, big))
+
     # greedy incumbent: most new coverage, lowest index on ties
     uncov = all_mask
     greedy: list[int] = []
@@ -263,7 +332,7 @@ def _solve_hitting_set(
     frontier_min: Optional[int] = None
     chosen: list[int] = []
 
-    def rec(uncov: int) -> None:
+    def rec(uncov: int, mate: list[int]) -> None:
         nonlocal best, best_size, aborted, frontier_min
         if uncov == 0:
             if len(chosen) < best_size:
@@ -271,6 +340,10 @@ def _solve_hitting_set(
                 best = chosen.copy()
             return
         lb = lower_bound(uncov)
+        if len(chosen) + lb >= best_size:
+            return
+        mate = matching_in(uncov, mate)
+        lb = max(lb, _matching_bound(uncov, (m - mate.count(-1)) // 2, big))
         if len(chosen) + lb >= best_size:
             return
         if deadline is not None and time.monotonic() > deadline:
@@ -284,13 +357,16 @@ def _solve_hitting_set(
         )
         for c in seg_cands[s]:
             chosen.append(c)
-            rec(uncov & ~cover_masks[c])
+            rec(uncov & ~cover_masks[c], mate)
             chosen.pop()
+            if best_size == root_lb:
+                return
 
-    rec(all_mask)
+    if best_size > root_lb:
+        rec(all_mask, mate)
     if aborted:
         lower = min(frontier_min, best_size) if frontier_min is not None else best_size
-        return best, False, lower
+        return best, False, max(lower, root_lb)
     return best, True, best_size
 
 

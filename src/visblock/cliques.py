@@ -1,9 +1,11 @@
-"""Exact maximum clique and graph colouring over bitmask adjacency.
+"""Exact maximum clique, graph colouring and maximum matching over bitmask
+adjacency.
 
-Shared search engine: visibility statistics and crossing-family covers both
-reduce to these two problems. Graphs are given as a list of neighbour
-bitmasks; vertex v must not appear in its own mask. All tie-breaking is by
-lowest vertex index, so results are deterministic.
+Shared search engine: visibility statistics and crossing-family covers
+reduce to cliques and colourings, and the blocking-set search bounds its
+nodes by matchings. Graphs are given as a list of neighbour bitmasks;
+vertex v must not appear in its own mask. All tie-breaking is by lowest
+vertex index, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -178,3 +180,117 @@ def chromatic_number(
             return lower, result, True, lower, lower
         lower += 1
     return upper, best_colouring, True, upper, upper
+
+
+def _alternating_forest(
+    n: int, adj: Sequence[int], mate: Sequence[int], roots: Sequence[int]
+) -> tuple[int, list[int], list[bool]]:
+    """Edmonds' search: grow alternating trees from the exposed roots,
+    shrinking odd cycles (blossoms) onto their base.
+
+    Returns (end, parent, even). end is an exposed vertex outside the forest
+    next to an even vertex, so that end, parent[end], mate[parent[end]], ...
+    is an augmenting path back to a root; it is -1 when there is none, and
+    then even marks every vertex that an even alternating path reaches from
+    a root.
+    """
+    base = list(range(n))
+    parent = [-1] * n
+    even = [False] * n
+    for r in roots:
+        even[r] = True
+    queue = list(roots)
+
+    def common_base(a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            if mate[b] < 0:
+                raise AssertionError("two alternating trees touch: the matching is not maximum")
+            b = parent[mate[b]]
+
+    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != b:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:  # the queue grows while it is read
+        nbrs = adj[v]
+        while nbrs:  # _bits inlined: this loop is the matcher's hot spot
+            low = nbrs & -nbrs
+            nbrs ^= low
+            to = low.bit_length() - 1
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if even[to]:
+                b = common_base(v, to)
+                blossom = [False] * n
+                mark_path(v, b, to, blossom)
+                mark_path(to, b, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = b
+                        if not even[i]:
+                            even[i] = True
+                            queue.append(i)
+            elif parent[to] < 0:
+                parent[to] = v
+                if mate[to] < 0:
+                    return to, parent, even
+                even[mate[to]] = True
+                queue.append(mate[to])
+    return -1, parent, even
+
+
+def _maximise(n: int, adj: Sequence[int], mate: list[int]) -> None:
+    """Grow the matching mate, in place, to a maximum one: first each free
+    vertex takes its lowest free neighbour, then one augmenting search runs
+    from every vertex still exposed (a vertex with no augmenting path keeps
+    none after later augmentations, so one pass suffices)."""
+    free = 0
+    for v in range(n):
+        if mate[v] < 0 and adj[v]:
+            free |= 1 << v
+    for v in _bits(free):
+        nbrs = adj[v] & free
+        if (free >> v) & 1 and nbrs:
+            u = (nbrs & -nbrs).bit_length() - 1
+            mate[v], mate[u] = u, v
+            free &= ~(1 << v | 1 << u)
+    for root in _bits(free):
+        if mate[root] >= 0:
+            continue
+        v, parent, _ = _alternating_forest(n, adj, mate, [root])
+        while v >= 0:
+            u = parent[v]
+            nxt = mate[u]
+            mate[v], mate[u] = u, v
+            v = nxt
+
+
+def max_matching(n: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Maximum-cardinality matching by Edmonds' blossom algorithm ("Paths,
+    trees, and flowers", 1965).
+
+    Returns (mate, barrier): mate[v] is the partner of v or -1, and barrier
+    is the sorted Edmonds–Gallai set A, the vertices outside D next to D,
+    where D holds the vertices some maximum matching leaves exposed. A is a
+    Tutte–Berge barrier: the matching has (n + |A| - odd(G - A)) / 2 edges,
+    odd(G - A) being the number of odd components of G - A.
+    """
+    mate = [-1] * n
+    _maximise(n, adj, mate)
+    _, _, even = _alternating_forest(n, adj, mate, [v for v in range(n) if mate[v] < 0])
+    d_mask = sum(1 << v for v in range(n) if even[v])
+    barrier = [v for v in range(n) if not even[v] and adj[v] & d_mask]
+    return mate, barrier

@@ -27,16 +27,18 @@ from .midpoints import Progression, progression_points
 
 log = logging.getLogger("visblock")
 
-KINDS = (
-    "grid",
-    "convex_parabola",
-    "knn_grid",
-    "knn_parabola",
-    "regular_ngon",
-    "random_general_position",
-    "progression",
-    "file",
-)
+# every kind with the parameters it reads
+_PARAMS = {
+    "grid": ("w", "h"),
+    "convex_parabola": ("n",),
+    "knn_grid": ("n",),
+    "knn_parabola": ("n",),
+    "regular_ngon": ("n",),
+    "random_general_position": ("n", "seed", "bound"),
+    "progression": ("v0", "generators", "extents"),
+    "file": ("path",),
+}
+KINDS = tuple(_PARAMS)
 
 POINT_SET_KINDS = tuple(k for k in KINDS if k not in ("knn_grid", "knn_parabola"))
 
@@ -51,6 +53,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise GeometryError(f"unknown generator kind {self.kind!r}; pick one of {KINDS}")
+        unknown = set(self.params) - set(_PARAMS[self.kind])
+        if unknown:
+            raise GeometryError(
+                f"generator kind {self.kind!r} has unknown parameters {sorted(unknown)}"
+            )
         if self.kind not in POINT_SET_KINDS and (
             self.max_collinear_bound is not None or self.dedupe_symmetry
         ):
@@ -87,13 +94,16 @@ class GeneratorSpec:
         return cls(obj["kind"], dict(params), bound, dedupe)
 
 
+def _positive(v, what: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise GeometryError(f"{what} must be a positive integer, got {v!r}")
+    return v
+
+
 def _positive_int(params: dict, key: str) -> int:
     if key not in params:
         raise GeometryError(f"generator needs parameter {key!r}")
-    v = params[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise GeometryError(f"parameter {key!r} must be a positive integer, got {v!r}")
-    return v
+    return _positive(params[key], f"parameter {key!r}")
 
 
 def grid_set(w: int, h: int) -> PointSet:
@@ -165,9 +175,10 @@ def progression_set(params: dict) -> PointSet:
     try:
         v0 = Point.from_obj(params["v0"])
         gens = tuple(Point.from_obj(g) for g in params["generators"])
-        extents = tuple(int(e) for e in params["extents"])
+        extents = list(params["extents"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"malformed progression parameters: {exc}") from exc
+    extents = tuple(_positive(e, "progression extent") for e in extents)
     res = progression_points(Progression(v0, gens, extents), name="progression")
     if res.collisions:
         log.info("progression generator: %d collisions collapsed", res.collisions)

@@ -134,3 +134,38 @@ def general_position_subsets(points, size):
         if all(orient(a, b, c) != 0 for a, b, c in combinations(sub, 3)):
             out.append(sub)
     return out
+
+
+def brute_max_matching(n, edges):
+    """Largest set of pairwise disjoint edges, by trying every subset from
+    the largest size down."""
+    edges = [tuple(e) for e in edges]
+    for size in range(n // 2, 0, -1):
+        for sub in combinations(edges, size):
+            ends = [v for e in sub for v in e]
+            if len(set(ends)) == len(ends):
+                return size
+    return 0
+
+
+def tutte_berge_bound(n, edges, removed):
+    """(n + |S| - odd(G - S)) / 2 for S = removed: the Tutte-Berge upper
+    bound on the matching number, components found by plain search."""
+    removed = set(removed)
+    nbrs = {v: set() for v in range(n)}
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    seen = set(removed)
+    odd = 0
+    for v in range(n):
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for u in nbrs[stack.pop()] - removed - comp:
+                comp.add(u)
+                stack.append(u)
+        seen |= comp
+        odd += len(comp) % 2
+    return (n + len(removed) - odd) // 2

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from visblock import blocking
 from visblock.blocking import (
     candidate_blockers,
     construct_knn_grid,
@@ -12,7 +13,14 @@ from visblock.blocking import (
     min_blocking_set,
     triangulation_lower_bound,
 )
+from visblock.cliques import max_matching
 from visblock.errors import GeometryError, NotGeneralPosition, SegmentOverlap
+from visblock.generators import (
+    convex_parabola_set,
+    grid_set,
+    random_general_position_set,
+    regular_ngon_set,
+)
 from visblock.geometry import Point, PointSet, midpoint, on_open_segment
 
 import oracles
@@ -164,7 +172,8 @@ class TestMinBlockingSet:
                 assert got.optimal and got.size == want
 
     def test_budget_degrades_honestly(self):
-        ps = pset(*[(i, i * i) for i in range(1, 8)], name="parabola-7")
+        # greedy takes 24 blockers here, above the root bound m - nu = 22
+        ps = random_general_position_set(9, None, 8)
         bs = min_blocking_set(ps, budget_ms=0)
         assert not bs.optimal
         assert bs.lower_bound <= bs.size
@@ -174,6 +183,69 @@ class TestMinBlockingSet:
         for ps in (TRIANGLE, SQUARE, pset((0, 0), (4, 0), (0, 4), (1, 1))):
             bs = min_blocking_set(ps)
             assert bs.size >= triangulation_lower_bound(ps)
+
+
+def gallai_number(inst):
+    """m - nu(H), H joining two segments when one candidate covers both."""
+    share = [0] * inst.m
+    for cand in inst.candidates:
+        for s in cand.covers:
+            for t in cand.covers:
+                if s != t:
+                    share[s] |= 1 << t
+    mate, _ = max_matching(inst.m, share)
+    return inst.m - sum(t >= 0 for t in mate) // 2
+
+
+class TestMatchingBound:
+    @pytest.mark.parametrize("n, want", [(8, 18), (9, 23), (10, 27), (11, 33), (12, 40)])
+    def test_random_sets_solved(self, n, want):
+        ps = random_general_position_set(n, None, 0)
+        inst = candidate_blockers(ps)
+        bs = min_blocking_set(inst)
+        assert bs.optimal and bs.size == bs.lower_bound == want
+        assert is_blocking_set(ps, bs.points).ok
+        assert all(len(c.covers) <= 2 for c in inst.candidates)
+        assert gallai_number(inst) == want
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_convex_sets(self, n):
+        ps = convex_parabola_set(n)
+        inst = candidate_blockers(ps)
+        bs = min_blocking_set(inst)
+        want = n + -(-n * (n - 3) // 4)
+        assert bs.optimal and bs.size == want
+        assert is_blocking_set(ps, bs.points).ok
+        assert all(len(c.covers) <= 2 for c in inst.candidates)
+        assert gallai_number(inst) == want
+
+    def test_budget_keeps_the_root_bound(self):
+        bs = min_blocking_set(random_general_position_set(9, None, 8), budget_ms=0)
+        assert not bs.optimal and bs.lower_bound == 22 < bs.size
+
+    def test_same_leaves_without_the_matching_bound(self, monkeypatch):
+        # a valid bound prunes only subtrees without a better leaf, so the
+        # search meets the same improving leaves and returns the same set
+        sources = [random_general_position_set(n, None, s) for n in (6, 7) for s in range(5)]
+        sources += [random_general_position_set(8, None, s) for s in range(3)]
+        sources += [convex_parabola_set(n) for n in (4, 5, 6, 7)]
+        sources += [regular_ngon_set(6), grid_set(3, 3)]
+        sources += [list(d.edges) for d in (construct_knn_grid(3), construct_knn_parabola(3))]
+        with_bound = [min_blocking_set(src).to_obj() for src in sources]
+        monkeypatch.setattr(blocking, "_matching_bound", lambda *args: 0)
+        assert [min_blocking_set(src).to_obj() for src in sources] == with_bound
+
+    def test_root_matching_is_certified(self, monkeypatch):
+        # a matching one edge short of maximum fails the barrier check
+        def short(n, adj):
+            mate, barrier = max_matching(n, adj)
+            v = next(v for v in range(n) if mate[v] >= 0)
+            mate[mate[v]] = mate[v] = -1
+            return mate, barrier
+
+        monkeypatch.setattr(blocking, "max_matching", short)
+        with pytest.raises(AssertionError, match="barrier"):
+            min_blocking_set(SQUARE)
 
 
 class TestTriangulationBound:

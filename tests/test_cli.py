@@ -495,6 +495,28 @@ class TestMainEntry:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("generator,unknown", [
+        ({"kind": "grid", "params": {"w": 2, "h": 2, "n": 50}}, "['n']"),
+        ({"kind": "random_general_position", "params": {"n": 5, "seed": 0, "bund": 9}}, "['bund']"),
+        ({"kind": "convex_parabola", "params": {"n": 4, "w": 1, "h": 1}}, "['h', 'w']"),
+    ], ids=["grid-n", "random-bund", "convex-w-h"])
+    def test_run_unknown_generator_param(self, tmp_path, capsys, generator, unknown):
+        cfg = write_config(tmp_path, generator, ["visgraph"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        kind = generator["kind"]
+        assert f"error: generator kind {kind!r} has unknown parameters {unknown}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extent", [2.7, "3", 0, True], ids=["float", "str", "zero", "bool"])
+    def test_generate_bad_progression_extent(self, capsys, extent):
+        prog = {"v0": [0, 0], "generators": [[1, 0]], "extents": [extent]}
+        args = ["generate", "--kind", "progression", "--progression", json.dumps(prog)]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: progression extent must be a positive integer" in err
+        assert "Traceback" not in err
+
     def test_run_bound_is_validated_like_n(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "kind": "random_general_position", "params": {"n": 5, "seed": 0, "bound": "9"},

@@ -1,0 +1,69 @@
+import random
+from itertools import combinations
+
+import pytest
+
+from visblock.cliques import max_matching
+
+import oracles
+
+
+def adjacency(n, edges):
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def random_graphs(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, max_n + 1)
+        p = rng.choice([0.15, 0.3, 0.5, 0.8])
+        yield n, [e for e in combinations(range(n), 2) if rng.random() < p]
+
+
+def checked_size(n, edges):
+    """Matching size after checking that mate is a matching of the graph
+    and that the barrier meets the Tutte-Berge bound."""
+    mate, barrier = max_matching(n, adjacency(n, edges))
+    eset = {frozenset(e) for e in edges}
+    for v, u in enumerate(mate):
+        assert u < 0 or (mate[u] == v and frozenset((u, v)) in eset)
+    size = sum(u >= 0 for u in mate) // 2
+    assert barrier == sorted(set(barrier))
+    assert size == oracles.tutte_berge_bound(n, edges, barrier)
+    return size
+
+
+class TestMaxMatching:
+    def test_empty(self):
+        assert max_matching(0, []) == ([], [])
+        assert max_matching(3, [0, 0, 0]) == ([-1, -1, -1], [])
+
+    def test_odd_cycle_needs_a_blossom(self):
+        # C5 with a pendant 5 at vertex 0: the augmenting path from 5 runs
+        # through the shrunk cycle
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)]
+        assert checked_size(6, edges) == 3
+
+    def test_star_barrier_is_the_centre(self):
+        mate, barrier = max_matching(4, adjacency(4, [(0, 1), (0, 2), (0, 3)]))
+        assert mate == [1, 0, -1, -1] and barrier == [0]
+
+    def test_lowest_index_tie_breaks(self):
+        assert max_matching(3, adjacency(3, [(0, 1), (1, 2), (0, 2)]))[0] == [1, 0, -1]
+
+    def test_matches_brute_force(self):
+        for n, edges in random_graphs(0, 300, 9):
+            assert checked_size(n, edges) == oracles.brute_max_matching(n, edges)
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for n, edges in random_graphs(1, 300, 40):
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(edges)
+            want = len(nx.max_weight_matching(g, maxcardinality=True))
+            assert checked_size(n, edges) == want

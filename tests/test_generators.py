@@ -38,6 +38,11 @@ class TestSpecValidation:
         with pytest.raises(GeometryError, match="below 2"):
             GeneratorSpec("grid", {"w": 2, "h": 2}, max_collinear_bound=1)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_params_rejected(self, kind):
+        with pytest.raises(GeometryError, match=r"unknown parameters \['bund', 'zz'\]"):
+            GeneratorSpec(kind, {"zz": 1, "bund": 9})
+
     def test_random_needs_seed(self):
         with pytest.raises(GeometryError, match="seed"):
             GeneratorSpec("random_general_position", {"n": 4})
@@ -150,6 +155,11 @@ class TestProgressionAndFile:
         ps = generate(spec)
         assert len(ps) == 9
         assert Point(2, 2) in set(ps) and Point(4, 4) in set(ps)
+
+    def test_progression_extent_not_truncated(self):
+        spec = {"v0": [0, 0], "generators": [[1, 0]], "extents": [2.7]}
+        with pytest.raises(GeometryError, match="extent must be a positive integer, got 2.7"):
+            generate(GeneratorSpec("progression", spec))
 
     def test_progression_malformed(self):
         with pytest.raises(GeometryError, match="progression"):
