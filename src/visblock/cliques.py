@@ -90,19 +90,24 @@ def greedy_colouring(n: int, adj: Sequence[int]) -> list[int]:
     """DSATUR greedy proper colouring; colours are 1-based."""
     colours = [0] * n
     ncmask = [0] * n  # bit c-1 set iff some neighbour has colour c
-    deg = [bin(a).count("1") for a in adj]
+    # DSATUR rank n * saturation + degree, saturation being the number of
+    # colours in ncmask. A degree is below n, so max() over the ascending
+    # uncoloured vertices takes the highest saturation, then the highest
+    # degree, then the lowest index.
+    rank = [a.bit_count() for a in adj]
+    free = (1 << n) - 1
     for _ in range(n):
-        v = min(
-            (u for u in range(n) if colours[u] == 0),
-            key=lambda u: (-bin(ncmask[u]).count("1"), -deg[u], u),
-        )
+        v = max(_bits(free), key=rank.__getitem__)
+        free ^= 1 << v
         c = 1
         while (ncmask[v] >> (c - 1)) & 1:
             c += 1
         colours[v] = c
-        for u in _bits(adj[v]):
-            if colours[u] == 0:
-                ncmask[u] |= 1 << (c - 1)
+        bit = 1 << (c - 1)
+        for u in _bits(adj[v] & free):
+            if not ncmask[u] & bit:
+                ncmask[u] |= bit
+                rank[u] += n
     return colours
 
 
@@ -119,39 +124,39 @@ def k_colourable(
         return [], False
     colours = [0] * n
     ncmask = [0] * n
-    deg = [bin(a).count("1") for a in adj]
+    rank = [a.bit_count() for a in adj]  # as in greedy_colouring
     budget_hit = False
 
-    def rec(assigned: int, used: int) -> bool:
+    def rec(free: int, used: int) -> bool:
         nonlocal budget_hit
         if deadline is not None and time.monotonic() > deadline:
             budget_hit = True
             return False
-        if assigned == n:
+        if not free:
             return True
-        v = min(
-            (u for u in range(n) if colours[u] == 0),
-            key=lambda u: (-bin(ncmask[u]).count("1"), -deg[u], u),
-        )
+        v = max(_bits(free), key=rank.__getitem__)
+        free ^= 1 << v
+        nbrs = adj[v] & free
         for c in range(1, min(used + 1, k) + 1):
-            if (ncmask[v] >> (c - 1)) & 1:
+            bit = 1 << (c - 1)
+            if ncmask[v] & bit:
                 continue
             colours[v] = c
-            touched = []
-            for u in _bits(adj[v]):
-                if colours[u] == 0 and not (ncmask[u] >> (c - 1)) & 1:
-                    ncmask[u] |= 1 << (c - 1)
-                    touched.append(u)
-            if rec(assigned + 1, max(used, c)):
+            touched = [u for u in _bits(nbrs) if not ncmask[u] & bit]
+            for u in touched:
+                ncmask[u] |= bit
+                rank[u] += n
+            if rec(free, max(used, c)):
                 return True
             for u in touched:
-                ncmask[u] &= ~(1 << (c - 1))
+                ncmask[u] ^= bit
+                rank[u] -= n
             colours[v] = 0
             if budget_hit:
                 return False
         return False
 
-    ok = rec(0, 0)
+    ok = rec((1 << n) - 1, 0)
     return (list(colours) if ok else None), budget_hit
 
 

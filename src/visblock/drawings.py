@@ -6,14 +6,16 @@ semicircle from (i, 0) to (-i-j, 0) followed by the lower semicircle from
 endpoints and the pivot (-i-j, 0). The pivots range over [-(2n-1), -3], which
 is why the 2n-3 points (-k, 0), k in [3, 2n-1], block every edge.
 
-All intersection counting is exact: circles here have rational centers and
-radii, and common points are identified by the tag (x, sign(y), y^2).
+All intersection counting is exact: circles here have half-integer centers
+and radii, decided in doubled integers, and common points are identified by
+the Fraction tag (x, sign(y), y^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import GeometryError
@@ -22,14 +24,30 @@ from .geometry import Point
 
 @dataclass(frozen=True)
 class Arc:
-    """Semicircle with center on the x-axis; half = +1 keeps y >= 0, -1 keeps y <= 0."""
+    """Semicircle with center on the x-axis; half = +1 keeps y >= 0, -1 keeps y <= 0.
+
+    Center and radius are half-integers, so the arc also has an integer
+    view: the doubled center and the squared doubled radius.
+    """
 
     center_x: Fraction
     radius: Fraction
     half: int
 
+    @cached_property
+    def _doubled(self) -> tuple[int, int]:
+        """(2c, (2r)^2) as Python ints."""
+        c, r = 2 * self.center_x, 2 * self.radius
+        if c.denominator != 1 or r.denominator != 1:
+            raise GeometryError("arc center and radius must be half-integers")
+        return c.numerator, r.numerator ** 2
+
     def contains(self, p: Point) -> bool:
-        if (p.x - self.center_x) ** 2 + p.y ** 2 != self.radius ** 2:
+        c, s = self._doubled
+        if not p.y:  # axis point, on both halves: decided in integers
+            x, rem = divmod(2 * p.x.numerator, p.x.denominator)
+            return rem == 0 and (x - c) ** 2 == s
+        if (2 * p.x - c) ** 2 + 4 * p.y ** 2 != s:
             return False
         return p.y >= 0 if self.half > 0 else p.y <= 0
 
@@ -97,21 +115,27 @@ def construct_kn_arc_drawing(n: int) -> ArcDrawing:
 
 
 def _arc_common_points(a1: Arc, a2: Arc) -> set[tuple]:
-    """Common points of two semicircles, as exact tags (x, sign(y), y^2)."""
-    c1, r1 = a1.center_x, a1.radius
-    c2, r2 = a2.center_x, a2.radius
+    """Common points of two semicircles, as exact tags (x, sign(y), y^2).
+
+    Decided in the doubled integers: with den = 2(c2 - c1) and
+    num = s1 - s2 + c2^2 - c1^2 (c, s the doubled view), the radical line
+    is x = num / (2 den) and y^2 = disc / (4 den^2) there. Fractions are
+    built only for a common point."""
+    c1, s1 = a1._doubled
+    c2, s2 = a2._doubled
     if c1 == c2:
-        if r1 == r2:
+        if s1 == s2:
             raise GeometryError("two edge arcs share a full circle; the realization is broken")
         return set()
-    x0 = (r1 * r1 - r2 * r2 + c2 * c2 - c1 * c1) / (2 * (c2 - c1))
-    d = r1 * r1 - (x0 - c1) ** 2
-    if d < 0:
+    den = 2 * (c2 - c1)
+    num = s1 - s2 + c2 * c2 - c1 * c1
+    disc = s1 * den * den - (num - c1 * den) ** 2
+    if disc < 0:
         return set()
-    if d == 0:
-        return {(x0, 0, Fraction(0))}  # touch on the axis
+    if disc == 0:
+        return {(Fraction(num, 2 * den), 0, Fraction(0))}  # touch on the axis
     if a1.half == a2.half:
-        return {(x0, a1.half, d)}
+        return {(Fraction(num, 2 * den), a1.half, Fraction(disc, 4 * den * den))}
     return set()
 
 

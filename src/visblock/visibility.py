@@ -79,28 +79,28 @@ def visibility_graph(ps: PointSet) -> VisibilityGraph:
 def diameter(g: VisibilityGraph) -> int:
     """Longest shortest path; a disconnected graph raises, loudly, because a
     visibility graph on >= 2 points can never be disconnected."""
-    n = g.n
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
     worst = 0
     for s in range(n):
-        dist = {s: 0}
-        frontier = [s]
+        # bitset BFS: each level is the union of the frontier's neighbour
+        # masks minus what is already seen; d counts the non-empty levels
+        seen = frontier = 1 << s
         d = 0
-        while frontier:
+        while seen != full:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~seen
+            if not frontier:
+                missing = [v for v in range(n) if not (seen >> v) & 1]
+                raise DisconnectedVisibility(
+                    f"visibility graph disconnected: {missing} unreachable from {s}; "
+                    "this indicates a geometry bug"
+                )
+            seen |= frontier
             d += 1
-            nxt = []
-            for v in frontier:
-                for u in _bits(g.adj[v]):
-                    if u not in dist:
-                        dist[u] = d
-                        nxt.append(u)
-            frontier = nxt
-        if len(dist) < n:
-            missing = [v for v in range(n) if v not in dist]
-            raise DisconnectedVisibility(
-                f"visibility graph disconnected: {missing} unreachable from {s}; "
-                "this indicates a geometry bug"
-            )
-        worst = max(worst, max(dist.values()))
+        worst = max(worst, d)
     return worst
 
 

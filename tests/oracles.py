@@ -4,6 +4,7 @@ Everything here is deliberately naive: direct definitions, exhaustive
 enumeration, no shared code with the implementation under test.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 
@@ -169,3 +170,70 @@ def tutte_berge_bound(n, edges, removed):
         seen |= comp
         odd += len(comp) % 2
     return (n + len(removed) - odd) // 2
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def dsatur_k_colourable(n, adj, k):
+    """DSATUR backtracking search for a colouring with at most k colours over
+    bitmask adjacency: the vertex with the most distinct neighbour colours
+    goes next (ties: higher degree, then lower index), and a fresh colour
+    opens only one past the largest in use. Returns (colours or None, False),
+    the False standing for "no budget ran out"."""
+    if n == 0:
+        return [], False
+    colours = [0] * n
+    ncmask = [0] * n
+    deg = [bin(a).count("1") for a in adj]
+
+    def rec(assigned, used):
+        if assigned == n:
+            return True
+        v = min(
+            (u for u in range(n) if colours[u] == 0),
+            key=lambda u: (-bin(ncmask[u]).count("1"), -deg[u], u),
+        )
+        for c in range(1, min(used + 1, k) + 1):
+            if (ncmask[v] >> (c - 1)) & 1:
+                continue
+            colours[v] = c
+            touched = []
+            for u in _bits(adj[v]):
+                if colours[u] == 0 and not (ncmask[u] >> (c - 1)) & 1:
+                    ncmask[u] |= 1 << (c - 1)
+                    touched.append(u)
+            if rec(assigned + 1, max(used, c)):
+                return True
+            for u in touched:
+                ncmask[u] &= ~(1 << (c - 1))
+            colours[v] = 0
+        return False
+
+    ok = rec(0, 0)
+    return (list(colours) if ok else None), False
+
+
+def fraction_arc_common_points(a1, a2):
+    """Common points of two semicircles centred on the x-axis, as tags
+    (x, sign(y), y^2), intersected in Fractions from the centres and radii.
+    Each arc needs center_x, radius and half (+1 upper, -1 lower)."""
+    c1, r1 = Fraction(a1.center_x), Fraction(a1.radius)
+    c2, r2 = Fraction(a2.center_x), Fraction(a2.radius)
+    if c1 == c2:
+        if r1 == r2:
+            raise ValueError("two arcs share a full circle")
+        return set()
+    x0 = (r1 * r1 - r2 * r2 + c2 * c2 - c1 * c1) / (2 * (c2 - c1))
+    d = r1 * r1 - (x0 - c1) ** 2
+    if d < 0:
+        return set()
+    if d == 0:
+        return {(x0, 0, Fraction(0))}
+    if a1.half == a2.half:
+        return {(x0, a1.half, d)}
+    return set()

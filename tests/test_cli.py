@@ -1,6 +1,9 @@
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -381,6 +384,14 @@ class TestReport:
 
 
 class TestMainEntry:
+    def test_python_m_visblock(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "visblock", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "report" in proc.stdout
+
     def test_generate_to_stdout(self, capsys):
         assert main(["generate", "--kind", "grid", "--w", "2", "--h", "2"]) == EXIT_OK
         obj = json.loads(capsys.readouterr().out)

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from visblock.cliques import max_matching
+from visblock.cliques import greedy_colouring, k_colourable, max_matching
+from visblock.crossing import crossing_graph
+from visblock.generators import regular_ngon_set
 
 import oracles
 
@@ -67,3 +69,32 @@ class TestMaxMatching:
             g.add_edges_from(edges)
             want = len(nx.max_weight_matching(g, maxcardinality=True))
             assert checked_size(n, edges) == want
+
+
+class TestKColourable:
+    """k_colourable must visit the vertices in the order of the oracle's
+    DSATUR (saturation, degree, lowest index) and return what it returns."""
+
+    def test_matches_the_dsatur_oracle(self):
+        for n, edges in random_graphs(2, 300, 15):
+            adj = adjacency(n, edges)
+            for k in range(1, n + 1):
+                assert k_colourable(n, adj, k) == oracles.dsatur_k_colourable(n, adj, k)
+
+    def test_ngon10_clique_cover_complement(self):
+        adj = crossing_graph(regular_ngon_set(10)).adj
+        m = len(adj)
+        comp = [((1 << m) - 1) ^ a ^ (1 << s) for s, a in enumerate(adj)]
+        for k in (1, 12, 22):  # 22 is the cover number
+            assert k_colourable(m, comp, k) == oracles.dsatur_k_colourable(m, comp, k)
+
+    def test_budget_hit(self):
+        adj = adjacency(6, list(combinations(range(6), 2)))
+        assert k_colourable(6, adj, 3, deadline=0.0) == (None, True)
+
+    def test_greedy_is_the_search_without_backtracking(self):
+        # with k = n no colour runs out, so the search takes the first choice
+        # at every step: the DSATUR greedy colouring
+        for n, edges in random_graphs(3, 200, 15):
+            adj = adjacency(n, edges)
+            assert greedy_colouring(n, adj) == oracles.dsatur_k_colourable(n, adj, n)[0]

@@ -16,6 +16,8 @@ from visblock.drawings import (
 from visblock.errors import GeometryError
 from visblock.geometry import Point
 
+import oracles
+
 
 # Independent oracle: classify two circles with centers on the x-axis purely
 # by comparing the center distance with the radii, then locate tangencies by
@@ -109,6 +111,16 @@ class TestArcMembership:
         assert a.contains(Point(0, -1))
         assert not a.contains(Point(0, 1))
 
+    def test_half_integer_axis_points(self):
+        a = Arc(Fraction(-1, 2), Fraction(5, 2), -1)
+        assert a.contains(Point(-3, 0)) and a.contains(Point(2, 0))
+        assert not a.contains(Point(Fraction(5, 2), 0))
+        assert not a.contains(Point(Fraction(7, 3), 0))
+
+    def test_integer_view_needs_half_integers(self):
+        with pytest.raises(GeometryError):
+            Arc(Fraction(1, 3), Fraction(2), +1).contains(Point(0, 0))
+
 
 class TestBlockingVerification:
     @pytest.mark.parametrize("n", range(2, 13))
@@ -132,6 +144,16 @@ class TestBlockingVerification:
         assert not report.ok
         assert any("coincides with a vertex" in f for f in report.failures)
 
+    @pytest.mark.parametrize("moved", [Point(-4, 1), Point(Fraction(-9, 2), 0), Point(-4, -1)])
+    def test_blocker_moved_off_its_pivot_detected(self, moved):
+        d = construct_kn_arc_drawing(4)
+        tampered = dataclasses.replace(
+            d, blockers=tuple(moved if b == Point(-4, 0) else b for b in d.blockers)
+        )
+        report = verify_drawing_blocking(tampered)
+        assert not report.ok
+        assert any("(1,3)" in f and "pivot" in f for f in report.failures)
+
     def test_stray_blocker_on_edge_detected(self):
         d = construct_kn_arc_drawing(3)
         # top of the (1,2) upper arc
@@ -153,6 +175,16 @@ class TestSimplicity:
         d = construct_kn_arc_drawing(n)
         for e1, e2 in combinations(d.edges, 2):
             assert len(edge_common_points(e1, e2)) == oracle_common_count(e1, e2)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_tags_match_the_fraction_oracle(self, n):
+        d = construct_kn_arc_drawing(n)
+        for e1, e2 in combinations(d.edges, 2):
+            want = set()
+            for a1 in (e1.upper, e1.lower):
+                for a2 in (e2.upper, e2.lower):
+                    want |= oracles.fraction_arc_common_points(a1, a2)
+            assert edge_common_points(e1, e2) == want
 
     def test_shared_vertex_is_the_single_meeting(self):
         d = construct_kn_arc_drawing(4)

@@ -9,7 +9,6 @@ from visblock.errors import GeometryError
 from visblock.geometry import Point, PointSet, collinear, is_general_position, max_collinear
 from visblock.midpoints import (
     Progression,
-    low_midpoint_search,
     midpoint_set,
     product_set,
     progression_points,
@@ -170,6 +169,9 @@ class TestProgression:
 
 
 class TestSearch:
+    """Fewest midpoints of k points with no three collinear, by exhaustive
+    search over a small grid."""
+
     def test_triangle_floor(self):
         # any 3 points in general position give exactly 3 distinct midpoints
         grid = [Point(x, y) for x in range(3) for y in range(3)]
@@ -179,10 +181,6 @@ class TestSearch:
             if max_collinear(sub) < 3
         )
         assert best == 3
-        for strategy in ("random-restart", "projected-grid"):
-            res = low_midpoint_search(3, 3, strategy=strategy, budget_evals=60, seed=1)
-            assert res.midpoints == 3
-            assert max_collinear(res.points) < 3
 
     def test_four_point_exhaustive_floor(self):
         grid = [Point(x, y) for x in range(5) for y in range(5)]
@@ -192,38 +190,3 @@ class TestSearch:
             if max_collinear(sub) < 3
         )
         assert best == 5
-        res = low_midpoint_search(4, 3, strategy="projected-grid",
-                                  budget_evals=300, seed=3, grid_side=5)
-        assert res.midpoints == 5
-
-    def test_deterministic_for_seed(self):
-        a = low_midpoint_search(6, 3, strategy="random-restart", budget_evals=120, seed=9)
-        b = low_midpoint_search(6, 3, strategy="random-restart", budget_evals=120, seed=9)
-        assert a == b
-
-    def test_budget_respected(self):
-        res = low_midpoint_search(5, 3, budget_evals=25, seed=0)
-        assert res.evaluations <= 25
-
-    def test_collinearity_bound_honoured(self):
-        res = low_midpoint_search(7, 4, strategy="projected-grid",
-                                  budget_evals=40, seed=2)
-        assert max_collinear(res.points) < 4
-
-    def test_impossible_grid_raises(self):
-        with pytest.raises(GeometryError):
-            low_midpoint_search(10, 3, grid_side=3, budget_evals=10, seed=0)
-
-    def test_parameter_validation(self):
-        with pytest.raises(GeometryError):
-            low_midpoint_search(4, 2)
-        with pytest.raises(GeometryError):
-            low_midpoint_search(1, 3)
-        with pytest.raises(GeometryError):
-            low_midpoint_search(4, 3, strategy="anneal")
-        with pytest.raises(GeometryError):
-            low_midpoint_search(4, 3, budget_evals=0)
-
-    def test_ratio(self):
-        res = low_midpoint_search(4, 3, budget_evals=30, seed=5)
-        assert res.ratio == Fraction(res.midpoints, 4)

@@ -1,13 +1,15 @@
+import random
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visblock.errors import GeometryError
+from visblock.errors import DisconnectedVisibility, GeometryError
 from visblock.geometry import PointSet
 from visblock.visibility import (
     Colouring,
+    VisibilityGraph,
     big_line_big_clique_check,
     chromatic_number,
     clique_number,
@@ -93,6 +95,26 @@ class TestDiameter:
     def test_matches_oracle_on_grid(self):
         g = visibility_graph(GRID33)
         assert diameter(g) == oracles.brute_diameter(g.n, g.edges())
+
+    def test_isolated_vertex_raises(self):
+        g = VisibilityGraph((0b010, 0b001, 0), pset((0, 0), (1, 0), (2, 0)))
+        with pytest.raises(DisconnectedVisibility, match=r"\[2\] unreachable from 0"):
+            diameter(g)
+
+    def test_matches_brute_force_on_random_connected_graphs(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            n = rng.randrange(1, 13)
+            p = rng.choice([0.0, 0.1, 0.3, 0.6])
+            # a random spanning tree keeps the graph connected
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            edges |= {e for e in combinations(range(n), 2) if rng.random() < p}
+            adj = [0] * n
+            for a, b in edges:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            g = VisibilityGraph(tuple(adj), pset(*[(x, x * x) for x in range(n)]))
+            assert diameter(g) == oracles.brute_diameter(n, sorted(edges))
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=5),
                               st.integers(min_value=0, max_value=5)),
