@@ -16,9 +16,10 @@ from .geometry import (
     Point,
     PointSet,
     _first_blockers,
+    _integer_view,
+    _unscaled,
     convex_hull_size,
     is_general_position,
-    midpoint,
     on_open_segment,
     segment_intersection,
     sorted_along_line,
@@ -322,7 +323,7 @@ def _solve_hitting_set(
     while uncov:
         best_c = max(
             range(len(cover_masks)),
-            key=lambda c: (bin(cover_masks[c] & uncov).count("1"), -c),
+            key=lambda c: ((cover_masks[c] & uncov).bit_count(), -c),
         )
         greedy.append(best_c)
         uncov &= ~cover_masks[best_c]
@@ -411,11 +412,13 @@ def midpoint_blocking_set(ps: PointSet) -> BlockingSet:
     """All pairwise midpoints; a valid blocking set in general position."""
     if not is_general_position(ps):
         raise NotGeneralPosition("midpoints can collide with the set when 3 points are collinear")
-    labels = list(combinations(range(len(ps)), 2))
-    mids = sorted({midpoint(ps[i], ps[j]) for i, j in labels})
-    index = {p: k for k, p in enumerate(mids)}
-    covers = tuple((s, index[midpoint(ps[i], ps[j])]) for s, (i, j) in enumerate(labels))
-    return BlockingSet(tuple(mids), covers, False, 0)
+    den, xy = _integer_view(ps)
+    # doubled midpoints 2L*m; sorting them sorts the midpoints, as 2L > 0
+    sums = [(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in combinations(xy, 2)]
+    distinct = sorted(set(sums))
+    index = {t: k for k, t in enumerate(distinct)}
+    covers = tuple((s, index[t]) for s, t in enumerate(sums))
+    return BlockingSet(tuple(_unscaled(distinct, 2 * den)), covers, False, 0)
 
 
 @dataclass(frozen=True)

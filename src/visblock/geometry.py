@@ -11,8 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DegenerateHull, DegenerateSegment, GeometryError
@@ -156,23 +155,23 @@ def segment_intersection(a1: Point, b1: Point, a2: Point, b2: Point) -> SegmentM
     return SegmentMeet("point", Point(a1.x + t * d1x, a1.y + t * d1y))
 
 
-def _primitive(dx: Fraction, dy: Fraction) -> tuple[int, int]:
-    # scale a nonzero rational vector to a primitive integer vector, sign-fixed
-    den = dx.denominator * dy.denominator // gcd(dx.denominator, dy.denominator)
-    xi = int(dx * den)
-    yi = int(dy * den)
-    g = gcd(abs(xi), abs(yi))
-    xi //= g
-    yi //= g
-    if xi < 0 or (xi == 0 and yi < 0):
-        xi, yi = -xi, -yi
-    return xi, yi
+def _scale(pts: Sequence[Point]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # (L, (L*p for p)) with L the lcm of every coordinate denominator: a
+    # positive scaling, so incidences, orders and sum coincidences carry over
+    den = lcm(*(d for p in pts for d in (p.x.denominator, p.y.denominator)))
+    return den, tuple(
+        (p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator))
+        for p in pts
+    )
 
 
-def _line_key(p: Point, q: Point) -> tuple[int, int, Fraction]:
-    # canonical (A, B, C) with A*x + B*y = C and (A, B) primitive integer
-    a, b = _primitive(q.y - p.y, p.x - q.x)
-    return (a, b, a * p.x + b * p.y)
+def _integer_view(ps: PointSet | Sequence[Point]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    return ps.integer_view if isinstance(ps, PointSet) else _scale(list(ps))
+
+
+def _unscaled(coords: Iterable[tuple[int, int]], den: int) -> Iterator[Point]:
+    # back from an integer view: the points (x/den, y/den)
+    return (Point(Fraction(x, den), Fraction(y, den)) for x, y in coords)
 
 
 @dataclass(frozen=True)
@@ -225,6 +224,10 @@ class PointSet:
     def lines(self) -> tuple[LineRecord, ...]:
         return lines_of(self)
 
+    @cached_property
+    def integer_view(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        return _scale(self.points)
+
     def to_obj(self) -> dict:
         return {"name": self.name, "points": [p.to_obj() for p in self.points]}
 
@@ -258,26 +261,44 @@ def lines_of(ps: PointSet | Sequence[Point]) -> tuple[LineRecord, ...]:
     Records are ordered by their member index tuples, so the line through
     the smallest indices comes first.
     """
-    pts = list(ps)
-    if len(pts) < 2:
+    _, xy = _integer_view(ps)
+    n = len(xy)
+    if n < 2:
         raise GeometryError("need at least 2 points for line structure")
-    groups: dict[tuple, set[int]] = {}
-    for i, j in combinations(range(len(pts)), 2):
-        groups.setdefault(_line_key(pts[i], pts[j]), set()).update((i, j))
+    # Fan out from each i over j > i by primitive sign-fixed direction; a
+    # fan is a whole line the first time its (direction, offset) key shows,
+    # and then i is its smallest member. Records come out sorted: by i,
+    # then by the first j of each fan.
     records = []
-    for members in groups.values():
-        idx = tuple(sorted(members))
-        p, q = pts[idx[0]], pts[idx[1]]
-        records.append(LineRecord(idx, _primitive(q.x - p.x, q.y - p.y)))
-    records.sort(key=lambda r: r.member_indices)
+    seen: set[tuple[int, int, int]] = set()
+    for i, (xi, yi) in enumerate(xy):
+        fan: dict[tuple[int, int], list[int]] = {}
+        for j in range(i + 1, n):
+            xj, yj = xy[j]
+            dx, dy = xj - xi, yj - yi
+            g = gcd(dx, dy)
+            dx //= g
+            dy //= g
+            if dx < 0 or (dx == 0 and dy < 0):
+                dx, dy = -dx, -dy
+            members = fan.get((dx, dy))
+            if members is None:
+                fan[dx, dy] = [i, j]
+            else:
+                members.append(j)
+        for (dx, dy), members in fan.items():
+            key = (dx, dy, dy * xi - dx * yi)
+            if key not in seen:
+                seen.add(key)
+                records.append(LineRecord(tuple(members), (dx, dy)))
     return tuple(records)
 
 
 def sorted_along_line(ps: PointSet | Sequence[Point], rec: LineRecord) -> list[int]:
     """Member indices of rec reordered by position along the line."""
-    pts = list(ps)
+    _, xy = _integer_view(ps)
     dx, dy = rec.direction
-    return sorted(rec.member_indices, key=lambda i: pts[i].x * dx + pts[i].y * dy)
+    return sorted(rec.member_indices, key=lambda i: xy[i][0] * dx + xy[i][1] * dy)
 
 
 def max_collinear(ps: PointSet | Sequence[Point]) -> int:

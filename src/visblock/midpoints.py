@@ -12,23 +12,21 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GeometryError
-from .geometry import Point, PointSet, midpoint
+from .geometry import Point, PointSet, _integer_view, _unscaled
 
 
 def midpoint_set(ps: PointSet | Sequence[Point]) -> frozenset[Point]:
-    pts = list(ps)
-    if len(pts) < 2:
+    den, xy = _integer_view(ps)
+    if len(xy) < 2:
         raise GeometryError("midpoints need at least two points")
-    return frozenset(midpoint(p, q) for p, q in combinations(pts, 2))
+    sums = {(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in combinations(xy, 2)}
+    return frozenset(_unscaled(sums, 2 * den))
 
 
 def sum_set(ps: PointSet | Sequence[Point]) -> frozenset[Point]:
-    pts = list(ps)
-    out = set()
-    for p in pts:
-        for q in pts:
-            out.add(p + q)
-    return frozenset(out)
+    den, xy = _integer_view(ps)
+    sums = {(x1 + x2, y1 + y2) for (x1, y1) in xy for (x2, y2) in xy}
+    return frozenset(_unscaled(sums, den))
 
 
 def product_set(values: Iterable[int]) -> frozenset[int]:

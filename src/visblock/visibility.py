@@ -50,7 +50,7 @@ class VisibilityGraph:
         return [(i, j) for i, j in combinations(range(self.n), 2) if self.has_edge(i, j)]
 
     def edge_count(self) -> int:
-        return sum(bin(m).count("1") for m in self.adj) // 2
+        return sum(m.bit_count() for m in self.adj) // 2
 
     def to_obj(self) -> dict:
         return {"n": self.n, "edges": self.edges(), "source": self.source.to_obj()}

@@ -6,6 +6,7 @@ enumeration, no shared code with the implementation under test.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 
 def orient(p, q, r):
@@ -237,3 +238,72 @@ def fraction_arc_common_points(a1, a2):
     if a1.half == a2.half:
         return {(x0, a1.half, d)}
     return set()
+
+
+def fraction_primitive(dx, dy):
+    """A nonzero rational vector scaled to a primitive integer vector,
+    sign-fixed so the first nonzero entry is positive."""
+    den = dx.denominator * dy.denominator // gcd(dx.denominator, dy.denominator)
+    xi = int(dx * den)
+    yi = int(dy * den)
+    g = gcd(abs(xi), abs(yi))
+    xi //= g
+    yi //= g
+    if xi < 0 or (xi == 0 and yi < 0):
+        xi, yi = -xi, -yi
+    return xi, yi
+
+
+def fraction_line_key(p, q):
+    """Canonical (A, B, C) with A*x + B*y = C through p and q, (A, B)
+    primitive integer, C a Fraction."""
+    a, b = fraction_primitive(q.y - p.y, p.x - q.x)
+    return (a, b, a * p.x + b * p.y)
+
+
+def fraction_lines_of(pts):
+    """(member_indices, direction) of every maximal line, by grouping all
+    pairs on their Fraction line key; ordered by member indices."""
+    pts = list(pts)
+    groups = {}
+    for i, j in combinations(range(len(pts)), 2):
+        groups.setdefault(fraction_line_key(pts[i], pts[j]), set()).update((i, j))
+    records = []
+    for members in groups.values():
+        idx = tuple(sorted(members))
+        p, q = pts[idx[0]], pts[idx[1]]
+        records.append((idx, fraction_primitive(q.x - p.x, q.y - p.y)))
+    return sorted(records)
+
+
+def fraction_sorted_along_line(pts, member_indices, direction):
+    pts = list(pts)
+    dx, dy = direction
+    return sorted(member_indices, key=lambda i: pts[i].x * dx + pts[i].y * dy)
+
+
+def fraction_midpoint_set(pts):
+    """Midpoints of distinct pairs as (x, y) Fraction tuples."""
+    return frozenset(
+        ((p.x + q.x) / 2, (p.y + q.y) / 2) for p, q in combinations(list(pts), 2)
+    )
+
+
+def fraction_sum_set(pts):
+    """p + q over all ordered pairs, p = q included, as (x, y) tuples."""
+    pts = list(pts)
+    return frozenset((p.x + q.x, p.y + q.y) for p in pts for q in pts)
+
+
+def fraction_midpoint_blocking_set(pts):
+    """The sorted distinct pair midpoints and, per pair (i, j) in
+    combinations order, (pair number, index of its midpoint)."""
+    pts = list(pts)
+    labels = list(combinations(range(len(pts)), 2))
+
+    def mid(i, j):
+        return ((pts[i].x + pts[j].x) / 2, (pts[i].y + pts[j].y) / 2)
+
+    mids = sorted({mid(i, j) for i, j in labels})
+    index = {m: k for k, m in enumerate(mids)}
+    return mids, tuple((s, index[mid(i, j)]) for s, (i, j) in enumerate(labels))

@@ -1,9 +1,11 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from visblock import blocking
 from visblock.blocking import (
+    BlockingSet,
     candidate_blockers,
     construct_knn_grid,
     construct_knn_parabola,
@@ -285,6 +287,16 @@ class TestMidpointBlockingSet:
     def test_b_at_most_m(self):
         for ps in (TRIANGLE, SQUARE, pset((0, 0), (4, 1), (1, 4), (3, 3))):
             assert min_blocking_set(ps).size <= midpoint_blocking_set(ps).size
+
+    def test_matches_fraction_oracle(self):
+        rational = pset((Fraction(-1, 3), 0), (Fraction(5, 4), Fraction(1, 6)),
+                        (0, Fraction(7, 12)), (Fraction(2, 5), Fraction(-3, 2)), (1, 1))
+        sets = [random_general_position_set(n, None, seed)
+                for n in range(3, 10) for seed in range(4)]
+        for ps in sets + [rational, SQUARE, regular_ngon_set(8)]:
+            mids, covers = oracles.fraction_midpoint_blocking_set(ps)
+            want = BlockingSet(tuple(P(x, y) for x, y in mids), covers, False, 0)
+            assert midpoint_blocking_set(ps).to_obj() == want.to_obj()
 
 
 class TestKnnConstructions:

@@ -1,4 +1,6 @@
+import cProfile
 import json
+import pstats
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visblock.errors import DegenerateHull, DegenerateSegment, GeometryError
+from visblock.generators import grid_set
 from visblock.geometry import (
     Point,
     PointSet,
@@ -20,6 +23,9 @@ from visblock.geometry import (
     segment_intersection,
     sorted_along_line,
 )
+from visblock.midpoints import midpoint_set, sum_set
+
+import oracles
 
 P = Point
 
@@ -214,6 +220,76 @@ class TestLines:
                 for k in range(len(pts)):
                     if k not in members:
                         assert orientation(pts[i], pts[j], pts[k]) != 0
+
+
+# small integers make collinear triples common; the fractions bring
+# negative values and mixed denominators up to 12
+COORD = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+RATIONAL_COORDS = st.lists(st.tuples(COORD, COORD), min_size=2, max_size=9, unique=True)
+
+
+def _as_tuples(points):
+    return frozenset((p.x, p.y) for p in points)
+
+
+class TestIntegerView:
+    """The integer routines against the Fraction oracles, and the positive
+    affine maps that the integer view relies on."""
+
+    @given(RATIONAL_COORDS, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_lines_match_fraction_oracle(self, coords, plain):
+        ps = PointSet.build(coords)
+        arg = list(ps) if plain else ps
+        recs = lines_of(arg)
+        assert [(r.member_indices, r.direction) for r in recs] == oracles.fraction_lines_of(ps)
+        for r in recs:
+            want = oracles.fraction_sorted_along_line(ps, r.member_indices, r.direction)
+            assert sorted_along_line(arg, r) == want
+
+    @given(RATIONAL_COORDS, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_sums_match_fraction_oracle(self, coords, plain):
+        ps = PointSet.build(coords)
+        arg = list(ps) if plain else ps
+        assert _as_tuples(midpoint_set(arg)) == oracles.fraction_midpoint_set(ps)
+        assert _as_tuples(sum_set(arg)) == oracles.fraction_sum_set(ps)
+
+    @given(
+        RATIONAL_COORDS,
+        st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_positive_affine_map_invariance(self, coords, scale, tx, ty):
+        def f(p):
+            return P(p.x * scale + tx, p.y * scale + ty)
+
+        ps = PointSet.build(coords)
+        image = PointSet(tuple(f(p) for p in ps))
+        assert lines_of(image) == lines_of(ps)
+        assert midpoint_set(image) == {f(m) for m in midpoint_set(ps)}
+
+    def test_few_fractions_on_the_16x16_grid(self):
+        # a deterministic work counter: the integer view builds a Fraction
+        # only per distinct result point (7,672 here, 746,248 pairwise)
+        ps = grid_set(16, 16)
+        prof = cProfile.Profile()
+        prof.enable()
+        lines_of(ps)
+        midpoint_set(ps)
+        sum_set(ps)
+        prof.disable()
+        calls = sum(
+            stat[0]
+            for (path, _, name), stat in pstats.Stats(prof).stats.items()
+            if name == "__new__" and path.endswith("fractions.py")
+        )
+        assert 0 < calls < 10_000
 
 
 class TestMaxCollinear:
