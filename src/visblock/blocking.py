@@ -16,11 +16,9 @@ from .geometry import (
     Point,
     PointSet,
     _first_blockers,
-    _integer_view,
     _unscaled,
     convex_hull_size,
     is_general_position,
-    on_open_segment,
     segment_intersection,
     sorted_along_line,
 )
@@ -68,23 +66,30 @@ def _point_at(a: Point, b: Point, t: Fraction) -> Point:
 
 def _build_instance(
     segments: Sequence[tuple[Point, Point]],
-    vertices: Sequence[Point],
     gap_segments: Sequence[int],
     drawing: bool,
 ) -> BlockingInstance:
-    """Shared candidate construction.
+    """Shared candidate construction, one pass over the segment pairs.
 
-    gap_segments lists the segment indices that need a schedule-placed
-    candidate of their own (gaps of multi-point lines, private positions of
-    drawing edges). Pairwise intersection points contribute the rest.
-    A drawing's edges must not overlap along a line; all-pairs segments may.
+    The vertices are the segment endpoints in first-seen order. gap_segments
+    lists the segment indices that need a schedule-placed candidate of their
+    own (gaps of multi-point lines, private positions of drawing edges);
+    pairwise meeting points contribute the rest. A drawing's edges must not
+    overlap along a line; all-pairs segments may.
+
+    Covers come from the pair pass. A meeting point of two segments that is
+    not a vertex lies inside both, and they are not parallel, so every
+    segment through it meets one of them there. A placed point avoids every
+    meeting point, so only its gap and the segments overlapping the gap hold
+    it. Drawings have no overlaps; an all-pairs gap holds no vertex, so a
+    segment overlapping it contains all of it.
     """
     segs = list(segments)
     if len({(a, b) for a, b in segs}) != len(segs):
         raise GeometryError("instance segments must be pairwise distinct")
-    vset = set(vertices)
-    forbidden: set[Point] = set(vset)
-    meet_candidates: set[Point] = set()
+    vertices = dict.fromkeys(p for seg in segs for p in seg)  # ordered set
+    covers: dict[Point, set[int]] = {}
+    overlaps: list[set[int]] = [set() for _ in segs]
     for i, j in combinations(range(len(segs)), 2):
         m = segment_intersection(*segs[i], *segs[j])
         if m.kind == "overlap":
@@ -93,28 +98,19 @@ def _build_instance(
                     f"segments {i} and {j} overlap along a line; "
                     "blocked drawings must have interior-disjoint collinear edges"
                 )
-            continue  # same-line pairs of an all-pairs instance; gaps handle them
-        if m.kind == "point":
-            forbidden.add(m.point)
-            if m.point not in vset:
-                meet_candidates.add(m.point)
-    placed: set[Point] = set()
+            overlaps[i].add(j)
+            overlaps[j].add(i)
+        elif m.kind == "point" and m.point not in vertices:
+            covers.setdefault(m.point, set()).update((i, j))
     for s in gap_segments:
         a, b = segs[s]
         for t in _private_params():
             p = _point_at(a, b, t)
-            if p not in forbidden and p not in placed:
-                placed.add(p)
+            if p not in vertices and p not in covers:
+                covers[p] = {s} | overlaps[s]
                 break
-    points = sorted(meet_candidates | placed)
-    cands = []
-    for p in points:
-        covers = frozenset(
-            s for s, (a, b) in enumerate(segs) if on_open_segment(p, a, b)
-        )
-        if covers:
-            cands.append(Candidate(p, covers))
-    return BlockingInstance(tuple(segs), tuple(vertices), tuple(cands))
+    cands = tuple(Candidate(p, frozenset(covers[p])) for p in sorted(covers))
+    return BlockingInstance(tuple(segs), tuple(vertices), cands)
 
 
 def all_pairs_instance(ps: PointSet) -> BlockingInstance:
@@ -132,21 +128,12 @@ def all_pairs_instance(ps: PointSet) -> BlockingInstance:
         order = sorted_along_line(ps, rec)
         for a, b in zip(order, order[1:]):
             gap_segments.append(seg_index[(a, b) if a < b else (b, a)])
-    return _build_instance(segments, list(ps), gap_segments, drawing=False)
+    return _build_instance(segments, gap_segments, drawing=False)
 
 
-def drawing_instance(
-    edges: Sequence[tuple[Point, Point]], vertices: Optional[Sequence[Point]] = None
-) -> BlockingInstance:
+def drawing_instance(edges: Sequence[tuple[Point, Point]]) -> BlockingInstance:
     edges = list(edges)
-    if vertices is None:
-        seen = []
-        for a, b in edges:
-            for p in (a, b):
-                if p not in seen:
-                    seen.append(p)
-        vertices = seen
-    return _build_instance(edges, list(vertices), list(range(len(edges))), drawing=True)
+    return _build_instance(edges, range(len(edges)), drawing=True)
 
 
 def candidate_blockers(
@@ -412,7 +399,7 @@ def midpoint_blocking_set(ps: PointSet) -> BlockingSet:
     """All pairwise midpoints; a valid blocking set in general position."""
     if not is_general_position(ps):
         raise NotGeneralPosition("midpoints can collide with the set when 3 points are collinear")
-    den, xy = _integer_view(ps)
+    den, xy = ps.integer_view
     # doubled midpoints 2L*m; sorting them sorts the midpoints, as 2L > 0
     sums = [(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in combinations(xy, 2)]
     distinct = sorted(set(sums))

@@ -50,9 +50,6 @@ class CrossingGraph:
     def m(self) -> int:
         return len(self.segments)
 
-    def crosses(self, s: int, t: int) -> bool:
-        return bool(self.adj[s] >> t & 1)
-
     def crossing_pairs(self) -> list[tuple[int, int]]:
         return [(s, t) for s in range(self.m) for t in range(s + 1, self.m)
                 if self.adj[s] >> t & 1]

@@ -165,10 +165,6 @@ def _scale(pts: Sequence[Point]) -> tuple[int, tuple[tuple[int, int], ...]]:
     )
 
 
-def _integer_view(ps: PointSet | Sequence[Point]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    return ps.integer_view if isinstance(ps, PointSet) else _scale(list(ps))
-
-
 def _unscaled(coords: Iterable[tuple[int, int]], den: int) -> Iterator[Point]:
     # back from an integer view: the points (x/den, y/den)
     return (Point(Fraction(x, den), Fraction(y, den)) for x, y in coords)
@@ -255,13 +251,13 @@ class PointSet:
         return cls.from_obj(obj)
 
 
-def lines_of(ps: PointSet | Sequence[Point]) -> tuple[LineRecord, ...]:
+def lines_of(ps: PointSet) -> tuple[LineRecord, ...]:
     """All maximal collinear subsets of size >= 2, one record per line.
 
     Records are ordered by their member index tuples, so the line through
     the smallest indices comes first.
     """
-    _, xy = _integer_view(ps)
+    _, xy = ps.integer_view
     n = len(xy)
     if n < 2:
         raise GeometryError("need at least 2 points for line structure")
@@ -294,19 +290,18 @@ def lines_of(ps: PointSet | Sequence[Point]) -> tuple[LineRecord, ...]:
     return tuple(records)
 
 
-def sorted_along_line(ps: PointSet | Sequence[Point], rec: LineRecord) -> list[int]:
+def sorted_along_line(ps: PointSet, rec: LineRecord) -> list[int]:
     """Member indices of rec reordered by position along the line."""
-    _, xy = _integer_view(ps)
+    _, xy = ps.integer_view
     dx, dy = rec.direction
     return sorted(rec.member_indices, key=lambda i: xy[i][0] * dx + xy[i][1] * dy)
 
 
-def max_collinear(ps: PointSet | Sequence[Point]) -> int:
-    recs = ps.lines if isinstance(ps, PointSet) else lines_of(ps)
-    return max(len(r) for r in recs)
+def max_collinear(ps: PointSet) -> int:
+    return max(len(r) for r in ps.lines)
 
 
-def is_general_position(ps: PointSet | Sequence[Point]) -> bool:
+def is_general_position(ps: PointSet) -> bool:
     return max_collinear(ps) <= 2
 
 
@@ -328,7 +323,7 @@ def _hull_vertices(pts: Sequence[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-def convex_hull_size(ps: PointSet | Sequence[Point]) -> int:
+def convex_hull_size(ps: PointSet) -> int:
     """Number of points on the convex hull boundary.
 
     Points interior to hull edges count too; only points strictly inside

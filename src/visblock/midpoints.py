@@ -9,22 +9,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import GeometryError
-from .geometry import Point, PointSet, _integer_view, _unscaled
+from .geometry import Point, PointSet, _unscaled
 
 
-def midpoint_set(ps: PointSet | Sequence[Point]) -> frozenset[Point]:
-    den, xy = _integer_view(ps)
+def midpoint_set(ps: PointSet) -> frozenset[Point]:
+    den, xy = ps.integer_view
     if len(xy) < 2:
         raise GeometryError("midpoints need at least two points")
     sums = {(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in combinations(xy, 2)}
     return frozenset(_unscaled(sums, 2 * den))
 
 
-def sum_set(ps: PointSet | Sequence[Point]) -> frozenset[Point]:
-    den, xy = _integer_view(ps)
+def sum_set(ps: PointSet) -> frozenset[Point]:
+    den, xy = ps.integer_view
     sums = {(x1 + x2, y1 + y2) for (x1, y1) in xy for (x2, y2) in xy}
     return frozenset(_unscaled(sums, den))
 

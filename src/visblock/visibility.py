@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
@@ -141,23 +140,6 @@ class Colouring:
 
     def to_obj(self) -> dict:
         return {"k": self.k, "colours": list(self.colours)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True)
-
-    @classmethod
-    def from_obj(cls, obj) -> "Colouring":
-        if not isinstance(obj, dict) or "k" not in obj or "colours" not in obj:
-            raise GeometryError("colouring object needs 'k' and 'colours'")
-        return cls(obj["k"], tuple(obj["colours"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Colouring":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise GeometryError(f"bad colouring JSON: {e}") from None
-        return cls.from_obj(obj)
 
 
 @dataclass(frozen=True)

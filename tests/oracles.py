@@ -307,3 +307,69 @@ def fraction_midpoint_blocking_set(pts):
     mids = sorted({mid(i, j) for i, j in labels})
     index = {m: k for k, m in enumerate(mids)}
     return mids, tuple((s, index[mid(i, j)]) for s, (i, j) in enumerate(labels))
+
+
+def private_params():
+    """Interior parameters in schedule order: 1/2, then the proper reduced
+    fractions by growing denominator."""
+    yield Fraction(1, 2)
+    den = 3
+    while True:
+        for num in range(1, den):
+            if gcd(num, den) == 1:
+                yield Fraction(num, den)
+        den += 1
+
+
+def meeting_point(a, b, c, d):
+    """The common point of segments ab and cd when they are not parallel
+    and meet, else None."""
+    d1 = (b[0] - a[0], b[1] - a[1])
+    d2 = (d[0] - c[0], d[1] - c[1])
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    if den == 0:
+        return None
+    w = (c[0] - a[0], c[1] - a[1])
+    t = Fraction(w[0] * d2[1] - w[1] * d2[0]) / den
+    s = Fraction(w[0] * d1[1] - w[1] * d1[0]) / den
+    if 0 <= t <= 1 and 0 <= s <= 1:
+        return (a[0] + t * d1[0], a[1] + t * d1[1])
+    return None
+
+
+def scan_blocking_instance(segments, gap_segments):
+    """Candidate blockers by a cover scan: every meeting point of two
+    segments that is not an endpoint, then per gap segment the first
+    schedule point on it that is no endpoint, meeting point or earlier
+    placement; each candidate covers the segments whose open interior
+    holds it, found by testing every segment. Points are (x, y) tuples.
+    Returns the endpoints in first-seen order and the sorted
+    (point, covers) pairs."""
+    vertices = []
+    for seg in segments:
+        for p in seg:
+            if p not in vertices:
+                vertices.append(p)
+    meets = set()
+    for (a, b), (c, d) in combinations(segments, 2):
+        p = meeting_point(a, b, c, d)
+        if p is not None:
+            meets.add(p)
+    taken = set(vertices) | meets
+    placed = set()
+    for s in gap_segments:
+        a, b = segments[s]
+        for t in private_params():
+            p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+            if p not in taken:
+                taken.add(p)
+                placed.add(p)
+                break
+    cands = []
+    for p in sorted((meets - set(vertices)) | placed):
+        covers = frozenset(
+            s for s, (a, b) in enumerate(segments) if strictly_between(p, a, b)
+        )
+        if covers:
+            cands.append((p, covers))
+    return vertices, cands

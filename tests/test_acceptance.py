@@ -159,7 +159,7 @@ def test_criterion_02_solver_matches_enumeration(corpus):
     bundle_checked = 0
     for n in (1, 2, 3):
         for d in (construct_knn_grid(n), construct_knn_parabola(n)):
-            inst = drawing_instance(list(d.edges), list(d.vertices))
+            inst = drawing_instance(list(d.edges))
             assert inst.m <= 12
             covers = [c.covers for c in inst.candidates]
             want = oracles.brute_min_hitting_set(inst.m, covers)

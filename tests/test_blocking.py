@@ -1,7 +1,10 @@
+import cProfile
+import pstats
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from visblock import blocking
 from visblock.blocking import (
@@ -26,6 +29,7 @@ from visblock.generators import (
 from visblock.geometry import Point, PointSet, midpoint, on_open_segment
 
 import oracles
+from test_geometry import RATIONAL_COORDS
 
 P = Point
 
@@ -118,6 +122,57 @@ class TestCandidateBlockers:
             drawing_instance(edges)
 
 
+def _xy(p):
+    return (p.x, p.y)
+
+
+class TestScanOracle:
+    """The one-pass build against a cover scan over every candidate and
+    segment (oracles.scan_blocking_instance)."""
+
+    @staticmethod
+    def assert_matches(inst, segments, gap_segments):
+        vertices, cands = oracles.scan_blocking_instance(segments, gap_segments)
+        assert [(_xy(a), _xy(b)) for a, b in inst.segments] == segments
+        assert [_xy(p) for p in inst.vertices] == vertices
+        assert [(_xy(c.point), c.covers) for c in inst.candidates] == cands
+
+    @given(RATIONAL_COORDS)
+    @settings(max_examples=150, deadline=None)
+    def test_rational_sets(self, coords):
+        ps = PointSet.build(coords)
+        pts = [_xy(p) for p in ps]
+        segments = [(pts[i], pts[j]) for i, j in combinations(range(len(pts)), 2)]
+        # gaps: pairs with no set point strictly between them
+        gaps = [
+            s for s, (a, b) in enumerate(segments)
+            if not any(oracles.strictly_between(x, a, b) for x in pts)
+        ]
+        self.assert_matches(candidate_blockers(ps), segments, gaps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_knn_bundles(self, n):
+        for d in (construct_knn_grid(n), construct_knn_parabola(n)):
+            segments = [(_xy(a), _xy(b)) for a, b in d.edges]
+            inst = candidate_blockers(list(d.edges))
+            self.assert_matches(inst, segments, range(len(segments)))
+
+    def test_no_cover_scan_on_the_4x4_grid(self):
+        # a deterministic work counter: one segment_intersection per pair of
+        # the 120 segments and no on_open_segment (50,760 with a cover scan)
+        prof = cProfile.Profile()
+        prof.enable()
+        candidate_blockers(grid_set(4, 4))
+        prof.disable()
+        calls = {
+            name: stat[0]
+            for (path, _, name), stat in pstats.Stats(prof).stats.items()
+            if path.endswith("geometry.py")
+        }
+        assert calls.get("on_open_segment", 0) == 0
+        assert calls["segment_intersection"] == 7140
+
+
 class TestMinBlockingSet:
     def test_triangle(self):
         bs = min_blocking_set(TRIANGLE)
@@ -167,7 +222,7 @@ class TestMinBlockingSet:
     def test_bipartite_matches_enumeration(self):
         for n in (1, 2, 3):
             for d in (construct_knn_grid(n), construct_knn_parabola(n)):
-                inst = drawing_instance(list(d.edges), list(d.vertices))
+                inst = drawing_instance(list(d.edges))
                 covers = [c.covers for c in inst.candidates]
                 want = oracles.brute_min_hitting_set(inst.m, covers)
                 got = min_blocking_set(inst)

@@ -64,7 +64,7 @@ class TestCrossingGraph:
         g = crossing_graph(convex_parabola(6))
         for s, t in combinations(range(g.m), 2):
             if set(g.segments[s]) & set(g.segments[t]):
-                assert not g.crosses(s, t)
+                assert not g.adj[s] >> t & 1
 
     def test_non_general_position_rejected(self):
         with pytest.raises(NotGeneralPosition):

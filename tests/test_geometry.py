@@ -239,24 +239,22 @@ class TestIntegerView:
     """The integer routines against the Fraction oracles, and the positive
     affine maps that the integer view relies on."""
 
-    @given(RATIONAL_COORDS, st.booleans())
+    @given(RATIONAL_COORDS)
     @settings(max_examples=150, deadline=None)
-    def test_lines_match_fraction_oracle(self, coords, plain):
+    def test_lines_match_fraction_oracle(self, coords):
         ps = PointSet.build(coords)
-        arg = list(ps) if plain else ps
-        recs = lines_of(arg)
+        recs = lines_of(ps)
         assert [(r.member_indices, r.direction) for r in recs] == oracles.fraction_lines_of(ps)
         for r in recs:
             want = oracles.fraction_sorted_along_line(ps, r.member_indices, r.direction)
-            assert sorted_along_line(arg, r) == want
+            assert sorted_along_line(ps, r) == want
 
-    @given(RATIONAL_COORDS, st.booleans())
+    @given(RATIONAL_COORDS)
     @settings(max_examples=150, deadline=None)
-    def test_sums_match_fraction_oracle(self, coords, plain):
+    def test_sums_match_fraction_oracle(self, coords):
         ps = PointSet.build(coords)
-        arg = list(ps) if plain else ps
-        assert _as_tuples(midpoint_set(arg)) == oracles.fraction_midpoint_set(ps)
-        assert _as_tuples(sum_set(arg)) == oracles.fraction_sum_set(ps)
+        assert _as_tuples(midpoint_set(ps)) == oracles.fraction_midpoint_set(ps)
+        assert _as_tuples(sum_set(ps)) == oracles.fraction_sum_set(ps)
 
     @given(
         RATIONAL_COORDS,

@@ -55,7 +55,7 @@ class TestMidpointSet:
 class TestSumSet:
     def test_two_points(self):
         a, b = Point(0, 0), Point(1, 2)
-        assert sum_set([a, b]) == {Point(0, 0), Point(1, 2), Point(2, 4)}
+        assert sum_set(PointSet((a, b))) == {Point(0, 0), Point(1, 2), Point(2, 4)}
 
     def test_square(self):
         assert len(sum_set(SQUARE)) == 9
@@ -73,7 +73,7 @@ class TestSumSet:
         checked_eq = 0
         for size in (2, 3, 4, 5):
             for sub in combinations(grid, size):
-                s = len(sum_set(sub))
+                s = len(sum_set(PointSet(sub)))
                 assert s >= 2 * size - 1
                 if s == 2 * size - 1:
                     checked_eq += 1
@@ -175,18 +175,12 @@ class TestSearch:
     def test_triangle_floor(self):
         # any 3 points in general position give exactly 3 distinct midpoints
         grid = [Point(x, y) for x in range(3) for y in range(3)]
-        best = min(
-            len(midpoint_set(sub))
-            for sub in combinations(grid, 3)
-            if max_collinear(sub) < 3
-        )
+        subsets = (PointSet(sub) for sub in combinations(grid, 3))
+        best = min(len(midpoint_set(ps)) for ps in subsets if max_collinear(ps) < 3)
         assert best == 3
 
     def test_four_point_exhaustive_floor(self):
         grid = [Point(x, y) for x in range(5) for y in range(5)]
-        best = min(
-            len(midpoint_set(sub))
-            for sub in combinations(grid, 4)
-            if max_collinear(sub) < 3
-        )
+        subsets = (PointSet(sub) for sub in combinations(grid, 4))
+        best = min(len(midpoint_set(ps)) for ps in subsets if max_collinear(ps) < 3)
         assert best == 5

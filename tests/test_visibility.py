@@ -209,10 +209,6 @@ class TestColouring:
         with pytest.raises(GeometryError):
             Colouring(0, ())
 
-    def test_json_round_trip(self):
-        c = Colouring(3, (1, 2, 3, 1))
-        assert Colouring.from_json(c.to_json()) == c
-
 
 class TestProposition1:
     def test_collinear_blocked(self):
