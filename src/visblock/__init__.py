@@ -24,7 +24,6 @@ from .crossing import (
 )
 from .drawings import (
     construct_kn_arc_drawing,
-    verified_arc_drawing,
     verify_drawing_blocking,
     verify_simplicity,
 )
@@ -39,7 +38,6 @@ from .geometry import (
     is_general_position,
     lines_of,
     max_collinear,
-    midpoint,
     on_open_segment,
     orientation,
     segment_intersection,
@@ -47,7 +45,6 @@ from .geometry import (
 from .midpoints import (
     Progression,
     midpoint_set,
-    product_set,
     progression_points,
     sum_set,
 )
@@ -95,7 +92,6 @@ __all__ = [
     "is_general_position",
     "lines_of",
     "max_collinear",
-    "midpoint",
     "midpoint_blocking_set",
     "midpoint_set",
     "min_blocking_set",
@@ -103,7 +99,6 @@ __all__ = [
     "on_open_segment",
     "orientation",
     "partition_size_floor",
-    "product_set",
     "progression_points",
     "proposition1_check",
     "regular_ngon_multiplicity",
@@ -112,7 +107,6 @@ __all__ = [
     "segment_intersection",
     "sum_set",
     "triangulation_lower_bound",
-    "verified_arc_drawing",
     "verify_drawing_blocking",
     "verify_simplicity",
     "visibility_graph",

@@ -11,7 +11,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .cliques import _bits, _deadline, _maximise, max_matching
-from .errors import GeometryError, NotGeneralPosition, SegmentOverlap
+from .errors import DegenerateSegment, GeometryError, NotGeneralPosition, SegmentOverlap
 from .geometry import (
     Point,
     PointSet,
@@ -87,6 +87,9 @@ def _build_instance(
     segs = list(segments)
     if len({(a, b) for a, b in segs}) != len(segs):
         raise GeometryError("instance segments must be pairwise distinct")
+    for k, (a, b) in enumerate(segs):
+        if a == b:
+            raise DegenerateSegment(f"segment {k} has both endpoints at {a.to_obj()}")
     vertices = dict.fromkeys(p for seg in segs for p in seg)  # ordered set
     covers: dict[Point, set[int]] = {}
     overlaps: list[set[int]] = [set() for _ in segs]
@@ -442,16 +445,22 @@ class BipartiteDrawing:
     @classmethod
     def from_obj(cls, obj: dict) -> "BipartiteDrawing":
         try:
-            return cls(
-                int(obj["n"]),
+            n, name = obj["n"], obj.get("name", "")
+            d = cls(
+                n,
                 tuple(Point.from_obj(p) for p in obj["left"]),
                 tuple(Point.from_obj(p) for p in obj["right"]),
                 tuple((Point.from_obj(a), Point.from_obj(b)) for a, b in obj["edges"]),
                 tuple(Point.from_obj(p) for p in obj["blockers"]),
-                str(obj.get("name", "")),
+                name,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GeometryError(f"malformed drawing bundle: {exc}") from exc
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise GeometryError(f"drawing bundle 'n' must be an integer, got {n!r}")
+        if not isinstance(name, str):
+            raise GeometryError(f"drawing bundle 'name' must be a string, got {name!r}")
+        return d
 
 
 def construct_knn_grid(n: int) -> BipartiteDrawing:

@@ -40,7 +40,7 @@ from .crossing import (
 )
 from .drawings import construct_kn_arc_drawing, verify_drawing_blocking, verify_simplicity
 from .errors import GeometryError
-from .generators import KINDS, GeneratorSpec, generate
+from .generators import KINDS, GeneratorSpec, _read_json, generate
 from .geometry import Point, PointSet, is_general_position, max_collinear
 from .midpoints import midpoint_set, sum_set
 from .visibility import (
@@ -61,8 +61,16 @@ EXIT_VERIFICATION = 2
 EXIT_BUDGET = 3
 EXIT_INPUT = 4
 
+# task statuses, worst first, with the exit code of each: the worst status
+# of a run or a task command decides its exit code
+STATUS_EXIT = {
+    "error": EXIT_INPUT,
+    "verification_failed": EXIT_VERIFICATION,
+    "budget_exhausted": EXIT_BUDGET,
+    "ok": EXIT_OK,
+}
+
 TASKS = ("visgraph", "block", "midpoints", "crossing", "drawing", "ramsey")
-ENV_PREFIX = "VISBLOCK_"
 
 MONO_LINE_CAP = 12  # 2^(n-1) colourings checked exhaustively up to here
 
@@ -75,11 +83,23 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _worst(statuses) -> str:
+    return next((s for s in STATUS_EXIT if s in statuses), "ok")
+
+
 @dataclass
 class TaskOutcome:
     result: dict
     verification_failed: bool = False
     budget_exhausted: bool = False
+
+    @property
+    def status(self) -> str:
+        flags = {
+            "verification_failed": self.verification_failed,
+            "budget_exhausted": self.budget_exhausted,
+        }
+        return _worst([s for s, raised in flags.items() if raised])
 
 
 def _as_pointset(obj) -> PointSet:
@@ -222,16 +242,10 @@ def task_ramsey(obj, budget_ms: Optional[int]) -> TaskOutcome:
     failed = False
     budget_hit = False
     if n >= 3:
-        try:
-            verdict = big_line_big_clique_check(ps, 3, 3, budget_ms)
-        except GeometryError as exc:
-            if "budget" not in str(exc):
-                raise
-            result["line_or_clique"] = {"kind": "unknown", "message": str(exc)}
-            budget_hit = True
-        else:
-            result["line_or_clique"] = verdict.to_obj()
-            failed |= verdict.kind == "neither"
+        verdict = big_line_big_clique_check(ps, 3, 3, budget_ms)
+        result["line_or_clique"] = verdict.to_obj()
+        failed |= verdict.kind == "neither"
+        budget_hit = verdict.kind == "unknown"
     g = visibility_graph(ps)
     ch = chromatic_number(g, budget_ms)
     if ch.exact:
@@ -357,8 +371,7 @@ def run(config: ExperimentConfig) -> Path:
             subject = None
         else:
             manifest["generation"] = {"status": "ok"}
-            name = "drawing.json" if isinstance(subject, BipartiteDrawing) else "points.json"
-            (run_dir / "inputs" / name).write_text(_dumps(subject.to_obj()))
+            (run_dir / "inputs" / _input_name(subject)).write_text(_dumps(subject.to_obj()))
         for task in config.tasks:
             entry: dict = {"budget_ms": config.budgets_ms.get(task)}
             if subject is None:
@@ -372,12 +385,7 @@ def run(config: ExperimentConfig) -> Path:
                 entry.update(_error_entry(f"task {task}", exc))
             else:
                 outcomes[task] = outcome
-                if outcome.verification_failed:
-                    entry["status"] = "verification_failed"
-                elif outcome.budget_exhausted:
-                    entry["status"] = "budget_exhausted"
-                else:
-                    entry["status"] = "ok"
+                entry["status"] = outcome.status
                 (run_dir / "results" / f"{task}.json").write_text(_dumps(outcome.result))
             entry["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
             manifest["tasks"][task] = entry
@@ -434,16 +442,9 @@ def _cross_checks(subject, outcomes: dict[str, TaskOutcome], manifest: dict) -> 
 
 
 def exit_code_from_manifest(manifest: dict) -> int:
-    statuses = [t["status"] for t in manifest.get("tasks", {}).values()]
-    if manifest.get("generation", {}).get("status") == "error":
-        return EXIT_INPUT
-    if any(s == "error" for s in statuses):
-        return EXIT_INPUT
-    if any(s == "verification_failed" for s in statuses):
-        return EXIT_VERIFICATION
-    if any(s == "budget_exhausted" for s in statuses):
-        return EXIT_BUDGET
-    return EXIT_OK
+    statuses = {t["status"] for t in manifest.get("tasks", {}).values()}
+    statuses.add(manifest.get("generation", {}).get("status"))  # a generation error is an error
+    return STATUS_EXIT[_worst(statuses)]
 
 
 # reporting
@@ -452,19 +453,11 @@ REPORT_COLUMNS = ("n", "bound_3n_3_t", "b", "m", "t", "n2_over_14", "n_ln_n")
 
 
 def _load_run(run_dir: Path) -> dict:
-    mf = run_dir / "manifest.json"
-    if not mf.is_file():
-        raise GeometryError(f"run {run_dir}: missing manifest.json")
-    try:
-        manifest = json.loads(mf.read_text())
-    except json.JSONDecodeError as exc:
-        raise GeometryError(f"run {run_dir}: unreadable manifest: {exc}") from exc
-    results = {}
-    for f in sorted((run_dir / "results").glob("*.json")):
-        try:
-            results[f.stem] = json.loads(f.read_text())
-        except json.JSONDecodeError as exc:
-            raise GeometryError(f"run {run_dir}: unreadable result {f.name}: {exc}") from exc
+    manifest = _read_json(run_dir / "manifest.json", "run manifest")
+    results = {
+        f.stem: _read_json(f, "run result")
+        for f in sorted((run_dir / "results").glob("*.json"))
+    }
     return {"dir": run_dir, "manifest": manifest, "results": results}
 
 
@@ -549,23 +542,12 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
 
 # argument parsing
 
-def _env_default(name: str, cast=str):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise GeometryError(f"environment variable {ENV_PREFIX + name} is not valid: {raw!r}")
+def _input_name(subject: Union[PointSet, BipartiteDrawing]) -> str:
+    return "drawing.json" if isinstance(subject, BipartiteDrawing) else "points.json"
 
 
 def _load_subject(path: str):
-    try:
-        obj = json.loads(open(path).read())
-    except OSError as exc:
-        raise GeometryError(f"cannot read input {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GeometryError(f"input {path} is not valid JSON: {exc}") from exc
+    obj = _read_json(path, "input")
     if isinstance(obj, dict) and "left" in obj:
         return BipartiteDrawing.from_obj(obj)
     if isinstance(obj, dict) and "points" in obj:
@@ -579,10 +561,6 @@ def _spec_from_args(args) -> GeneratorSpec:
         v = getattr(args, key, None)
         if v is not None:
             params[key] = v
-    if args.kind == "random_general_position" and "seed" not in params:
-        env_seed = _env_default("SEED", int)
-        if env_seed is not None:
-            params["seed"] = env_seed
     if getattr(args, "path", None):
         params["path"] = args.path
     if getattr(args, "progression", None):
@@ -672,15 +650,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
-    output_dir = getattr(args, "output_dir", None) or _env_default("OUTPUT_DIR")
+    output_dir = getattr(args, "output_dir", None) or os.environ.get("VISBLOCK_OUTPUT_DIR")
     budget = getattr(args, "budget_ms", None)
-    if budget is None:
-        budget = _env_default("BUDGET_MS", int)
 
     if args.command == "generate":
         subject = generate(_spec_from_args(args))
-        name = "drawing.json" if isinstance(subject, BipartiteDrawing) else "points.json"
-        _emit(subject.to_obj(), output_dir, name)
+        _emit(subject.to_obj(), output_dir, _input_name(subject))
         return EXIT_OK
 
     if args.command in TASKS:
@@ -694,29 +669,18 @@ def _dispatch(args) -> int:
             subject = _load_subject(args.input)
         outcome = TASK_FNS[args.command](subject, budget)
         _emit(outcome.result, output_dir, f"{args.command}.json")
-        if outcome.verification_failed:
-            return EXIT_VERIFICATION
-        if outcome.budget_exhausted:
-            return EXIT_BUDGET
-        return EXIT_OK
+        return STATUS_EXIT[outcome.status]
 
     if args.command == "run":
-        try:
-            cfg_obj = json.loads(open(args.config).read())
-        except OSError as exc:
-            raise GeometryError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise GeometryError(f"config {args.config} is not valid JSON: {exc}") from exc
-        config = ExperimentConfig.from_obj(cfg_obj)
+        config = ExperimentConfig.from_obj(_read_json(args.config, "config"))
         if output_dir:
             config = replace(config, output_dir=output_dir)
         if budget is not None:
             budgets = {t: config.budgets_ms.get(t, budget) for t in config.tasks}
             config = replace(config, budgets_ms=budgets)
         run_dir = run(config)
-        manifest = json.loads((run_dir / "manifest.json").read_text())
         print(run_dir)
-        return exit_code_from_manifest(manifest)
+        return exit_code_from_manifest(_read_json(run_dir / "manifest.json", "run manifest"))
 
     if args.command == "report":
         written = report([Path(d) for d in args.dirs], Path(output_dir or "."))

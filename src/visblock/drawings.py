@@ -213,18 +213,3 @@ def verify_simplicity(d: ArcDrawing) -> SimplicityReport:
             bad.append(((e1.i, e1.j), (e2.i, e2.j), count))
     return SimplicityReport(not bad, worst, tuple(bad))
 
-
-def verified_arc_drawing(n: int) -> ArcDrawing:
-    """Construct and fully verify; any violation raises instead of passing
-    a broken drawing along."""
-    d = construct_kn_arc_drawing(n)
-    blocking = verify_drawing_blocking(d)
-    if not blocking.ok:
-        raise GeometryError(f"arc drawing n={n} failed blocking: {blocking.failures}")
-    simplicity = verify_simplicity(d)
-    if not simplicity.ok:
-        raise GeometryError(
-            f"arc drawing n={n} is not simple: {simplicity.violating_pairs}; "
-            "no alternative realization is wired in, this needs attention"
-        )
-    return d

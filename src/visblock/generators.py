@@ -7,6 +7,7 @@ collinear, logging how often that happened.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import random
@@ -185,12 +186,20 @@ def progression_set(params: dict) -> PointSet:
     return res.points
 
 
-def file_set(path: str) -> PointSet:
+def _read_json(path, what: str):
+    """The parsed contents of a JSON file; a file that cannot be read or
+    parsed is bad input."""
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise GeometryError(f"cannot read point file {path}: {exc}") from exc
-    return PointSet.from_json(text)
+        raise GeometryError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise GeometryError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def file_set(path: str) -> PointSet:
+    return PointSet.from_obj(_read_json(path, "point file"))
 
 
 _SYMMETRIES = (

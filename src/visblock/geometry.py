@@ -7,7 +7,6 @@ value equality.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,10 +64,6 @@ class Point:
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise GeometryError(f"point must be a 2-element list, got {obj!r}")
         return cls(_frac(obj[0]), _frac(obj[1]))
-
-
-def midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
@@ -238,17 +233,6 @@ class PointSet:
         if not isinstance(pts, list):
             raise GeometryError("'points' must be a list")
         return cls(tuple(Point.from_obj(p) for p in pts), name)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PointSet":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise GeometryError(f"bad point set JSON: {e}") from None
-        return cls.from_obj(obj)
 
 
 def lines_of(ps: PointSet) -> tuple[LineRecord, ...]:

@@ -1,4 +1,4 @@
-"""Midpoint counts, sum and product sets, and progressions.
+"""Midpoint counts, sum sets, and progressions.
 
 Midpoints come from distinct pairs only; the sum set keeps the doubled
 points 2x. That asymmetry is what leaves m(P) <= |P+P| <= m(P) + |P| with
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .errors import GeometryError
 from .geometry import Point, PointSet, _unscaled
@@ -27,15 +26,6 @@ def sum_set(ps: PointSet) -> frozenset[Point]:
     den, xy = ps.integer_view
     sums = {(x1 + x2, y1 + y2) for (x1, y1) in xy for (x2, y2) in xy}
     return frozenset(_unscaled(sums, den))
-
-
-def product_set(values: Iterable[int]) -> frozenset[int]:
-    vals = list(values)
-    if len(set(vals)) != len(vals):
-        raise GeometryError("product set needs distinct values")
-    if any(v <= 0 for v in vals):
-        raise GeometryError("product set needs positive values")
-    return frozenset(a * b for a in vals for b in vals)
 
 
 @dataclass(frozen=True)

@@ -167,9 +167,10 @@ def chromatic_number(g: VisibilityGraph, budget_ms: Optional[int] = None) -> Chr
 
 @dataclass(frozen=True)
 class BigLineBigCliqueVerdict:
-    kind: str  # "line" | "clique" | "neither"
+    kind: str  # "line" | "clique" | "neither" | "unknown"
     line: Optional[LineRecord] = None
     clique: tuple[int, ...] = ()
+    message: str = ""
 
     def to_obj(self) -> dict:
         obj: dict = {"kind": self.kind}
@@ -177,13 +178,16 @@ class BigLineBigCliqueVerdict:
             obj["line"] = list(self.line.member_indices)
         if self.clique:
             obj["clique"] = list(self.clique)
+        if self.message:
+            obj["message"] = self.message
         return obj
 
 
 def big_line_big_clique_check(
     ps: PointSet, k: int, ell: int, budget_ms: Optional[int] = None
 ) -> BigLineBigCliqueVerdict:
-    """Find ell collinear points or k pairwise visible ones; lines win ties."""
+    """Find ell collinear points or k pairwise visible ones; lines win ties.
+    The verdict is "unknown" when the clique search runs out of budget."""
     if k < 2 or ell < 3:
         raise GeometryError("need k >= 2 and ell >= 3")
     for rec in ps.lines:
@@ -193,7 +197,9 @@ def big_line_big_clique_check(
     if om.omega >= k:
         return BigLineBigCliqueVerdict("clique", clique=om.witness[:k])
     if not om.exact:
-        raise GeometryError("clique search budget exhausted before a verdict")
+        return BigLineBigCliqueVerdict(
+            "unknown", message="clique search budget exhausted before a verdict"
+        )
     return BigLineBigCliqueVerdict("neither")
 
 

@@ -1,7 +1,11 @@
 import cProfile
+import os
 import pstats
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +30,7 @@ from visblock.generators import (
     random_general_position_set,
     regular_ngon_set,
 )
-from visblock.geometry import Point, PointSet, midpoint, on_open_segment
+from visblock.geometry import Point, PointSet, on_open_segment
 
 import oracles
 from test_geometry import RATIONAL_COORDS
@@ -43,7 +47,8 @@ SQUARE = pset((0, 0), (2, 0), (0, 2), (2, 2), name="square")
 
 
 def tri_midpoints():
-    return [midpoint(TRIANGLE[i], TRIANGLE[j]) for i, j in combinations(range(3), 2)]
+    half = Fraction(1, 2)
+    return [(TRIANGLE[i] + TRIANGLE[j]).scaled(half) for i, j in combinations(range(3), 2)]
 
 
 class TestIsBlockingSet:
@@ -120,6 +125,23 @@ class TestCandidateBlockers:
         edges = [(P(0, 0), P(1, 1)), (P(0, 0), P(1, 1))]
         with pytest.raises(GeometryError):
             drawing_instance(edges)
+
+    def test_degenerate_edge_rejected(self):
+        # in a child process: a lone degenerate edge once looped forever
+        code = (
+            "from visblock.blocking import drawing_instance\n"
+            "from visblock.errors import DegenerateSegment\n"
+            "from visblock.geometry import Point\n"
+            "try:\n"
+            "    drawing_instance([(Point(0, 0), Point(0, 0))])\n"
+            "except DegenerateSegment as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(blocking.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "segment 0 has both endpoints at ['0/1', '0/1']\n"
 
 
 def _xy(p):

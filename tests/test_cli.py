@@ -9,19 +9,26 @@ from pathlib import Path
 import pytest
 
 from visblock import cli, crossing
+from visblock.blocking import construct_knn_parabola
 from visblock.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFICATION,
     ExperimentConfig,
+    TaskOutcome,
     exit_code_from_manifest,
     main,
     report,
     run,
 )
 from visblock.errors import GeometryError
-from visblock.generators import GeneratorSpec
+from visblock.generators import (
+    GeneratorSpec,
+    convex_parabola_set,
+    grid_set,
+    random_general_position_set,
+)
 
 
 GRID_2X2 = {"kind": "grid", "params": {"w": 2, "h": 2}}
@@ -41,6 +48,17 @@ def write_config(tmp_path, generator, tasks, budgets=None, name="cfg.json"):
 
 def read_result(run_dir, task):
     return json.loads((run_dir / "results" / f"{task}.json").read_text())
+
+
+def write_points(path, ps):
+    path.write_text(json.dumps(ps.to_obj()))
+    return path
+
+
+def run_visblock(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "visblock", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestConfig:
@@ -324,6 +342,68 @@ class TestExitPriorities:
         manifest = {"generation": {"status": "ok"}, "tasks": {"a": {"status": "ok"}}}
         assert exit_code_from_manifest(manifest) == EXIT_OK
 
+    @pytest.mark.parametrize("failed,budget_hit,status", [
+        (False, False, "ok"),
+        (False, True, "budget_exhausted"),
+        (True, False, "verification_failed"),
+        (True, True, "verification_failed"),
+    ])
+    def test_outcome_status(self, failed, budget_hit, status):
+        assert TaskOutcome({}, failed, budget_hit).status == status
+
+
+class TestSubcommandMatchesRun:
+    """A task command prints the bytes `run` writes to results/<task>.json
+    for the same subject, and exits as `exit_code_from_manifest` does."""
+
+    def agree(self, tmp_path, capsys, generator, task, budget=None, input_file=None):
+        budgets = {} if budget is None else {task: budget}
+        cfg = ExperimentConfig(GeneratorSpec.from_obj(generator), (task,), budgets,
+                               output_dir=str(tmp_path / "runs"))
+        run_dir = run(cfg)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        if input_file is None:
+            (input_file,) = (run_dir / "inputs").glob("*.json")
+        args = [task, "--input", str(input_file)]
+        if budget is not None:
+            args += ["--budget-ms", str(budget)]
+        rc = main(args)
+        result = run_dir / "results" / f"{task}.json"
+        assert capsys.readouterr().out == (result.read_text() if result.is_file() else "")
+        assert rc == exit_code_from_manifest(manifest)
+        return rc
+
+    @pytest.mark.parametrize("task", cli.TASKS)
+    @pytest.mark.parametrize("ps", [convex_parabola_set(5), grid_set(3, 3)],
+                             ids=["convex-5", "grid-3x3"])
+    def test_point_file(self, tmp_path, capsys, ps, task):
+        path = write_points(tmp_path / "points.json", ps)
+        generator = {"kind": "file", "params": {"path": str(path)}}
+        rc = self.agree(tmp_path, capsys, generator, task, input_file=path)
+        assert rc == (EXIT_INPUT if (task, ps.name) == ("crossing", "grid-3x3") else EXIT_OK)
+
+    @pytest.mark.parametrize("task", cli.TASKS)
+    def test_bundle(self, tmp_path, capsys, task):
+        generator = {"kind": "knn_parabola", "params": {"n": 3}}
+        rc = self.agree(tmp_path, capsys, generator, task)
+        assert rc == (EXIT_OK if task in ("block", "drawing") else EXIT_INPUT)
+
+    def test_budget_exhausted(self, tmp_path, capsys):
+        path = write_points(tmp_path / "points.json", random_general_position_set(13, None, 3))
+        generator = {"kind": "file", "params": {"path": str(path)}}
+        rc = self.agree(tmp_path, capsys, generator, "visgraph", budget=0, input_file=path)
+        assert rc == EXIT_BUDGET
+
+    def test_verification_failed(self, tmp_path, capsys, monkeypatch):
+        def failing(obj, budget_ms):
+            return TaskOutcome({"n": len(obj)}, verification_failed=True, budget_exhausted=True)
+
+        monkeypatch.setitem(cli.TASK_FNS, "midpoints", failing)
+        path = write_points(tmp_path / "points.json", convex_parabola_set(4))
+        generator = {"kind": "file", "params": {"path": str(path)}}
+        rc = self.agree(tmp_path, capsys, generator, "midpoints", input_file=path)
+        assert rc == EXIT_VERIFICATION
+
 
 class TestReport:
     def make_runs(self, tmp_path, sizes=(4, 5)):
@@ -385,9 +465,7 @@ class TestReport:
 
 class TestMainEntry:
     def test_python_m_visblock(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "visblock", "--help"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = run_visblock("--help")
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "report" in proc.stdout
@@ -432,6 +510,12 @@ class TestMainEntry:
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2")
         assert main(["midpoints", "--input", str(bad)]) == EXIT_INPUT
+
+    def test_input_that_is_not_text(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["midpoints", "--input", str(bad)]) == EXIT_INPUT
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_tampered_bundle_fails_verification(self, tmp_path, capsys):
         main(["generate", "--kind", "knn_grid", "--n", "4",
@@ -549,29 +633,48 @@ class TestMainEntry:
         assert main(["generate", "--kind", "grid", "--w", "2", "--h", "2"]) == EXIT_OK
         assert (tmp_path / "envout" / "points.json").is_file()
 
-    def test_env_budget(self, tmp_path, capsys, monkeypatch):
-        main(["generate", "--kind", "random_general_position", "--n", "13",
-              "--seed", "3", "--output-dir", str(tmp_path)])
-        capsys.readouterr()
-        monkeypatch.setenv("VISBLOCK_BUDGET_MS", "0")
-        rc = main(["visgraph", "--input", str(tmp_path / "points.json")])
-        assert rc == EXIT_BUDGET
-
-    def test_env_seed(self, capsys, monkeypatch):
-        args = ["generate", "--kind", "random_general_position", "--n", "5"]
-        assert main(args) == EXIT_INPUT  # no seed anywhere
-        capsys.readouterr()
+    def test_env_sets_no_seed_or_budget(self, tmp_path, capsys, monkeypatch):
+        pts = write_points(tmp_path / "points.json", random_general_position_set(13, None, 3))
+        monkeypatch.delenv("VISBLOCK_SEED", raising=False)
+        monkeypatch.delenv("VISBLOCK_BUDGET_MS", raising=False)
+        assert main(["visgraph", "--input", str(pts)]) == EXIT_OK
+        unset = capsys.readouterr().out
         monkeypatch.setenv("VISBLOCK_SEED", "7")
-        assert main(args) == EXIT_OK
-        from_env = capsys.readouterr().out
-        assert main(args + ["--seed", "7"]) == EXIT_OK
-        assert capsys.readouterr().out == from_env
+        monkeypatch.setenv("VISBLOCK_BUDGET_MS", "0")
+        assert main(["generate", "--kind", "random_general_position", "--n", "5"]) == EXIT_INPUT
+        assert "explicit seed" in capsys.readouterr().err
+        assert main(["visgraph", "--input", str(pts)]) == EXIT_OK
+        assert capsys.readouterr().out == unset
 
-    def test_env_bad_value(self, tmp_path, capsys, monkeypatch):
-        pts = tmp_path / "p.json"
-        pts.write_text(json.dumps({"name": "", "points": [["0", "0"], ["1", "0"]]}))
-        monkeypatch.setenv("VISBLOCK_BUDGET_MS", "soon")
-        assert main(["visgraph", "--input", str(pts)]) == EXIT_INPUT
+    def test_degenerate_bundle_edge_exits(self, tmp_path):
+        origin = ["0/1", "0/1"]
+        bundle = {"name": "", "n": 1, "left": [origin], "right": [origin],
+                  "edges": [[origin, origin]], "blockers": []}
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        proc = run_visblock("block", "--input", str(path))  # looped forever once
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith("error: segment 0 has both endpoints at")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("key,value", [("n", 2.7), ("n", "3"), ("n", True), ("name", 5)],
+                             ids=["n-float", "n-str", "n-bool", "name-int"])
+    def test_bundle_field_types(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(construct_knn_parabola(2).to_obj() | {key: value}))
+        assert main(["block", "--input", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: drawing bundle {key!r} must be" in err
+        assert "Traceback" not in err
+
+    def test_ramsey_budget_exhausted_verdict(self, tmp_path, capsys):
+        pts = write_points(tmp_path / "points.json", random_general_position_set(9, None, 3))
+        assert main(["ramsey", "--input", str(pts), "--budget-ms", "0"]) == EXIT_BUDGET
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["line_or_clique"] == {
+            "kind": "unknown",
+            "message": "clique search budget exhausted before a verdict",
+        }
 
     def test_ramsey_subcommand(self, tmp_path, capsys):
         main(["generate", "--kind", "convex_parabola", "--n", "4",

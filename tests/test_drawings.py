@@ -9,7 +9,6 @@ from visblock.drawings import (
     Arc,
     construct_kn_arc_drawing,
     edge_common_points,
-    verified_arc_drawing,
     verify_drawing_blocking,
     verify_simplicity,
 )
@@ -218,8 +217,9 @@ class TestSimplicity:
 class TestVerifiedConstructor:
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_passes(self, n):
-        d = verified_arc_drawing(n)
+        d = construct_kn_arc_drawing(n)
         assert len(d.edges) == n * (n - 1) // 2
+        assert verify_drawing_blocking(d).ok and verify_simplicity(d).ok
 
 
 class TestTrivialBound:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from visblock.blocking import BipartiteDrawing
@@ -168,7 +170,7 @@ class TestProgressionAndFile:
     def test_file_roundtrip(self, tmp_path):
         src = grid_set(2, 3)
         path = tmp_path / "pts.json"
-        path.write_text(src.to_json())
+        path.write_text(json.dumps(src.to_obj()))
         out = generate(GeneratorSpec("file", {"path": str(path)}))
         assert list(out) == list(src)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visblock.errors import DegenerateHull, DegenerateSegment, GeometryError
-from visblock.generators import grid_set
+from visblock.generators import GeneratorSpec, generate, grid_set
 from visblock.geometry import (
     Point,
     PointSet,
@@ -17,7 +17,6 @@ from visblock.geometry import (
     is_general_position,
     lines_of,
     max_collinear,
-    midpoint,
     on_open_segment,
     orientation,
     segment_intersection,
@@ -339,27 +338,25 @@ class TestPointSet:
 
     def test_json_round_trip(self):
         ps = pset((Fraction(3, 2), -7), (0, 1), name="pair")
-        again = PointSet.from_json(ps.to_json())
-        assert again == ps
-        obj = json.loads(ps.to_json())
+        obj = json.loads(json.dumps(ps.to_obj()))
+        assert PointSet.from_obj(obj) == ps
         assert obj["points"][0] == ["3/2", "-7/1"]
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(GeometryError):
-            PointSet.from_json('{"name": "bad", "points": [["1/0", "2/1"]]}')
+            PointSet.from_obj({"name": "bad", "points": [["1/0", "2/1"]]})
 
     def test_duplicate_in_json_rejected(self):
-        text = '{"name": "dup", "points": [["1/1", "2/1"], ["2/2", "4/2"]]}'
+        obj = {"name": "dup", "points": [["1/1", "2/1"], ["2/2", "4/2"]]}
         with pytest.raises(GeometryError):
-            PointSet.from_json(text)
+            PointSet.from_obj(obj)
 
-    def test_malformed_rejected(self):
+    def test_malformed_rejected(self, tmp_path):
         with pytest.raises(GeometryError):
-            PointSet.from_json('{"name": "x"}')
+            PointSet.from_obj({"name": "x"})
         with pytest.raises(GeometryError):
-            PointSet.from_json('{"points": [["1/1"]]}')
-        with pytest.raises(GeometryError):
-            PointSet.from_json("not json at all")
-
-    def test_midpoint_helper(self):
-        assert midpoint(P(0, 0), P(1, 1)) == P(Fraction(1, 2), Fraction(1, 2))
+            PointSet.from_obj({"points": [["1/1"]]})
+        path = tmp_path / "points.json"
+        path.write_text("not json at all")
+        with pytest.raises(GeometryError, match="not valid JSON"):
+            generate(GeneratorSpec("file", {"path": str(path)}))

@@ -10,7 +10,6 @@ from visblock.geometry import Point, PointSet, collinear, is_general_position, m
 from visblock.midpoints import (
     Progression,
     midpoint_set,
-    product_set,
     progression_points,
     sum_set,
 )
@@ -91,27 +90,6 @@ def _is_line_ap(pts) -> bool:
         return False
     step = spts[1] - spts[0]
     return all(spts[k + 1] - spts[k] == step for k in range(len(spts) - 1))
-
-
-class TestProductSet:
-    def test_one_two_three(self):
-        assert product_set([1, 2, 3]) == {1, 2, 3, 4, 6, 9}
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    def test_geometric_has_two_n_minus_one(self, n):
-        vals = [2 ** k for k in range(1, n + 1)]
-        assert len(product_set(vals)) == 2 * n - 1
-
-    def test_first_ten_integers(self):
-        assert len(product_set(range(1, 11))) == 42
-
-    def test_rejects_duplicates_and_nonpositive(self):
-        with pytest.raises(GeometryError):
-            product_set([1, 2, 2])
-        with pytest.raises(GeometryError):
-            product_set([0, 1])
-        with pytest.raises(GeometryError):
-            product_set([-2, 3])
 
 
 class TestProgression:

@@ -195,6 +195,14 @@ class TestBigLineBigClique:
         v = big_line_big_clique_check(ps, 6, 3)
         assert v.kind == "neither"
 
+    def test_budget_exhausted_is_unknown(self):
+        ps = pset(*[(i, i * i) for i in range(5)])
+        v = big_line_big_clique_check(ps, 6, 3, budget_ms=0)
+        assert v.to_obj() == {
+            "kind": "unknown",
+            "message": "clique search budget exhausted before a verdict",
+        }
+
     def test_bad_params(self):
         with pytest.raises(GeometryError):
             big_line_big_clique_check(TRIANGLE, 1, 3)
