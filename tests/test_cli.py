@@ -633,18 +633,30 @@ class TestMainEntry:
         assert main(["generate", "--kind", "grid", "--w", "2", "--h", "2"]) == EXIT_OK
         assert (tmp_path / "envout" / "points.json").is_file()
 
-    def test_env_sets_no_seed_or_budget(self, tmp_path, capsys, monkeypatch):
+    def test_env_budget(self, tmp_path, capsys, monkeypatch):
+        # VISBLOCK_BUDGET_MS is not read: a zero budget there changes nothing.
         pts = write_points(tmp_path / "points.json", random_general_position_set(13, None, 3))
-        monkeypatch.delenv("VISBLOCK_SEED", raising=False)
         monkeypatch.delenv("VISBLOCK_BUDGET_MS", raising=False)
         assert main(["visgraph", "--input", str(pts)]) == EXIT_OK
         unset = capsys.readouterr().out
-        monkeypatch.setenv("VISBLOCK_SEED", "7")
         monkeypatch.setenv("VISBLOCK_BUDGET_MS", "0")
-        assert main(["generate", "--kind", "random_general_position", "--n", "5"]) == EXIT_INPUT
-        assert "explicit seed" in capsys.readouterr().err
         assert main(["visgraph", "--input", str(pts)]) == EXIT_OK
         assert capsys.readouterr().out == unset
+
+    def test_env_seed(self, capsys, monkeypatch):
+        # VISBLOCK_SEED is not read: a random generator still needs --seed.
+        args = ["generate", "--kind", "random_general_position", "--n", "5"]
+        monkeypatch.setenv("VISBLOCK_SEED", "7")
+        assert main(args) == EXIT_INPUT
+        assert "explicit seed" in capsys.readouterr().err
+        assert main(args + ["--seed", "7"]) == EXIT_OK
+
+    def test_env_bad_value(self, tmp_path, capsys, monkeypatch):
+        # A malformed VISBLOCK_BUDGET_MS is ignored rather than rejected.
+        pts = tmp_path / "p.json"
+        pts.write_text(json.dumps({"name": "", "points": [["0", "0"], ["1", "0"]]}))
+        monkeypatch.setenv("VISBLOCK_BUDGET_MS", "soon")
+        assert main(["visgraph", "--input", str(pts)]) == EXIT_OK
 
     def test_degenerate_bundle_edge_exits(self, tmp_path):
         origin = ["0/1", "0/1"]
