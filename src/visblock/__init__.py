@@ -33,14 +33,10 @@ from .geometry import (
     LineRecord,
     Point,
     PointSet,
-    SegmentMeet,
     convex_hull_size,
     is_general_position,
     lines_of,
     max_collinear,
-    on_open_segment,
-    orientation,
-    segment_intersection,
 )
 from .midpoints import (
     Progression,
@@ -73,7 +69,6 @@ __all__ = [
     "Point",
     "PointSet",
     "Progression",
-    "SegmentMeet",
     "VisibilityGraph",
     "big_line_big_clique_check",
     "chromatic_number",
@@ -96,15 +91,12 @@ __all__ = [
     "midpoint_set",
     "min_blocking_set",
     "monochromatic_line_check",
-    "on_open_segment",
-    "orientation",
     "partition_size_floor",
     "progression_points",
     "proposition1_check",
     "regular_ngon_multiplicity",
     "report",
     "run",
-    "segment_intersection",
     "sum_set",
     "triangulation_lower_bound",
     "verify_drawing_blocking",

@@ -6,7 +6,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
@@ -15,11 +15,13 @@ from .errors import DegenerateSegment, GeometryError, NotGeneralPosition, Segmen
 from .geometry import (
     Point,
     PointSet,
+    _OVERLAP,
     _first_blockers,
+    _meet,
+    _scale,
     _unscaled,
     convex_hull_size,
     is_general_position,
-    segment_intersection,
     sorted_along_line,
 )
 
@@ -49,19 +51,15 @@ class BlockingInstance:
 
 
 def _private_params():
-    # deterministic schedule of interior parameters: midpoint first, then
-    # proper fractions by growing denominator
-    yield Fraction(1, 2)
+    # deterministic schedule of interior parameters num/den: midpoint first,
+    # then proper fractions by growing denominator
+    yield 1, 2
     den = 3
     while True:
         for num in range(1, den):
             if gcd(num, den) == 1:
-                yield Fraction(num, den)
+                yield num, den
         den += 1
-
-
-def _point_at(a: Point, b: Point, t: Fraction) -> Point:
-    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
 
 def _build_instance(
@@ -83,6 +81,10 @@ def _build_instance(
     meeting point, so only its gap and the segments overlapping the gap hold
     it. Drawings have no overlaps; an all-pairs gap holds no vertex, so a
     segment overlapping it contains all of it.
+
+    The pass runs on the integer view of the vertices, scaled by L; a
+    candidate is keyed by its reduced triple (X, Y, D), the point
+    (X / (D L), Y / (D L)), and is a vertex iff D = 1 and (X, Y) is one.
     """
     segs = list(segments)
     if len({(a, b) for a, b in segs}) != len(segs):
@@ -90,12 +92,18 @@ def _build_instance(
     for k, (a, b) in enumerate(segs):
         if a == b:
             raise DegenerateSegment(f"segment {k} has both endpoints at {a.to_obj()}")
-    vertices = dict.fromkeys(p for seg in segs for p in seg)  # ordered set
-    covers: dict[Point, set[int]] = {}
+    vertices = tuple(dict.fromkeys(p for seg in segs for p in seg))  # ordered set
+    den, xy = _scale(vertices)
+    at = dict(zip(vertices, xy))
+    ends = [(at[a], at[b]) for a, b in segs]
+    taken = {(x, y, 1) for x, y in xy}
+    covers: dict[tuple[int, int, int], set[int]] = {}
     overlaps: list[set[int]] = [set() for _ in segs]
     for i, j in combinations(range(len(segs)), 2):
-        m = segment_intersection(*segs[i], *segs[j])
-        if m.kind == "overlap":
+        m = _meet(*ends[i], *ends[j])
+        if m is None:
+            continue
+        if m is _OVERLAP:
             if drawing:
                 raise SegmentOverlap(
                     f"segments {i} and {j} overlap along a line; "
@@ -103,17 +111,23 @@ def _build_instance(
                 )
             overlaps[i].add(j)
             overlaps[j].add(i)
-        elif m.kind == "point" and m.point not in vertices:
-            covers.setdefault(m.point, set()).update((i, j))
+        elif m not in taken:
+            covers.setdefault(m, set()).update((i, j))
     for s in gap_segments:
-        a, b = segs[s]
-        for t in _private_params():
-            p = _point_at(a, b, t)
-            if p not in vertices and p not in covers:
-                covers[p] = {s} | overlaps[s]
+        (ax, ay), (bx, by) = ends[s]
+        for num, d in _private_params():
+            x, y = (d - num) * ax + num * bx, (d - num) * ay + num * by
+            g = gcd(x, y, d)
+            key = (x // g, y // g, d // g)
+            if key not in taken and key not in covers:
+                covers[key] = {s} | overlaps[s]
                 break
-    cands = tuple(Candidate(p, frozenset(covers[p])) for p in sorted(covers))
-    return BlockingInstance(tuple(segs), tuple(vertices), cands)
+    cands = sorted(
+        (Candidate(Point(Fraction(x, d * den), Fraction(y, d * den)), frozenset(cov))
+         for (x, y, d), cov in covers.items()),
+        key=lambda c: (c.point.x, c.point.y),
+    )
+    return BlockingInstance(tuple(segs), vertices, tuple(cands))
 
 
 def all_pairs_instance(ps: PointSet) -> BlockingInstance:
@@ -460,6 +474,13 @@ class BipartiteDrawing:
             raise GeometryError(f"drawing bundle 'n' must be an integer, got {n!r}")
         if not isinstance(name, str):
             raise GeometryError(f"drawing bundle 'name' must be a string, got {name!r}")
+        if not (len(d.left) == len(d.right) == n
+                and sorted(d.edges) == sorted(product(d.left, d.right))):
+            raise GeometryError(
+                f"drawing bundle with n = {n} needs {n} left and {n} right points and "
+                f"the {n * n} edges left x right; got {len(d.left)}, {len(d.right)} "
+                f"and {len(d.edges)}"
+            )
         return d
 
 

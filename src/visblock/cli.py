@@ -284,6 +284,12 @@ TASK_FNS = {
 }
 
 
+def _check_budget(what: str, budget) -> None:
+    # the one budget rule, for config entries and the --budget-ms flag alike
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        raise GeometryError(f"{what} must be a non-negative integer")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     generator: GeneratorSpec
@@ -300,8 +306,7 @@ class ExperimentConfig:
         for t, b in self.budgets_ms.items():
             if t not in TASKS:
                 raise GeometryError(f"budget for unknown task {t!r}")
-            if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-                raise GeometryError(f"budget for {t!r} must be a non-negative integer")
+            _check_budget(f"budget for {t!r}", b)
 
     def to_obj(self) -> dict:
         return {
@@ -652,6 +657,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _dispatch(args) -> int:
     output_dir = getattr(args, "output_dir", None) or os.environ.get("VISBLOCK_OUTPUT_DIR")
     budget = getattr(args, "budget_ms", None)
+    if budget is not None:
+        _check_budget("--budget-ms", budget)
 
     if args.command == "generate":
         subject = generate(_spec_from_args(args))

@@ -25,19 +25,9 @@ from .geometry import (
     PointSet,
     _first_blockers,
     _hull_vertices,
+    _orient,
     is_general_position,
-    orientation,
 )
-
-
-def proper_crossing(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Open segments ab and cd meet in one interior point of both."""
-    if len({a, b, c, d}) < 4:
-        return False
-    return (
-        orientation(a, b, c) * orientation(a, b, d) < 0
-        and orientation(c, d, a) * orientation(c, d, b) < 0
-    )
 
 
 @dataclass(frozen=True)
@@ -60,12 +50,25 @@ def crossing_graph(ps: PointSet) -> CrossingGraph:
         raise NotGeneralPosition(
             "crossing relation needs general position; collinear overlaps are ambiguous"
         )
+    # Segments ij and kl on four distinct indices cross iff k, l lie on
+    # opposite sides of ij and i, j on opposite sides of kl; in general
+    # position no third point is on a segment's line, so a bit row of the
+    # points left of each segment decides every pair.
+    _, xy = ps.integer_view
     segs = list(combinations(range(len(ps)), 2))
+    left = [
+        sum(1 << k for k, p in enumerate(xy) if _orient(xy[i], xy[j], p) > 0)
+        for i, j in segs
+    ]
     m = len(segs)
     adj = [0] * m
     for s, t in combinations(range(m), 2):
         (i, j), (k, l) = segs[s], segs[t]
-        if proper_crossing(ps[i], ps[j], ps[k], ps[l]):
+        if (
+            len({i, j, k, l}) == 4
+            and (left[s] >> k ^ left[s] >> l) & 1
+            and (left[t] >> i ^ left[t] >> j) & 1
+        ):
             adj[s] |= 1 << t
             adj[t] |= 1 << s
     return CrossingGraph(tuple(segs), tuple(adj), ps)
@@ -196,11 +199,10 @@ def circle_graph_cover(n: int, chords: Sequence[tuple[int, int]],
 
 def cyclic_order_of_convex(ps: PointSet) -> list[int]:
     """Indices of a convex-position set in hull walk order."""
-    hull = _hull_vertices(list(ps))
+    hull = _hull_vertices(ps.integer_view[1])
     if len(hull) != len(ps):
         raise GeometryError("points are not in convex position")
-    index = {p: i for i, p in enumerate(ps)}
-    return [index[p] for p in hull]
+    return hull
 
 
 # Regular polygon census. Positions 0..n-1 on the unit circle; every 4-subset

@@ -19,7 +19,7 @@ from .errors import GeometryError
 from .geometry import (
     Point,
     PointSet,
-    collinear,
+    _orient,
     convex_hull_size,
     is_general_position,
     max_collinear,
@@ -149,7 +149,7 @@ def random_general_position_set(n: int, bound: Optional[int], seed: int) -> Poin
     if bound < 2:
         raise GeometryError("coordinate bound too small")
     rng = random.Random(seed)
-    pts: list[Point] = []
+    pts: list[tuple[int, int]] = []
     resamples = 0
     limit = 500 * n + 100
     while len(pts) < n:
@@ -157,15 +157,15 @@ def random_general_position_set(n: int, bound: Optional[int], seed: int) -> Poin
             raise GeometryError(
                 f"gave up after {resamples} resamples; bound {bound} is too tight for n={n}"
             )
-        cand = Point(rng.randrange(bound + 1), rng.randrange(bound + 1))
+        cand = (rng.randrange(bound + 1), rng.randrange(bound + 1))
         if cand in pts or any(
-            collinear(a, b, cand) for i, a in enumerate(pts) for b in pts[i + 1:]
+            _orient(a, b, cand) == 0 for i, a in enumerate(pts) for b in pts[i + 1:]
         ):
             resamples += 1
             continue
         pts.append(cand)
     log.info("random_general_position(n=%d, seed=%d): %d resamples", n, seed, resamples)
-    out = PointSet(tuple(sorted(pts)), name=f"random-{n}-seed{seed}")
+    out = PointSet.build(sorted(pts), name=f"random-{n}-seed{seed}")
     # whole-set recheck, not trusting the incremental rejection above
     if n >= 3 and not is_general_position(out):
         raise GeometryError("random generator produced a collinear triple")

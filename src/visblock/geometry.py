@@ -66,88 +66,73 @@ class Point:
         return cls(_frac(obj[0]), _frac(obj[1]))
 
 
-def orientation(p: Point, q: Point, r: Point) -> int:
-    """Sign of the determinant of (q-p, r-p): +1 ccw, -1 cw, 0 collinear."""
-    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+def _orient(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:
+    """Sign of the determinant of (q-p, r-p) on integer pairs: +1 ccw, -1 cw,
+    0 collinear."""
+    d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (d > 0) - (d < 0)
 
 
-def collinear(p: Point, q: Point, r: Point) -> bool:
-    return orientation(p, q, r) == 0
-
-
-def on_open_segment(x: Point, a: Point, b: Point) -> bool:
-    """True iff x lies strictly between a and b on the segment (endpoints out)."""
-    if a == b:
-        raise DegenerateSegment(f"segment endpoints coincide at {a}")
-    if x == a or x == b or orientation(a, b, x) != 0:
-        return False
-    if a.x != b.x:
-        lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
-        return lo < x.x < hi
-    lo, hi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
-    return lo < x.y < hi
+def _inside(x: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> bool:
+    # x strictly between a and b on integer pairs: on the line ab, and
+    # projecting strictly inside (0, |b - a|^2)
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    ux, uy = x[0] - a[0], x[1] - a[1]
+    return ux * dy == uy * dx and 0 < ux * dx + uy * dy < dx * dx + dy * dy
 
 
 def _first_blockers(
-    segments: Iterable[tuple[Point, Point]], blockers: Sequence[Point]
+    segments: Iterable[tuple[Point, Point]], blockers: Iterable[Point]
 ) -> Iterator[Optional[int]]:
     """Per segment, lazily, the index of the first blocker strictly inside
-    it, or None."""
-    return (
-        next((k for k, x in enumerate(blockers) if on_open_segment(x, a, b)), None)
-        for a, b in segments
-    )
+    it, or None. A degenerate segment raises once it is reached and some
+    blocker is there to test."""
+    segs = list(segments)
+    bl = list(blockers)
+    _, xy = _scale([p for seg in segs for p in seg] + bl)
+    bxy = xy[2 * len(segs):]
+    for s, (a, b) in enumerate(segs):
+        if a == b and bxy:
+            raise DegenerateSegment(f"segment {s} has both endpoints at {a.to_obj()}")
+        pa, pb = xy[2 * s], xy[2 * s + 1]
+        yield next((k for k, x in enumerate(bxy) if _inside(x, pa, pb)), None)
 
 
-@dataclass(frozen=True)
-class SegmentMeet:
-    """Intersection outcome of two segments: kind in {empty, point, overlap}.
-
-    kind == "point" carries the meeting point; it is interior to at least one
-    of the two segments. A touch of two endpoints counts as empty, and two
-    collinear segments sharing a whole open subsegment count as overlap.
-    """
-
-    kind: str
-    point: Optional[Point] = None
+# _meet's outcome for two segments sharing a whole open subsegment
+_OVERLAP = (0, 0, 0)
 
 
-_EMPTY = SegmentMeet("empty")
-_OVERLAP = SegmentMeet("overlap")
-
-
-def _cross(ax: Fraction, ay: Fraction, bx: Fraction, by: Fraction) -> Fraction:
-    return ax * by - ay * bx
-
-
-def segment_intersection(a1: Point, b1: Point, a2: Point, b2: Point) -> SegmentMeet:
-    if a1 == b1 or a2 == b2:
-        raise DegenerateSegment("degenerate segment in intersection query")
-    d1x, d1y = b1.x - a1.x, b1.y - a1.y
-    d2x, d2y = b2.x - a2.x, b2.y - a2.y
-    wx, wy = a2.x - a1.x, a2.y - a1.y
-    denom = _cross(d1x, d1y, d2x, d2y)
-    if denom == 0:
-        if _cross(wx, wy, d1x, d1y) != 0:
-            return _EMPTY  # parallel, different lines
-        # collinear: compare parameter intervals along segment 1
-        dd = d1x * d1x + d1y * d1y
-        ta = ((a2.x - a1.x) * d1x + (a2.y - a1.y) * d1y) / dd
-        tb = ((b2.x - a1.x) * d1x + (b2.y - a1.y) * d1y) / dd
-        lo2, hi2 = (ta, tb) if ta <= tb else (tb, ta)
-        if min(Fraction(1), hi2) > max(Fraction(0), lo2):
+def _meet(
+    a1: tuple[int, int], b1: tuple[int, int], a2: tuple[int, int], b2: tuple[int, int]
+) -> Optional[tuple[int, int, int]]:
+    """How segments a1b1 and a2b2 meet, on integer pairs with a1 != b1 and
+    a2 != b2: None when they miss or touch endpoint to endpoint, _OVERLAP
+    when they are collinear and share a whole open subsegment, else the
+    meeting point (X/D, Y/D) as the reduced triple (X, Y, D) with D > 0. The
+    point is interior to at least one of the two segments."""
+    d1x, d1y = b1[0] - a1[0], b1[1] - a1[1]
+    d2x, d2y = b2[0] - a2[0], b2[1] - a2[1]
+    wx, wy = a2[0] - a1[0], a2[1] - a1[1]
+    den = d1x * d2y - d1y * d2x
+    if den == 0:
+        if wx * d1y - wy * d1x != 0:
+            return None  # parallel, different lines
+        # collinear: parameter interval of segment 2 along segment 1, times |d1|^2
+        ta = wx * d1x + wy * d1y
+        tb = (b2[0] - a1[0]) * d1x + (b2[1] - a1[1]) * d1y
+        lo, hi = (ta, tb) if ta <= tb else (tb, ta)
+        if min(d1x * d1x + d1y * d1y, hi) > max(0, lo):
             return _OVERLAP
-        return _EMPTY  # disjoint, or endpoint-to-endpoint touch
-    t = _cross(wx, wy, d2x, d2y) / denom
-    s = _cross(wx, wy, d1x, d1y) / denom
-    if not (0 <= t <= 1 and 0 <= s <= 1):
-        return _EMPTY
-    interior1 = 0 < t < 1
-    interior2 = 0 < s < 1
-    if not (interior1 or interior2):
-        return _EMPTY  # the segments just touch endpoint to endpoint
-    return SegmentMeet("point", Point(a1.x + t * d1x, a1.y + t * d1y))
+        return None  # disjoint, or endpoint-to-endpoint touch
+    t = wx * d2y - wy * d2x
+    s = wx * d1y - wy * d1x
+    if den < 0:
+        den, t, s = -den, -t, -s
+    if not (0 <= t <= den and 0 <= s <= den) or not (0 < t < den or 0 < s < den):
+        return None  # apart, or the segments just touch endpoint to endpoint
+    x, y = a1[0] * den + t * d1x, a1[1] * den + t * d1y
+    g = gcd(x, y, den)
+    return x // g, y // g, den // g
 
 
 def _scale(pts: Sequence[Point]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -289,21 +274,22 @@ def is_general_position(ps: PointSet) -> bool:
     return max_collinear(ps) <= 2
 
 
-def _hull_vertices(pts: Sequence[Point]) -> list[Point]:
-    # monotone chain, strict turns only: corners of the hull, ccw
-    srt = sorted(set(pts), key=lambda p: (p.x, p.y))
+def _hull_vertices(xy: Sequence[tuple[int, int]]) -> list[int]:
+    # monotone chain on an integer view, strict turns only: indices of the
+    # corners of the hull, ccw
+    srt = sorted(range(len(xy)), key=xy.__getitem__)
     if len(srt) < 3:
         return srt
-    lower: list[Point] = []
-    for p in srt:
-        while len(lower) >= 2 and orientation(lower[-2], lower[-1], p) <= 0:
+    lower: list[int] = []
+    for i in srt:
+        while len(lower) >= 2 and _orient(xy[lower[-2]], xy[lower[-1]], xy[i]) <= 0:
             lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(srt):
-        while len(upper) >= 2 and orientation(upper[-2], upper[-1], p) <= 0:
+        lower.append(i)
+    upper: list[int] = []
+    for i in reversed(srt):
+        while len(upper) >= 2 and _orient(xy[upper[-2]], xy[upper[-1]], xy[i]) <= 0:
             upper.pop()
-        upper.append(p)
+        upper.append(i)
     return lower[:-1] + upper[:-1]
 
 
@@ -313,16 +299,16 @@ def convex_hull_size(ps: PointSet) -> int:
     Points interior to hull edges count too; only points strictly inside
     the hull are excluded. Needs at least 3 points not all on one line.
     """
-    pts = list(ps)
-    if len(pts) < 3:
+    if len(ps) < 3:
         raise DegenerateHull("hull needs at least 3 points")
-    if max_collinear(ps) == len(pts):
+    if max_collinear(ps) == len(ps):
         raise DegenerateHull("all points collinear, hull is degenerate")
-    hull = _hull_vertices(pts)
+    _, xy = ps.integer_view
+    hull = [xy[i] for i in _hull_vertices(xy)]
     k = len(hull)
     on_boundary = 0
-    for p in pts:
-        if all(orientation(hull[i], hull[(i + 1) % k], p) > 0 for i in range(k)):
+    for p in xy:
+        if all(_orient(hull[i], hull[(i + 1) % k], p) > 0 for i in range(k)):
             continue  # strictly inside
         on_boundary += 1
     return on_boundary

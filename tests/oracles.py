@@ -22,6 +22,55 @@ def strictly_between(x, a, b):
     return min(a[1], b[1]) < x[1] < max(a[1], b[1])
 
 
+def _xy(p):
+    return (p.x, p.y)
+
+
+def orientation(p, q, r):
+    """orient on Points with Fraction coordinates."""
+    return orient(_xy(p), _xy(q), _xy(r))
+
+
+def on_open_segment(x, a, b):
+    """strictly_between on Points with Fraction coordinates."""
+    return strictly_between(_xy(x), _xy(a), _xy(b))
+
+
+def proper_crossing(a, b, c, d):
+    """Open segments ab and cd (Points) meet in one interior point of both."""
+    if len({a, b, c, d}) < 4:
+        return False
+    return (
+        orientation(a, b, c) * orientation(a, b, d) < 0
+        and orientation(c, d, a) * orientation(c, d, b) < 0
+    )
+
+
+def segment_intersection(a1, b1, a2, b2):
+    """How segments a1b1 and a2b2 meet, in Fractions on (x, y) tuples:
+    ("empty", None) when they miss or only touch endpoint to endpoint,
+    ("overlap", None) when collinear with a common open subsegment, else
+    ("point", p) with p the meeting point."""
+    d1 = (b1[0] - a1[0], b1[1] - a1[1])
+    d2 = (b2[0] - a2[0], b2[1] - a2[1])
+    w = (a2[0] - a1[0], a2[1] - a1[1])
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    if den == 0:
+        if w[0] * d1[1] - w[1] * d1[0] != 0:
+            return "empty", None
+        dd = Fraction(d1[0] * d1[0] + d1[1] * d1[1])
+        ta = (w[0] * d1[0] + w[1] * d1[1]) / dd
+        tb = ((b2[0] - a1[0]) * d1[0] + (b2[1] - a1[1]) * d1[1]) / dd
+        if min(1, max(ta, tb)) > max(0, min(ta, tb)):
+            return "overlap", None
+        return "empty", None
+    t = Fraction(w[0] * d2[1] - w[1] * d2[0]) / den
+    s = Fraction(w[0] * d1[1] - w[1] * d1[0]) / den
+    if not (0 <= t <= 1 and 0 <= s <= 1) or not (0 < t < 1 or 0 < s < 1):
+        return "empty", None
+    return "point", (a1[0] + t * d1[0], a1[1] + t * d1[1])
+
+
 def brute_visibility_edges(coords):
     """All visible pairs, index pairs i<j, by direct blocking check."""
     n = len(coords)
@@ -34,6 +83,15 @@ def brute_visibility_edges(coords):
         ):
             edges.add((i, j))
     return edges
+
+
+def brute_hull_size(coords):
+    """Points on the hull boundary: p is on it iff some line through p and
+    another point has every point on one closed side."""
+    return sum(
+        any(len({orient(p, q, r) for r in coords} - {0}) <= 1 for q in coords if q != p)
+        for p in coords
+    )
 
 
 def brute_diameter(n, edges):
@@ -321,22 +379,6 @@ def private_params():
         den += 1
 
 
-def meeting_point(a, b, c, d):
-    """The common point of segments ab and cd when they are not parallel
-    and meet, else None."""
-    d1 = (b[0] - a[0], b[1] - a[1])
-    d2 = (d[0] - c[0], d[1] - c[1])
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if den == 0:
-        return None
-    w = (c[0] - a[0], c[1] - a[1])
-    t = Fraction(w[0] * d2[1] - w[1] * d2[0]) / den
-    s = Fraction(w[0] * d1[1] - w[1] * d1[0]) / den
-    if 0 <= t <= 1 and 0 <= s <= 1:
-        return (a[0] + t * d1[0], a[1] + t * d1[1])
-    return None
-
-
 def scan_blocking_instance(segments, gap_segments):
     """Candidate blockers by a cover scan: every meeting point of two
     segments that is not an endpoint, then per gap segment the first
@@ -352,8 +394,8 @@ def scan_blocking_instance(segments, gap_segments):
                 vertices.append(p)
     meets = set()
     for (a, b), (c, d) in combinations(segments, 2):
-        p = meeting_point(a, b, c, d)
-        if p is not None:
+        kind, p = segment_intersection(a, b, c, d)
+        if kind == "point":
             meets.add(p)
     taken = set(vertices) | meets
     placed = set()

@@ -30,7 +30,7 @@ from visblock.generators import (
     random_general_position_set,
     regular_ngon_set,
 )
-from visblock.geometry import Point, PointSet, on_open_segment
+from visblock.geometry import Point, PointSet
 
 import oracles
 from test_geometry import RATIONAL_COORDS
@@ -180,8 +180,8 @@ class TestScanOracle:
             self.assert_matches(inst, segments, range(len(segments)))
 
     def test_no_cover_scan_on_the_4x4_grid(self):
-        # a deterministic work counter: one segment_intersection per pair of
-        # the 120 segments and no on_open_segment (50,760 with a cover scan)
+        # a deterministic work counter: one _meet per pair of the 120
+        # segments and no open-segment test (50,760 with a cover scan)
         prof = cProfile.Profile()
         prof.enable()
         candidate_blockers(grid_set(4, 4))
@@ -191,8 +191,24 @@ class TestScanOracle:
             for (path, _, name), stat in pstats.Stats(prof).stats.items()
             if path.endswith("geometry.py")
         }
-        assert calls.get("on_open_segment", 0) == 0
-        assert calls["segment_intersection"] == 7140
+        assert calls.get("_inside", 0) == 0
+        assert calls["_meet"] == 7140
+
+    def test_few_fractions_on_the_4x4_grid(self):
+        # a deterministic work counter: the integer kernel builds Fractions
+        # only for the 423 candidate Points (133,554 in Fraction geometry)
+        ps = grid_set(4, 4)
+        prof = cProfile.Profile()
+        prof.enable()
+        inst = candidate_blockers(ps)
+        prof.disable()
+        calls = sum(
+            stat[0]
+            for (path, _, name), stat in pstats.Stats(prof).stats.items()
+            if name == "__new__" and path.endswith("fractions.py")
+        )
+        assert len(inst.candidates) == 423
+        assert 0 < calls <= 4 * len(inst.candidates)
 
 
 class TestMinBlockingSet:
@@ -215,7 +231,7 @@ class TestMinBlockingSet:
         covered = set()
         for s, bi in bs.covers:
             a, b = inst.segments[s]
-            assert on_open_segment(bs.points[bi], a, b)
+            assert oracles.on_open_segment(bs.points[bi], a, b)
             covered.add(s)
         assert covered == set(range(inst.m))
 
@@ -394,7 +410,7 @@ class TestKnnConstructions:
         for i in range(1, 5):
             for j in range(1, 5):
                 v, w = P(2 * i, 0), P(2 * j, 2)
-                assert on_open_segment(P(i + j, 1), v, w)
+                assert oracles.on_open_segment(P(i + j, 1), v, w)
 
     def test_grid_n7(self):
         d = construct_knn_grid(7)

@@ -679,6 +679,40 @@ class TestMainEntry:
         assert f"error: drawing bundle {key!r} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("task", ["block", "drawing"])
+    @pytest.mark.parametrize("edit", [{"n": 7}, {"n": 1}, "drop-edge", "swap-edge"],
+                             ids=["n-7", "n-1", "drop-edge", "swap-edge"])
+    def test_bundle_size_mismatch(self, tmp_path, capsys, task, edit):
+        obj = construct_knn_parabola(2).to_obj()
+        if edit == "drop-edge":
+            obj["edges"] = obj["edges"][1:]
+        elif edit == "swap-edge":
+            obj["edges"][0] = obj["edges"][0][::-1]
+        else:
+            obj |= edit
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(obj))
+        assert main([task, "--input", str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: drawing bundle with n = ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("task", cli.TASKS)
+    def test_negative_budget_flag(self, tmp_path, capsys, task):
+        pts = write_points(tmp_path / "points.json", random_general_position_set(6, None, 1))
+        assert main([task, "--input", str(pts), "--budget-ms", "-5"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --budget-ms must be a non-negative integer\n"
+
+    def test_negative_budget_flag_on_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "convex_parabola", "params": {"n": 4}}, ["block"])
+        assert main(["run", "--config", str(cfg), "--budget-ms", "-5"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --budget-ms must be a non-negative integer\n"
+
     def test_ramsey_budget_exhausted_verdict(self, tmp_path, capsys):
         pts = write_points(tmp_path / "points.json", random_general_position_set(9, None, 3))
         assert main(["ramsey", "--input", str(pts), "--budget-ms", "0"]) == EXIT_BUDGET

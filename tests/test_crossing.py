@@ -6,6 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from visblock import crossing
 from visblock.blocking import min_blocking_set
@@ -17,13 +18,13 @@ from visblock.crossing import (
     cyclic_order_of_convex,
     cyclotomic,
     partition_size_floor,
-    proper_crossing,
     regular_ngon_multiplicity,
 )
 from visblock.errors import GeometryError, NotGeneralPosition
-from visblock.geometry import Point, PointSet
+from visblock.geometry import Point, PointSet, is_general_position
 
-from oracles import brute_min_clique_cover
+from oracles import brute_min_clique_cover, proper_crossing
+from test_geometry import RATIONAL_COORDS
 
 SQUARE = PointSet.build([(0, 0), (2, 0), (2, 2), (0, 2)])
 TRIANGLE = PointSet.build([(0, 0), (4, 0), (0, 4)])
@@ -69,6 +70,17 @@ class TestCrossingGraph:
     def test_non_general_position_rejected(self):
         with pytest.raises(NotGeneralPosition):
             crossing_graph(PointSet.build([(0, 0), (1, 0), (2, 0), (0, 1)]))
+
+    @given(RATIONAL_COORDS)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_proper_crossing_oracle(self, coords):
+        ps = PointSet.build(coords)
+        if not is_general_position(ps):
+            return
+        g = crossing_graph(ps)
+        for s, t in combinations(range(g.m), 2):
+            (i, j), (k, l) = g.segments[s], g.segments[t]
+            assert bool(g.adj[s] >> t & 1) == proper_crossing(ps[i], ps[j], ps[k], ps[l])
 
 
 class TestFamilyPartition:

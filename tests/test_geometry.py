@@ -8,18 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from visblock.blocking import drawing_instance
 from visblock.errors import DegenerateHull, DegenerateSegment, GeometryError
 from visblock.generators import GeneratorSpec, generate, grid_set
 from visblock.geometry import (
+    _OVERLAP,
     Point,
     PointSet,
+    _first_blockers,
+    _meet,
+    _orient,
+    _scale,
     convex_hull_size,
     is_general_position,
     lines_of,
     max_collinear,
-    on_open_segment,
-    orientation,
-    segment_intersection,
     sorted_along_line,
 )
 from visblock.midpoints import midpoint_set, sum_set
@@ -44,10 +47,37 @@ def brute_lines(pts):
     for i, j in combinations(range(n), 2):
         members = tuple(
             k for k in range(n)
-            if k in (i, j) or orientation(pts[i], pts[j], pts[k]) == 0
+            if k in (i, j) or oracles.orientation(pts[i], pts[j], pts[k]) == 0
         )
         out.add(members)
     return out
+
+
+def orientation(p, q, r):
+    """The integer kernel's orientation of three Points, on their scaled view."""
+    return _orient(*_scale([p, q, r])[1])
+
+
+def on_open_segment(x, a, b):
+    """The blocker test of the package for one Point and one segment."""
+    return next(_first_blockers([(a, b)], [x])) is not None
+
+
+def segment_intersection(a1, b1, a2, b2):
+    """_meet on the scaled view of four Points, read back as (kind, Point),
+    checked against the Fraction oracle on the way."""
+    den, xy = _scale([a1, b1, a2, b2])
+    m = _meet(*xy)
+    if m is None:
+        got = ("empty", None)
+    elif m is _OVERLAP:
+        got = ("overlap", None)
+    else:
+        x, y, d = m
+        got = ("point", P(Fraction(x, d * den), Fraction(y, d * den)))
+    kind, p = oracles.segment_intersection(*((q.x, q.y) for q in (a1, b1, a2, b2)))
+    assert got == (kind, p and P(*p))
+    return got
 
 
 class TestOrientation:
@@ -65,6 +95,7 @@ class TestOrientation:
         p, q, r = P(c[0], c[1]), P(c[2], c[3]), P(c[4], c[5])
         assert orientation(p, q, r) == -orientation(p, r, q)
         assert orientation(p, q, r) == orientation(q, r, p)
+        assert orientation(p, q, r) == oracles.orientation(p, q, r)
 
 
 class TestOpenSegment:
@@ -85,7 +116,8 @@ class TestOpenSegment:
         assert not on_open_segment(P(0, 4), P(0, 0), P(0, 3))
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateSegment):
+        msg = r"segment 0 has both endpoints at \['2/1', '2/1'\]"
+        with pytest.raises(DegenerateSegment, match=msg):
             on_open_segment(P(1, 1), P(2, 2), P(2, 2))
 
     @given(st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=6)] * 6))
@@ -93,6 +125,7 @@ class TestOpenSegment:
         x, a, b = P(c[0], c[1]), P(c[2], c[3]), P(c[4], c[5])
         if a == b:
             return
+        assert on_open_segment(x, a, b) == oracles.on_open_segment(x, a, b)
         if on_open_segment(x, a, b):
             assert orientation(a, b, x) == 0
             assert x != a and x != b
@@ -101,36 +134,37 @@ class TestOpenSegment:
 class TestSegmentIntersection:
     def test_square_diagonals(self):
         m = segment_intersection(P(0, 0), P(2, 2), P(0, 2), P(2, 0))
-        assert m.kind == "point" and m.point == P(1, 1)
+        assert m == ("point", P(1, 1))
 
     def test_disjoint_collinear(self):
         m = segment_intersection(P(0, 0), P(1, 0), P(2, 0), P(3, 0))
-        assert m.kind == "empty"
+        assert m[0] == "empty"
 
     def test_nested_collinear(self):
         m = segment_intersection(P(0, 0), P(4, 0), P(1, 0), P(2, 0))
-        assert m.kind == "overlap"
+        assert m[0] == "overlap"
 
     def test_endpoint_endpoint_touch(self):
         m = segment_intersection(P(0, 0), P(1, 0), P(1, 0), P(1, 1))
-        assert m.kind == "empty"
+        assert m[0] == "empty"
 
     def test_collinear_endpoint_touch(self):
         m = segment_intersection(P(0, 0), P(1, 0), P(1, 0), P(2, 0))
-        assert m.kind == "empty"
+        assert m[0] == "empty"
 
     def test_interior_endpoint_touch(self):
         # T-shape: an endpoint of one segment interior to the other
         m = segment_intersection(P(0, 0), P(2, 0), P(1, 0), P(1, 1))
-        assert m.kind == "point" and m.point == P(1, 0)
+        assert m == ("point", P(1, 0))
 
     def test_parallel(self):
         m = segment_intersection(P(0, 0), P(2, 0), P(0, 1), P(2, 1))
-        assert m.kind == "empty"
+        assert m[0] == "empty"
 
     def test_degenerate(self):
+        # _meet takes proper segments; the instance build rejects the rest
         with pytest.raises(DegenerateSegment):
-            segment_intersection(P(0, 0), P(0, 0), P(1, 0), P(2, 0))
+            drawing_instance([(P(0, 0), P(0, 0)), (P(1, 0), P(2, 0))])
 
     @given(st.tuples(*[st.integers(min_value=-4, max_value=4)] * 8))
     def test_symmetry(self, c):
@@ -138,10 +172,7 @@ class TestSegmentIntersection:
         a2, b2 = P(c[4], c[5]), P(c[6], c[7])
         if a1 == b1 or a2 == b2:
             return
-        m1 = segment_intersection(a1, b1, a2, b2)
-        m2 = segment_intersection(a2, b2, a1, b1)
-        assert m1.kind == m2.kind
-        assert m1.point == m2.point
+        assert segment_intersection(a1, b1, a2, b2) == segment_intersection(a2, b2, a1, b1)
 
     @given(st.tuples(*[st.integers(min_value=-4, max_value=4)] * 8))
     def test_point_result_lies_on_both(self, c):
@@ -149,9 +180,8 @@ class TestSegmentIntersection:
         a2, b2 = P(c[4], c[5]), P(c[6], c[7])
         if a1 == b1 or a2 == b2:
             return
-        m = segment_intersection(a1, b1, a2, b2)
-        if m.kind == "point":
-            x = m.point
+        kind, x = segment_intersection(a1, b1, a2, b2)
+        if kind == "point":
             on1 = on_open_segment(x, a1, b1) or x in (a1, b1)
             on2 = on_open_segment(x, a2, b2) or x in (a2, b2)
             assert on1 and on2
@@ -218,7 +248,7 @@ class TestLines:
                 i, j = rec.member_indices[:2]
                 for k in range(len(pts)):
                     if k not in members:
-                        assert orientation(pts[i], pts[j], pts[k]) != 0
+                        assert oracles.orientation(pts[i], pts[j], pts[k]) != 0
 
 
 # small integers make collinear triples common; the fractions bring
@@ -270,6 +300,35 @@ class TestIntegerView:
         image = PointSet(tuple(f(p) for p in ps))
         assert lines_of(image) == lines_of(ps)
         assert midpoint_set(image) == {f(m) for m in midpoint_set(ps)}
+
+    @given(st.lists(st.tuples(COORD, COORD), min_size=4, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_meet_matches_fraction_oracle(self, c):
+        a1, b1, a2, b2 = (P(x, y) for x, y in c)
+        if a1 != b1 and a2 != b2:
+            segment_intersection(a1, b1, a2, b2)  # asserts agreement with the oracle
+
+    @given(RATIONAL_COORDS, st.lists(st.tuples(COORD, COORD), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_first_blockers_match_fraction_oracle(self, coords, extra):
+        # the set's own points and some pair midpoints make hits common
+        pts = [(p.x, p.y) for p in PointSet.build(coords)]
+        segments = list(combinations(pts, 2))
+        mids = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in segments[::3]]
+        blockers = extra + mids + pts
+        want = [
+            next((k for k, x in enumerate(blockers) if oracles.strictly_between(x, a, b)), None)
+            for a, b in segments
+        ]
+        got = _first_blockers([(P(*a), P(*b)) for a, b in segments], [P(*x) for x in blockers])
+        assert list(got) == want
+
+    @given(RATIONAL_COORDS)
+    @settings(max_examples=100, deadline=None)
+    def test_hull_matches_fraction_oracle(self, coords):
+        ps = PointSet.build(coords)
+        if len(ps) >= 3 and max_collinear(ps) < len(ps):
+            assert convex_hull_size(ps) == oracles.brute_hull_size([(p.x, p.y) for p in ps])
 
     def test_few_fractions_on_the_16x16_grid(self):
         # a deterministic work counter: the integer view builds a Fraction

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visblock.errors import GeometryError
-from visblock.geometry import Point, PointSet, collinear, is_general_position, max_collinear
+from visblock.geometry import Point, PointSet, is_general_position, max_collinear
 from visblock.midpoints import (
     Progression,
     midpoint_set,
     progression_points,
     sum_set,
 )
+
+import oracles
 
 SQUARE = PointSet.build([(0, 0), (2, 0), (0, 2), (2, 2)])
 
@@ -86,7 +88,7 @@ def _is_line_ap(pts) -> bool:
     spts = sorted(pts)
     if len(spts) <= 2:
         return True
-    if any(not collinear(spts[0], spts[1], p) for p in spts[2:]):
+    if any(oracles.orientation(spts[0], spts[1], p) for p in spts[2:]):
         return False
     step = spts[1] - spts[0]
     return all(spts[k + 1] - spts[k] == step for k in range(len(spts) - 1))
