@@ -17,11 +17,11 @@ from .geometry import (
     PointSet,
     _OVERLAP,
     _first_blockers,
-    _meet,
     _scale,
     _unscaled,
     convex_hull_size,
     is_general_position,
+    segment_intersection,
     sorted_along_line,
 )
 
@@ -100,7 +100,7 @@ def _build_instance(
     covers: dict[tuple[int, int, int], set[int]] = {}
     overlaps: list[set[int]] = [set() for _ in segs]
     for i, j in combinations(range(len(segs)), 2):
-        m = _meet(*ends[i], *ends[j])
+        m = segment_intersection(*ends[i], *ends[j])
         if m is None:
             continue
         if m is _OVERLAP:

@@ -25,8 +25,8 @@ from .geometry import (
     PointSet,
     _first_blockers,
     _hull_vertices,
-    _orient,
     is_general_position,
+    orientation,
 )
 
 
@@ -57,7 +57,7 @@ def crossing_graph(ps: PointSet) -> CrossingGraph:
     _, xy = ps.integer_view
     segs = list(combinations(range(len(ps)), 2))
     left = [
-        sum(1 << k for k, p in enumerate(xy) if _orient(xy[i], xy[j], p) > 0)
+        sum(1 << k for k, p in enumerate(xy) if orientation(xy[i], xy[j], p) > 0)
         for i, j in segs
     ]
     m = len(segs)

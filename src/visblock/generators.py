@@ -19,10 +19,10 @@ from .errors import GeometryError
 from .geometry import (
     Point,
     PointSet,
-    _orient,
     convex_hull_size,
     is_general_position,
     max_collinear,
+    orientation,
 )
 from .midpoints import Progression, progression_points
 
@@ -159,7 +159,7 @@ def random_general_position_set(n: int, bound: Optional[int], seed: int) -> Poin
             )
         cand = (rng.randrange(bound + 1), rng.randrange(bound + 1))
         if cand in pts or any(
-            _orient(a, b, cand) == 0 for i, a in enumerate(pts) for b in pts[i + 1:]
+            orientation(a, b, cand) == 0 for i, a in enumerate(pts) for b in pts[i + 1:]
         ):
             resamples += 1
             continue

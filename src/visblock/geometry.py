@@ -2,7 +2,8 @@
 
 Everything in this module is tolerance-free. Coordinates are Fractions,
 predicates reduce to integer sign computations, and equality means exact
-value equality.
+value equality. The segment predicates (`orientation`, `on_open_segment`,
+`segment_intersection`) take integer pairs of a scaled view (`_scale`).
 """
 
 from __future__ import annotations
@@ -66,16 +67,16 @@ class Point:
         return cls(_frac(obj[0]), _frac(obj[1]))
 
 
-def _orient(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:
+def orientation(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:
     """Sign of the determinant of (q-p, r-p) on integer pairs: +1 ccw, -1 cw,
     0 collinear."""
     d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (d > 0) - (d < 0)
 
 
-def _inside(x: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> bool:
-    # x strictly between a and b on integer pairs: on the line ab, and
-    # projecting strictly inside (0, |b - a|^2)
+def on_open_segment(x: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """x strictly between a and b on integer pairs: on the line ab, and
+    projecting strictly inside (0, |b - a|^2)."""
     dx, dy = b[0] - a[0], b[1] - a[1]
     ux, uy = x[0] - a[0], x[1] - a[1]
     return ux * dy == uy * dx and 0 < ux * dx + uy * dy < dx * dx + dy * dy
@@ -95,14 +96,14 @@ def _first_blockers(
         if a == b and bxy:
             raise DegenerateSegment(f"segment {s} has both endpoints at {a.to_obj()}")
         pa, pb = xy[2 * s], xy[2 * s + 1]
-        yield next((k for k, x in enumerate(bxy) if _inside(x, pa, pb)), None)
+        yield next((k for k, x in enumerate(bxy) if on_open_segment(x, pa, pb)), None)
 
 
-# _meet's outcome for two segments sharing a whole open subsegment
+# segment_intersection's outcome for segments sharing a whole open subsegment
 _OVERLAP = (0, 0, 0)
 
 
-def _meet(
+def segment_intersection(
     a1: tuple[int, int], b1: tuple[int, int], a2: tuple[int, int], b2: tuple[int, int]
 ) -> Optional[tuple[int, int, int]]:
     """How segments a1b1 and a2b2 meet, on integer pairs with a1 != b1 and
@@ -282,12 +283,12 @@ def _hull_vertices(xy: Sequence[tuple[int, int]]) -> list[int]:
         return srt
     lower: list[int] = []
     for i in srt:
-        while len(lower) >= 2 and _orient(xy[lower[-2]], xy[lower[-1]], xy[i]) <= 0:
+        while len(lower) >= 2 and orientation(xy[lower[-2]], xy[lower[-1]], xy[i]) <= 0:
             lower.pop()
         lower.append(i)
     upper: list[int] = []
     for i in reversed(srt):
-        while len(upper) >= 2 and _orient(xy[upper[-2]], xy[upper[-1]], xy[i]) <= 0:
+        while len(upper) >= 2 and orientation(xy[upper[-2]], xy[upper[-1]], xy[i]) <= 0:
             upper.pop()
         upper.append(i)
     return lower[:-1] + upper[:-1]
@@ -308,7 +309,7 @@ def convex_hull_size(ps: PointSet) -> int:
     k = len(hull)
     on_boundary = 0
     for p in xy:
-        if all(_orient(hull[i], hull[(i + 1) % k], p) > 0 for i in range(k)):
+        if all(orientation(hull[i], hull[(i + 1) % k], p) > 0 for i in range(k)):
             continue  # strictly inside
         on_boundary += 1
     return on_boundary

@@ -180,8 +180,8 @@ class TestScanOracle:
             self.assert_matches(inst, segments, range(len(segments)))
 
     def test_no_cover_scan_on_the_4x4_grid(self):
-        # a deterministic work counter: one _meet per pair of the 120
-        # segments and no open-segment test (50,760 with a cover scan)
+        # a deterministic work counter: one segment_intersection per pair of
+        # the 120 segments and no on_open_segment (50,760 with a cover scan)
         prof = cProfile.Profile()
         prof.enable()
         candidate_blockers(grid_set(4, 4))
@@ -191,8 +191,8 @@ class TestScanOracle:
             for (path, _, name), stat in pstats.Stats(prof).stats.items()
             if path.endswith("geometry.py")
         }
-        assert calls.get("_inside", 0) == 0
-        assert calls["_meet"] == 7140
+        assert calls.get("on_open_segment", 0) == 0
+        assert calls["segment_intersection"] == 7140
 
     def test_few_fractions_on_the_4x4_grid(self):
         # a deterministic work counter: the integer kernel builds Fractions

@@ -16,13 +16,14 @@ from visblock.geometry import (
     Point,
     PointSet,
     _first_blockers,
-    _meet,
-    _orient,
     _scale,
     convex_hull_size,
     is_general_position,
     lines_of,
     max_collinear,
+    on_open_segment,
+    orientation,
+    segment_intersection,
     sorted_along_line,
 )
 from visblock.midpoints import midpoint_set, sum_set
@@ -53,116 +54,112 @@ def brute_lines(pts):
     return out
 
 
-def orientation(p, q, r):
-    """The integer kernel's orientation of three Points, on their scaled view."""
-    return _orient(*_scale([p, q, r])[1])
+def _kernel_orient(p, q, r):
+    """geometry.orientation of three Points, on their scaled view."""
+    return orientation(*_scale([p, q, r])[1])
 
 
-def on_open_segment(x, a, b):
-    """The blocker test of the package for one Point and one segment."""
-    return next(_first_blockers([(a, b)], [x])) is not None
+def _kernel_inside(x, a, b):
+    """geometry.on_open_segment of a Point and a segment, on their scaled view."""
+    return on_open_segment(*_scale([x, a, b])[1])
 
 
-def segment_intersection(a1, b1, a2, b2):
-    """_meet on the scaled view of four Points, read back as (kind, Point),
-    checked against the Fraction oracle on the way."""
+def _kernel_meet(a1, b1, a2, b2):
+    """geometry.segment_intersection on the scaled view of four Points, read
+    back as (kind, Point) like the Fraction oracle."""
     den, xy = _scale([a1, b1, a2, b2])
-    m = _meet(*xy)
+    m = segment_intersection(*xy)
     if m is None:
-        got = ("empty", None)
-    elif m is _OVERLAP:
-        got = ("overlap", None)
-    else:
-        x, y, d = m
-        got = ("point", P(Fraction(x, d * den), Fraction(y, d * den)))
-    kind, p = oracles.segment_intersection(*((q.x, q.y) for q in (a1, b1, a2, b2)))
-    assert got == (kind, p and P(*p))
-    return got
+        return "empty", None
+    if m is _OVERLAP:
+        return "overlap", None
+    x, y, d = m
+    return "point", P(Fraction(x, d * den), Fraction(y, d * den))
 
 
 class TestOrientation:
     def test_collinear(self):
-        assert orientation(P(0, 0), P(1, 0), P(2, 0)) == 0
+        assert _kernel_orient(P(0, 0), P(1, 0), P(2, 0)) == 0
 
     def test_ccw(self):
-        assert orientation(P(0, 0), P(1, 0), P(0, 1)) == 1
+        assert _kernel_orient(P(0, 0), P(1, 0), P(0, 1)) == 1
 
     def test_cw(self):
-        assert orientation(P(0, 0), P(0, 1), P(1, 0)) == -1
+        assert _kernel_orient(P(0, 0), P(0, 1), P(1, 0)) == -1
 
     @given(st.tuples(*[st.fractions(min_value=-5, max_value=5, max_denominator=8)] * 6))
     def test_antisymmetry_and_rotation(self, c):
         p, q, r = P(c[0], c[1]), P(c[2], c[3]), P(c[4], c[5])
-        assert orientation(p, q, r) == -orientation(p, r, q)
-        assert orientation(p, q, r) == orientation(q, r, p)
-        assert orientation(p, q, r) == oracles.orientation(p, q, r)
+        assert _kernel_orient(p, q, r) == -_kernel_orient(p, r, q)
+        assert _kernel_orient(p, q, r) == _kernel_orient(q, r, p)
+        assert _kernel_orient(p, q, r) == oracles.orientation(p, q, r)
 
 
 class TestOpenSegment:
     def test_midpoint_inside(self):
-        assert on_open_segment(P(1, 1), P(0, 0), P(2, 2))
+        assert _kernel_inside(P(1, 1), P(0, 0), P(2, 2))
 
     def test_endpoint_excluded(self):
-        assert not on_open_segment(P(0, 0), P(0, 0), P(2, 2))
+        assert not _kernel_inside(P(0, 0), P(0, 0), P(2, 2))
 
     def test_beyond_endpoint(self):
-        assert not on_open_segment(P(3, 3), P(0, 0), P(2, 2))
+        assert not _kernel_inside(P(3, 3), P(0, 0), P(2, 2))
 
     def test_off_line(self):
-        assert not on_open_segment(P(1, 0), P(0, 0), P(2, 2))
+        assert not _kernel_inside(P(1, 0), P(0, 0), P(2, 2))
 
     def test_vertical_segment(self):
-        assert on_open_segment(P(0, 1), P(0, 0), P(0, 3))
-        assert not on_open_segment(P(0, 4), P(0, 0), P(0, 3))
+        assert _kernel_inside(P(0, 1), P(0, 0), P(0, 3))
+        assert not _kernel_inside(P(0, 4), P(0, 0), P(0, 3))
 
     def test_degenerate(self):
         msg = r"segment 0 has both endpoints at \['2/1', '2/1'\]"
         with pytest.raises(DegenerateSegment, match=msg):
-            on_open_segment(P(1, 1), P(2, 2), P(2, 2))
+            next(_first_blockers([(P(2, 2), P(2, 2))], [P(1, 1)]))
 
     @given(st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=6)] * 6))
     def test_membership_implies_collinear(self, c):
         x, a, b = P(c[0], c[1]), P(c[2], c[3]), P(c[4], c[5])
         if a == b:
             return
-        assert on_open_segment(x, a, b) == oracles.on_open_segment(x, a, b)
-        if on_open_segment(x, a, b):
-            assert orientation(a, b, x) == 0
+        assert _kernel_inside(x, a, b) == oracles.on_open_segment(x, a, b)
+        if _kernel_inside(x, a, b):
+            assert _kernel_orient(a, b, x) == 0
             assert x != a and x != b
 
 
 class TestSegmentIntersection:
     def test_square_diagonals(self):
-        m = segment_intersection(P(0, 0), P(2, 2), P(0, 2), P(2, 0))
+        m = _kernel_meet(P(0, 0), P(2, 2), P(0, 2), P(2, 0))
         assert m == ("point", P(1, 1))
 
     def test_disjoint_collinear(self):
-        m = segment_intersection(P(0, 0), P(1, 0), P(2, 0), P(3, 0))
+        m = _kernel_meet(P(0, 0), P(1, 0), P(2, 0), P(3, 0))
         assert m[0] == "empty"
 
     def test_nested_collinear(self):
-        m = segment_intersection(P(0, 0), P(4, 0), P(1, 0), P(2, 0))
+        m = _kernel_meet(P(0, 0), P(4, 0), P(1, 0), P(2, 0))
         assert m[0] == "overlap"
 
     def test_endpoint_endpoint_touch(self):
-        m = segment_intersection(P(0, 0), P(1, 0), P(1, 0), P(1, 1))
+        m = _kernel_meet(P(0, 0), P(1, 0), P(1, 0), P(1, 1))
         assert m[0] == "empty"
 
     def test_collinear_endpoint_touch(self):
-        m = segment_intersection(P(0, 0), P(1, 0), P(1, 0), P(2, 0))
+        m = _kernel_meet(P(0, 0), P(1, 0), P(1, 0), P(2, 0))
         assert m[0] == "empty"
 
     def test_interior_endpoint_touch(self):
         # T-shape: an endpoint of one segment interior to the other
-        m = segment_intersection(P(0, 0), P(2, 0), P(1, 0), P(1, 1))
+        m = _kernel_meet(P(0, 0), P(2, 0), P(1, 0), P(1, 1))
         assert m == ("point", P(1, 0))
 
     def test_parallel(self):
-        m = segment_intersection(P(0, 0), P(2, 0), P(0, 1), P(2, 1))
+        m = _kernel_meet(P(0, 0), P(2, 0), P(0, 1), P(2, 1))
         assert m[0] == "empty"
 
     def test_degenerate(self):
-        # _meet takes proper segments; the instance build rejects the rest
+        # segment_intersection takes proper segments; the instance build rejects the rest
         with pytest.raises(DegenerateSegment):
             drawing_instance([(P(0, 0), P(0, 0)), (P(1, 0), P(2, 0))])
 
@@ -172,7 +169,7 @@ class TestSegmentIntersection:
         a2, b2 = P(c[4], c[5]), P(c[6], c[7])
         if a1 == b1 or a2 == b2:
             return
-        assert segment_intersection(a1, b1, a2, b2) == segment_intersection(a2, b2, a1, b1)
+        assert _kernel_meet(a1, b1, a2, b2) == _kernel_meet(a2, b2, a1, b1)
 
     @given(st.tuples(*[st.integers(min_value=-4, max_value=4)] * 8))
     def test_point_result_lies_on_both(self, c):
@@ -180,12 +177,12 @@ class TestSegmentIntersection:
         a2, b2 = P(c[4], c[5]), P(c[6], c[7])
         if a1 == b1 or a2 == b2:
             return
-        kind, x = segment_intersection(a1, b1, a2, b2)
+        kind, x = _kernel_meet(a1, b1, a2, b2)
         if kind == "point":
-            on1 = on_open_segment(x, a1, b1) or x in (a1, b1)
-            on2 = on_open_segment(x, a2, b2) or x in (a2, b2)
+            on1 = _kernel_inside(x, a1, b1) or x in (a1, b1)
+            on2 = _kernel_inside(x, a2, b2) or x in (a2, b2)
             assert on1 and on2
-            assert on_open_segment(x, a1, b1) or on_open_segment(x, a2, b2)
+            assert _kernel_inside(x, a1, b1) or _kernel_inside(x, a2, b2)
 
 
 class TestLines:
@@ -306,7 +303,8 @@ class TestIntegerView:
     def test_meet_matches_fraction_oracle(self, c):
         a1, b1, a2, b2 = (P(x, y) for x, y in c)
         if a1 != b1 and a2 != b2:
-            segment_intersection(a1, b1, a2, b2)  # asserts agreement with the oracle
+            kind, p = oracles.segment_intersection(*((q.x, q.y) for q in (a1, b1, a2, b2)))
+            assert _kernel_meet(a1, b1, a2, b2) == (kind, p and P(*p))
 
     @given(RATIONAL_COORDS, st.lists(st.tuples(COORD, COORD), max_size=4))
     @settings(max_examples=100, deadline=None)
