@@ -1,16 +1,15 @@
-"""Blocking sets: verification, exact minima via hitting-set search, lower
-bounds, and the blocked complete-bipartite constructions."""
+"""Blocking sets: the hitting-set instance, verification, exact minima via
+cliques.min_cover, lower bounds and the blocked K_{n,n} constructions."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .cliques import _bits, _deadline, _maximise, max_matching
+from .cliques import _deadline, min_cover
 from .errors import DegenerateSegment, GeometryError, NotGeneralPosition, SegmentOverlap
 from .geometry import (
     Point,
@@ -221,160 +220,6 @@ def is_blocking_set(ps: PointSet, blockers: Iterable[Point]) -> BlockCheck:
     return _check_blocked(ps, [(ps[i], ps[j]) for i, j in pairs], pairs, blockers)
 
 
-def _certified_matching_size(
-    adj: Sequence[int], mate: Sequence[int], barrier: Sequence[int]
-) -> int:
-    """Size of the matching mate of the graph adj, proved maximum by the
-    Tutte-Berge barrier S: every matching has at most
-    (|V| + |S| - odd(H - S)) / 2 edges, so reaching that proves it.
-    Recomputed here without the matcher; raises AssertionError on failure."""
-    n = len(adj)
-    for v, u in enumerate(mate):
-        if u >= 0 and not (mate[u] == v and (adj[v] >> u) & 1):
-            raise AssertionError(f"mate[{v}] = {u} is not a matching edge")
-    size = (n - mate.count(-1)) // 2
-    removed = sum(1 << v for v in barrier)
-    seen = removed
-    odd = 0
-    for v in range(n):
-        if (seen >> v) & 1:
-            continue
-        comp = frontier = 1 << v
-        while frontier:
-            grown = 0
-            for u in _bits(frontier):
-                grown |= adj[u]
-            frontier = grown & ~comp & ~removed
-            comp |= frontier
-        seen |= comp
-        odd += comp.bit_count() & 1
-    if 2 * size != n + len(barrier) - odd:
-        raise AssertionError(
-            f"matching of size {size} is not certified by a barrier of {len(barrier)}"
-        )
-    return size
-
-
-def _matching_bound(uncov: int, nu: int, big: Sequence[int]) -> int:
-    """Blockers needed for the uncovered segments U, given the matching
-    number nu of H_U and the cover masks of the big candidates.
-
-    A cover of U gives each blocker c some k' <= k_c = |cover_c & U| of its
-    segments; pairing them up is a matching of H_U with sum floor(k'/2)
-    edges, so m_U - nu <= sum of ceil(k'/2) over the blockers. With no big
-    candidate this is Gallai's b = m - nu."""
-    excess = uncov.bit_count() - nu
-    ks = [k for k in ((cm & uncov).bit_count() for cm in big) if k >= 3]
-    if not ks:
-        return excess
-    spare = sum((k + 1) // 2 - 1 for k in ks)
-    return max(excess - spare, -(-excess // ((max(ks) + 1) // 2)))
-
-
-def _solve_hitting_set(
-    cover_masks: Sequence[int], m: int, deadline: Optional[float]
-) -> tuple[list[int], bool, int]:
-    all_mask = (1 << m) - 1
-    union = 0
-    for cm in cover_masks:
-        union |= cm
-    if union != all_mask:
-        missing = [s for s in range(m) if not (union >> s) & 1]
-        raise GeometryError(f"segments {missing} have no candidate blocker")
-    seg_cands = [
-        [c for c, cm in enumerate(cover_masks) if (cm >> s) & 1] for s in range(m)
-    ]
-    cand_union = [0] * m
-    for s in range(m):
-        acc = 0
-        for c in seg_cands[s]:
-            acc |= 1 << c
-        cand_union[s] = acc
-    lb_order = sorted(range(m), key=lambda s: (len(seg_cands[s]), s))
-
-    def lower_bound(uncov: int) -> int:
-        # segments with pairwise disjoint candidate pools need distinct blockers
-        used = 0
-        lb = 0
-        for s in lb_order:
-            if (uncov >> s) & 1 and not cand_union[s] & used:
-                lb += 1
-                used |= cand_union[s]
-        return lb
-
-    # H: segments s ~ t when one candidate covers both; big candidates cover 3+
-    share = [0] * m
-    for cm in cover_masks:
-        for s in _bits(cm):
-            share[s] |= cm & ~(1 << s)
-    big = [cm for cm in cover_masks if cm.bit_count() >= 3]
-
-    def matching_in(uncov: int, warm: list[int]) -> list[int]:
-        # maximum matching of H_U, warm-started from the edges of an
-        # ancestor's matching that stay inside U
-        adj = [share[s] & uncov if (uncov >> s) & 1 else 0 for s in range(m)]
-        mate = [t if t >= 0 and (adj[s] >> t) & 1 else -1 for s, t in enumerate(warm)]
-        _maximise(m, adj, mate)
-        return mate
-
-    mate, barrier = max_matching(m, share)
-    nu = _certified_matching_size(share, mate, barrier)
-    root_lb = max(lower_bound(all_mask), _matching_bound(all_mask, nu, big))
-
-    # greedy incumbent: most new coverage, lowest index on ties
-    uncov = all_mask
-    greedy: list[int] = []
-    while uncov:
-        best_c = max(
-            range(len(cover_masks)),
-            key=lambda c: ((cover_masks[c] & uncov).bit_count(), -c),
-        )
-        greedy.append(best_c)
-        uncov &= ~cover_masks[best_c]
-    best = greedy
-    best_size = len(greedy)
-    aborted = False
-    frontier_min: Optional[int] = None
-    chosen: list[int] = []
-
-    def rec(uncov: int, mate: list[int]) -> None:
-        nonlocal best, best_size, aborted, frontier_min
-        if uncov == 0:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best = chosen.copy()
-            return
-        lb = lower_bound(uncov)
-        if len(chosen) + lb >= best_size:
-            return
-        mate = matching_in(uncov, mate)
-        lb = max(lb, _matching_bound(uncov, (m - mate.count(-1)) // 2, big))
-        if len(chosen) + lb >= best_size:
-            return
-        if deadline is not None and time.monotonic() > deadline:
-            aborted = True
-            bound = len(chosen) + lb
-            frontier_min = bound if frontier_min is None else min(frontier_min, bound)
-            return
-        s = min(
-            (s for s in range(m) if (uncov >> s) & 1),
-            key=lambda s: (len(seg_cands[s]), s),
-        )
-        for c in seg_cands[s]:
-            chosen.append(c)
-            rec(uncov & ~cover_masks[c], mate)
-            chosen.pop()
-            if best_size == root_lb:
-                return
-
-    if best_size > root_lb:
-        rec(all_mask, mate)
-    if aborted:
-        lower = min(frontier_min, best_size) if frontier_min is not None else best_size
-        return best, False, max(lower, root_lb)
-    return best, True, best_size
-
-
 def min_blocking_set(
     source: Union[PointSet, BlockingInstance, Sequence[tuple[Point, Point]]],
     budget_ms: Optional[int] = None,
@@ -386,10 +231,11 @@ def min_blocking_set(
     """
     inst = candidate_blockers(source)
     deadline = _deadline(budget_ms)
-    cover_masks = [
-        sum(1 << s for s in cand.covers) for cand in inst.candidates
-    ]
-    chosen, optimal, lower = _solve_hitting_set(cover_masks, inst.m, deadline)
+    missing = sorted(set(range(inst.m)).difference(*(c.covers for c in inst.candidates)))
+    if missing:
+        raise GeometryError(f"segments {missing} have no candidate blocker")
+    cover_masks = [sum(1 << s for s in cand.covers) for cand in inst.candidates]
+    chosen, optimal, lower = min_cover(cover_masks, inst.m, deadline)
     chosen_sorted = sorted(set(chosen))
     points = tuple(inst.candidates[c].point for c in chosen_sorted)
     covers = []

@@ -150,13 +150,9 @@ def task_block(obj, budget_ms: Optional[int]) -> TaskOutcome:
             "stated_blockers": len(obj.blockers),
             "check": chk.to_obj(),
         }
-        failed = not chk.ok
-        budget_hit = False
-        if len(obj.edges) <= 12:
-            bs = min_blocking_set(list(obj.edges), budget_ms)
-            result["solver"] = bs.to_obj()
-            budget_hit = not bs.optimal
-        return TaskOutcome(result, failed, budget_hit)
+        bs = min_blocking_set(list(obj.edges), budget_ms)
+        result["solver"] = bs.to_obj()
+        return TaskOutcome(result, not chk.ok, not bs.optimal)
     ps = _as_pointset(obj)
     bs = min_blocking_set(ps, budget_ms)
     chk = is_blocking_set(ps, bs.points)
@@ -455,6 +451,7 @@ def exit_code_from_manifest(manifest: dict) -> int:
 # reporting
 
 REPORT_COLUMNS = ("n", "bound_3n_3_t", "b", "m", "t", "n2_over_14", "n_ln_n")
+_JSON_TYPE_NAMES = {int: "an integer", bool: "a boolean", dict: "an object"}
 
 
 def _load_run(run_dir: Path) -> dict:
@@ -463,7 +460,18 @@ def _load_run(run_dir: Path) -> dict:
         f.stem: _read_json(f, "run result")
         for f in sorted((run_dir / "results").glob("*.json"))
     }
+    for task, obj in results.items():
+        if not isinstance(obj, dict):
+            raise GeometryError(f"run {run_dir}: {task} result must be an object")
     return {"dir": run_dir, "manifest": manifest, "results": results}
+
+
+def _typed(r: dict, what: str, value, kind: type):
+    """value, if it has the JSON type kind (a boolean is no integer); else
+    the run's results are malformed."""
+    if isinstance(value, kind) and (kind is not int or not isinstance(value, bool)):
+        return value
+    raise GeometryError(f"run {r['dir']}: {what} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
@@ -474,7 +482,7 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
     drawing_rows = []
     for r in runs:
         res = r["results"]
-        ns = {v.get("n") for v in res.values() if isinstance(v, dict) and "n" in v}
+        ns = {_typed(r, f"{task} result 'n'", v["n"], int) for task, v in res.items() if "n" in v}
         if len(ns) > 1:
             raise GeometryError(f"run {r['dir']}: results disagree on n: {sorted(ns)}")
         if "drawing" in res:
@@ -482,10 +490,12 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
             for key in ("n", "blocker_count", "blocking", "simplicity"):
                 if key not in d:
                     raise GeometryError(f"run {r['dir']}: drawing result missing {key!r}")
-            drawing_rows.append(
-                (d["n"], d["blocker_count"],
-                 d["blocking"]["ok"] and d["simplicity"]["ok"])
-            )
+            verified = True
+            for key in ("blocking", "simplicity"):
+                check = _typed(r, f"drawing result {key!r}", d[key], dict)
+                verified &= _typed(r, f"drawing result '{key}.ok'", check.get("ok"), bool)
+            count = _typed(r, "drawing result 'blocker_count'", d["blocker_count"], int)
+            drawing_rows.append((d["n"], count, verified))
         point_tasks = [t for t in ("visgraph", "block", "midpoints", "crossing") if t in res]
         if not point_tasks:
             continue
@@ -497,19 +507,21 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
         if blk is not None and blk.get("input") == "point-set":
             if "blocking" not in blk:
                 raise GeometryError(f"run {r['dir']}: block result missing 'blocking'")
-            row["b"] = blk["blocking"]["size"]
-            if blk.get("lower_bound_triangulation") is not None:
-                row["bound_3n_3_t"] = blk["lower_bound_triangulation"]
+            blocking = _typed(r, "block result 'blocking'", blk["blocking"], dict)
+            row["b"] = _typed(r, "block result 'blocking.size'", blocking.get("size"), int)
+            lb = blk.get("lower_bound_triangulation")
+            if lb is not None:
+                row["bound_3n_3_t"] = _typed(r, "block result 'lower_bound_triangulation'", lb, int)
         mid = res.get("midpoints")
         if mid is not None:
             if "midpoints" not in mid:
                 raise GeometryError(f"run {r['dir']}: midpoints result missing count")
-            row["m"] = mid["midpoints"]
+            row["m"] = _typed(r, "midpoints result 'midpoints'", mid["midpoints"], int)
         crs = res.get("crossing")
         if crs is not None:
             if "partition_size" not in crs:
                 raise GeometryError(f"run {r['dir']}: crossing result missing size")
-            row["t"] = crs["partition_size"]
+            row["t"] = _typed(r, "crossing result 'partition_size'", crs["partition_size"], int)
         row["n2_over_14"] = n * n / 14
         row["n_ln_n"] = n * math.log(n) if n >= 1 else 0.0
         rows.append(row)
@@ -570,9 +582,12 @@ def _spec_from_args(args) -> GeneratorSpec:
         params["path"] = args.path
     if getattr(args, "progression", None):
         try:
-            params.update(json.loads(args.progression))
+            progression = json.loads(args.progression)
         except json.JSONDecodeError as exc:
             raise GeometryError(f"--progression is not valid JSON: {exc}") from exc
+        if not isinstance(progression, dict):
+            raise GeometryError("--progression must be a JSON object")
+        params.update(progression)
     return GeneratorSpec(
         args.kind,
         params,

@@ -1,11 +1,11 @@
-"""Exact maximum clique, graph colouring and maximum matching over bitmask
-adjacency.
+"""Exact maximum clique, graph colouring, maximum matching and minimum
+cover over bitmasks.
 
 Shared search engine: visibility statistics and crossing-family covers
-reduce to cliques and colourings, and the blocking-set search bounds its
-nodes by matchings. Graphs are given as a list of neighbour bitmasks;
+reduce to cliques and colourings, blocking sets to min_cover, whose nodes
+are bounded by matchings. Graphs are given as lists of neighbour bitmasks;
 vertex v must not appear in its own mask. All tie-breaking is by lowest
-vertex index, so results are deterministic.
+index, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -299,3 +299,154 @@ def max_matching(n: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
     d_mask = sum(1 << v for v in range(n) if even[v])
     barrier = [v for v in range(n) if not even[v] and adj[v] & d_mask]
     return mate, barrier
+
+
+def _certified_matching_size(
+    adj: Sequence[int], mate: Sequence[int], barrier: Sequence[int]
+) -> int:
+    """Size of the matching mate of the graph adj, proved maximum by the
+    Tutte-Berge barrier S: every matching has at most
+    (|V| + |S| - odd(H - S)) / 2 edges, so reaching that proves it.
+    Recomputed here without the matcher; raises AssertionError on failure."""
+    n = len(adj)
+    for v, u in enumerate(mate):
+        if u >= 0 and not (mate[u] == v and (adj[v] >> u) & 1):
+            raise AssertionError(f"mate[{v}] = {u} is not a matching edge")
+    size = (n - mate.count(-1)) // 2
+    removed = sum(1 << v for v in barrier)
+    seen = removed
+    odd = 0
+    for v in range(n):
+        if (seen >> v) & 1:
+            continue
+        comp = frontier = 1 << v
+        while frontier:
+            grown = 0
+            for u in _bits(frontier):
+                grown |= adj[u]
+            frontier = grown & ~comp & ~removed
+            comp |= frontier
+        seen |= comp
+        odd += comp.bit_count() & 1
+    if 2 * size != n + len(barrier) - odd:
+        raise AssertionError(
+            f"matching of size {size} is not certified by a barrier of {len(barrier)}"
+        )
+    return size
+
+
+def _matching_bound(uncov: int, nu: int, big: Sequence[int]) -> int:
+    """Masks needed to cover the uncovered elements U, given the matching
+    number nu of H_U and the big masks.
+
+    A cover of U gives each chosen mask c some k' <= k_c = |c & U| of its
+    elements; pairing them up is a matching of H_U with sum floor(k'/2)
+    edges, so m_U - nu <= sum of ceil(k'/2) over the chosen masks. With no
+    big mask this is Gallai's b = m - nu."""
+    excess = uncov.bit_count() - nu
+    ks = [k for k in ((cm & uncov).bit_count() for cm in big) if k >= 3]
+    if not ks:
+        return excess
+    spare = sum((k + 1) // 2 - 1 for k in ks)
+    return max(excess - spare, -(-excess // ((max(ks) + 1) // 2)))
+
+
+def min_cover(
+    cover_masks: Sequence[int], m: int, deadline: Optional[float] = None
+) -> tuple[list[int], bool, int]:
+    """Fewest masks whose union is 0..m-1 (each element must lie in one);
+    returns (chosen mask indices, optimal, lower). At the deadline, chosen
+    is the best cover found and lower the best proven bound."""
+    all_mask = (1 << m) - 1
+    cands_of = [
+        [c for c, cm in enumerate(cover_masks) if (cm >> s) & 1] for s in range(m)
+    ]
+    cand_union = [0] * m
+    for s in range(m):
+        acc = 0
+        for c in cands_of[s]:
+            acc |= 1 << c
+        cand_union[s] = acc
+    lb_order = sorted(range(m), key=lambda s: (len(cands_of[s]), s))
+
+    def lower_bound(uncov: int) -> int:
+        # elements with pairwise disjoint candidate pools need distinct masks
+        used = 0
+        lb = 0
+        for s in lb_order:
+            if (uncov >> s) & 1 and not cand_union[s] & used:
+                lb += 1
+                used |= cand_union[s]
+        return lb
+
+    # H: elements s ~ t when one mask covers both; big masks cover 3+
+    share = [0] * m
+    for cm in cover_masks:
+        for s in _bits(cm):
+            share[s] |= cm & ~(1 << s)
+    big = [cm for cm in cover_masks if cm.bit_count() >= 3]
+
+    def matching_in(uncov: int, warm: list[int]) -> list[int]:
+        # maximum matching of H_U, warm-started from the edges of an
+        # ancestor's matching that stay inside U
+        adj = [share[s] & uncov if (uncov >> s) & 1 else 0 for s in range(m)]
+        mate = [t if t >= 0 and (adj[s] >> t) & 1 else -1 for s, t in enumerate(warm)]
+        _maximise(m, adj, mate)
+        return mate
+
+    mate, barrier = max_matching(m, share)
+    nu = _certified_matching_size(share, mate, barrier)
+    root_lb = max(lower_bound(all_mask), _matching_bound(all_mask, nu, big))
+
+    # greedy incumbent: most new coverage, lowest index on ties
+    uncov = all_mask
+    greedy: list[int] = []
+    while uncov:
+        best_c = max(
+            range(len(cover_masks)),
+            key=lambda c: ((cover_masks[c] & uncov).bit_count(), -c),
+        )
+        greedy.append(best_c)
+        uncov &= ~cover_masks[best_c]
+    best = greedy
+    best_size = len(greedy)
+    aborted = False
+    frontier_min: Optional[int] = None
+    chosen: list[int] = []
+
+    def rec(uncov: int, mate: list[int]) -> None:
+        nonlocal best, best_size, aborted, frontier_min
+        if uncov == 0:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best = chosen.copy()
+            return
+        lb = lower_bound(uncov)
+        if len(chosen) + lb >= best_size:
+            return
+        mate = matching_in(uncov, mate)
+        lb = max(lb, _matching_bound(uncov, (m - mate.count(-1)) // 2, big))
+        if len(chosen) + lb >= best_size:
+            return
+        if deadline is not None and time.monotonic() > deadline:
+            aborted = True
+            bound = len(chosen) + lb
+            frontier_min = bound if frontier_min is None else min(frontier_min, bound)
+            return
+        s = min(
+            (s for s in range(m) if (uncov >> s) & 1),
+            key=lambda s: (len(cands_of[s]), s),
+        )
+        for c in cands_of[s]:
+            chosen.append(c)
+            rec(uncov & ~cover_masks[c], mate)
+            chosen.pop()
+            if best_size == root_lb:
+                return
+
+    if best_size > root_lb:
+        rec(all_mask, mate)
+    if aborted:
+        lower = min(frontier_min, best_size) if frontier_min is not None else best_size
+        return best, False, max(lower, root_lb)
+    return best, True, best_size

@@ -64,6 +64,8 @@ class Point:
     def from_obj(cls, obj) -> "Point":
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise GeometryError(f"point must be a 2-element list, got {obj!r}")
+        if any(isinstance(v, bool) for v in obj):
+            raise GeometryError(f"point coordinates must be numbers, not booleans: {obj!r}")
         return cls(_frac(obj[0]), _frac(obj[1]))
 
 

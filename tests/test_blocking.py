@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from visblock import blocking
+from visblock import blocking, cliques
 from visblock.blocking import (
+    BlockingInstance,
     BlockingSet,
     candidate_blockers,
     construct_knn_grid,
@@ -274,6 +275,12 @@ class TestMinBlockingSet:
         assert bs.lower_bound <= bs.size
         assert is_blocking_set(ps, bs.points).ok
 
+    def test_segment_without_candidate_rejected(self):
+        inst = candidate_blockers(SQUARE)
+        inst = BlockingInstance(inst.segments, inst.vertices, inst.candidates[1:])
+        with pytest.raises(GeometryError, match=r"segments \[\d+\] have no candidate blocker"):
+            min_blocking_set(inst)
+
     def test_lower_bound_meets_triangulation(self):
         for ps in (TRIANGLE, SQUARE, pset((0, 0), (4, 0), (0, 4), (1, 1))):
             bs = min_blocking_set(ps)
@@ -327,7 +334,7 @@ class TestMatchingBound:
         sources += [regular_ngon_set(6), grid_set(3, 3)]
         sources += [list(d.edges) for d in (construct_knn_grid(3), construct_knn_parabola(3))]
         with_bound = [min_blocking_set(src).to_obj() for src in sources]
-        monkeypatch.setattr(blocking, "_matching_bound", lambda *args: 0)
+        monkeypatch.setattr(cliques, "_matching_bound", lambda *args: 0)
         assert [min_blocking_set(src).to_obj() for src in sources] == with_bound
 
     def test_root_matching_is_certified(self, monkeypatch):
@@ -338,7 +345,7 @@ class TestMatchingBound:
             mate[mate[v]] = mate[v] = -1
             return mate, barrier
 
-        monkeypatch.setattr(blocking, "max_matching", short)
+        monkeypatch.setattr(cliques, "max_matching", short)
         with pytest.raises(AssertionError, match="barrier"):
             min_blocking_set(SQUARE)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from visblock import cli, crossing
-from visblock.blocking import construct_knn_parabola
+from visblock.blocking import construct_knn_grid, construct_knn_parabola
 from visblock.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -181,7 +181,16 @@ class TestRunHarness:
         assert res["stated_blockers"] == 13
         assert res["edge_count"] == 49
         assert res["check"]["ok"] is True
+        assert res["solver"]["size"] == 13 and res["solver"]["optimal"] is True
         assert (run_dir / "inputs" / "drawing.json").is_file()
+
+    def test_knn_bundles_solved_under_the_budget(self):
+        for build in (construct_knn_grid, construct_knn_parabola):
+            for n in range(1, 9):
+                outcome = cli.task_block(build(n), 10_000)
+                solver = outcome.result["solver"]
+                assert (solver["size"], solver["optimal"]) == (2 * n - 1, True)
+                assert outcome.status == "ok"
 
     def test_task_error_recorded_and_run_continues(self, tmp_path):
         # grid has collinear triples, so the crossing task must error out
@@ -462,6 +471,27 @@ class TestReport:
         with pytest.raises(GeometryError, match="block.json"):
             report([d], tmp_path / "rpt")
 
+    @pytest.mark.parametrize("task, result, complaint", [
+        ("drawing", {"n": 5, "blocker_count": 3, "blocking": [], "simplicity": {}},
+         "drawing result 'blocking' must be an object"),
+        ("midpoints", {"n": "x", "midpoints": 3}, "midpoints result 'n' must be an integer"),
+        ("block", {"n": 4, "input": "point-set", "blocking": 5},
+         "block result 'blocking' must be an object"),
+        ("block", {"n": True, "input": "point-set", "blocking": {"size": 5}},
+         "block result 'n' must be an integer"),
+        ("crossing", [4], "crossing result must be an object"),
+    ], ids=["drawing-blocking-list", "midpoints-n-string", "block-blocking-int",
+            "block-n-bool", "crossing-list"])
+    def test_result_of_the_wrong_shape_rejected(self, tmp_path, capsys, task, result, complaint):
+        (d,) = self.make_runs(tmp_path, sizes=(4,))
+        for f in (d / "results").glob("*.json"):
+            f.unlink()
+        (d / "results" / f"{task}.json").write_text(json.dumps(result))
+        assert main(["report", str(d), "--output-dir", str(tmp_path / "rpt")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: run {d}: {complaint}" in err
+        assert "Traceback" not in err
+
 
 class TestMainEntry:
     def test_python_m_visblock(self):
@@ -610,6 +640,13 @@ class TestMainEntry:
         assert main(args) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "error: progression extent must be a positive integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("prog", ["[1, 2]", '"x"', "3"], ids=["list", "string", "number"])
+    def test_generate_progression_not_an_object(self, capsys, prog):
+        assert main(["generate", "--kind", "progression", "--progression", prog]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: --progression must be a JSON object" in err
         assert "Traceback" not in err
 
     def test_run_bound_is_validated_like_n(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from visblock.cliques import greedy_colouring, k_colourable, max_matching
+from visblock.cliques import greedy_colouring, k_colourable, max_matching, min_cover
 from visblock.crossing import crossing_graph
 from visblock.generators import regular_ngon_set
 
@@ -98,3 +98,49 @@ class TestKColourable:
         for n, edges in random_graphs(3, 200, 15):
             adj = adjacency(n, edges)
             assert greedy_colouring(n, adj) == oracles.dsatur_k_colourable(n, adj, n)[0]
+
+
+def random_set_systems(seed, count, max_m):
+    """(m, masks): 8 to 20 masks over 0..m-1, 6 <= m <= max_m, that cover
+    every element, most of them with three or more elements."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randrange(6, max_m + 1)
+        masks = []
+        for _ in range(rng.randrange(8, 21)):
+            k = min(m, rng.choice([1, 2, 3, 3, 4, 5]))
+            masks.append(sum(1 << s for s in rng.sample(range(m), k)))
+        for s in range(m):
+            if not any(cm >> s & 1 for cm in masks):
+                masks[rng.randrange(len(masks))] |= 1 << s
+        yield m, masks
+
+
+class TestMinCover:
+    @staticmethod
+    def check(m, masks, deadline=None):
+        """The optimal flag of min_cover, after checking that its cover and
+        lower bound agree with the minimum size found by enumeration."""
+        chosen, optimal, lower = min_cover(masks, m, deadline)
+        union = 0
+        for c in chosen:
+            union |= masks[c]
+        assert union == (1 << m) - 1 and len(set(chosen)) == len(chosen)
+        want = oracles.brute_min_hitting_set(
+            m, [frozenset(s for s in range(m) if cm >> s & 1) for cm in masks])
+        assert lower <= want <= len(chosen)
+        if optimal:
+            assert lower == want == len(chosen)
+        return optimal
+
+    def test_matches_brute_force(self):
+        systems = list(random_set_systems(4, 300, 12))
+        # unlike most geometric instances, most masks here are big
+        big = sum(cm.bit_count() >= 3 for _, masks in systems for cm in masks)
+        assert big > sum(len(masks) for _, masks in systems) / 2
+        for m, masks in systems:
+            assert self.check(m, masks)
+
+    def test_deadline_in_the_past_keeps_the_bounds(self):
+        optimal = [self.check(m, masks, deadline=0.0) for m, masks in random_set_systems(5, 300, 12)]
+        assert optimal.count(False) >= 100  # the search is cut, not skipped

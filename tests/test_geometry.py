@@ -408,6 +408,12 @@ class TestPointSet:
         with pytest.raises(GeometryError):
             PointSet.from_obj(obj)
 
+    @pytest.mark.parametrize("point", [[True, 2], [1, False]])
+    def test_boolean_coordinate_rejected(self, point):
+        # Fraction(True) == 1, so a JSON boolean would pass for a coordinate
+        with pytest.raises(GeometryError, match="booleans"):
+            PointSet.from_obj({"points": [[0, 0], [1, 1], point]})
+
     def test_malformed_rejected(self, tmp_path):
         with pytest.raises(GeometryError):
             PointSet.from_obj({"name": "x"})
