@@ -3,9 +3,11 @@ cover over bitmasks.
 
 Shared search engine: visibility statistics and crossing-family covers
 reduce to cliques and colourings, blocking sets to min_cover, whose nodes
-are bounded by matchings. Graphs are given as lists of neighbour bitmasks;
-vertex v must not appear in its own mask. All tie-breaking is by lowest
-index, so results are deterministic.
+are bounded by matchings. The colouring search is DSATUR (Brelaz, 1979)
+on an explicit stack, so its depth is not bounded by the recursion limit;
+the greedy colouring is its first leaf at k = n. Graphs are given as
+lists of neighbour bitmasks; vertex v must not appear in its own mask. All
+tie-breaking is by lowest index, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -87,28 +89,9 @@ def max_clique(
 
 
 def greedy_colouring(n: int, adj: Sequence[int]) -> list[int]:
-    """DSATUR greedy proper colouring; colours are 1-based."""
-    colours = [0] * n
-    ncmask = [0] * n  # bit c-1 set iff some neighbour has colour c
-    # DSATUR rank n * saturation + degree, saturation being the number of
-    # colours in ncmask. A degree is below n, so max() over the ascending
-    # uncoloured vertices takes the highest saturation, then the highest
-    # degree, then the lowest index.
-    rank = [a.bit_count() for a in adj]
-    free = (1 << n) - 1
-    for _ in range(n):
-        v = max(_bits(free), key=rank.__getitem__)
-        free ^= 1 << v
-        c = 1
-        while (ncmask[v] >> (c - 1)) & 1:
-            c += 1
-        colours[v] = c
-        bit = 1 << (c - 1)
-        for u in _bits(adj[v] & free):
-            if not ncmask[u] & bit:
-                ncmask[u] |= bit
-                rank[u] += n
-    return colours
+    """DSATUR greedy proper colouring; colours are 1-based. It is the first
+    leaf of the colouring search at k = n, where no colour runs out."""
+    return k_colourable(n, adj, n)[0]
 
 
 def k_colourable(
@@ -122,42 +105,48 @@ def k_colourable(
     """
     if n == 0:
         return [], False
+    nbr = [list(_bits(a)) for a in adj]
     colours = [0] * n
-    ncmask = [0] * n
-    rank = [a.bit_count() for a in adj]  # as in greedy_colouring
-    budget_hit = False
-
-    def rec(free: int, used: int) -> bool:
-        nonlocal budget_hit
+    ncmask = [0] * n  # bit c-1 set iff some coloured neighbour has colour c
+    # DSATUR rank n * saturation + degree, saturation being the number of
+    # colours in ncmask. A degree is below n, so max() over the ascending
+    # free list takes the highest saturation, then the highest degree, then
+    # the lowest index.
+    rank = [len(a) for a in nbr]
+    free = list(range(n))
+    # one frame per coloured vertex: (v, its place in free, colour bits not
+    # yet tried, colours in use before it, the free neighbours it saturated)
+    stack: list[tuple[int, int, int, int, list[int]]] = []
+    used = 0
+    while True:  # one pass per search node
         if deadline is not None and time.monotonic() > deadline:
-            budget_hit = True
-            return False
+            return None, True
         if not free:
-            return True
-        v = max(_bits(free), key=rank.__getitem__)
-        free ^= 1 << v
-        nbrs = adj[v] & free
-        for c in range(1, min(used + 1, k) + 1):
-            bit = 1 << (c - 1)
-            if ncmask[v] & bit:
-                continue
-            colours[v] = c
-            touched = [u for u in _bits(nbrs) if not ncmask[u] & bit]
-            for u in touched:
-                ncmask[u] |= bit
-                rank[u] += n
-            if rec(free, max(used, c)):
-                return True
+            return colours, False
+        v = max(free, key=rank.__getitem__)
+        i = free.index(v)
+        del free[i]
+        avail = ~ncmask[v] & ((1 << min(used + 1, k)) - 1)
+        while not avail:  # v has no colour left: back up to the last choice
+            free.insert(i, v)
+            if not stack:
+                return None, False
+            v, i, avail, used, touched = stack.pop()
+            bit = 1 << (colours[v] - 1)
             for u in touched:
                 ncmask[u] ^= bit
                 rank[u] -= n
             colours[v] = 0
-            if budget_hit:
-                return False
-        return False
-
-    ok = rec((1 << n) - 1, 0)
-    return (list(colours) if ok else None), budget_hit
+        bit = avail & -avail
+        c = bit.bit_length()
+        colours[v] = c
+        touched = [u for u in nbr[v] if not colours[u] and not ncmask[u] & bit]
+        for u in touched:
+            ncmask[u] |= bit
+            rank[u] += n
+        stack.append((v, i, avail ^ bit, used, touched))
+        if c > used:
+            used = c
 
 
 def chromatic_number(
@@ -354,13 +343,17 @@ def _matching_bound(uncov: int, nu: int, big: Sequence[int]) -> int:
 def min_cover(
     cover_masks: Sequence[int], m: int, deadline: Optional[float] = None
 ) -> tuple[list[int], bool, int]:
-    """Fewest masks whose union is 0..m-1 (each element must lie in one);
-    returns (chosen mask indices, optimal, lower). At the deadline, chosen
-    is the best cover found and lower the best proven bound."""
+    """Fewest masks whose union is 0..m-1; returns (chosen mask indices,
+    optimal, lower). At the deadline, chosen is the best cover found and
+    lower the best proven bound. Raises ValueError when some element lies
+    in no mask."""
     all_mask = (1 << m) - 1
     cands_of = [
         [c for c, cm in enumerate(cover_masks) if (cm >> s) & 1] for s in range(m)
     ]
+    missing = [s for s in range(m) if not cands_of[s]]
+    if missing:
+        raise ValueError(f"elements {missing} lie in no mask")
     cand_union = [0] * m
     for s in range(m):
         acc = 0

@@ -1,9 +1,18 @@
 import random
+import types
+from functools import cache
 from itertools import combinations
 
 import pytest
 
-from visblock.cliques import greedy_colouring, k_colourable, max_matching, min_cover
+from visblock import cliques
+from visblock.cliques import (
+    chromatic_number,
+    greedy_colouring,
+    k_colourable,
+    max_matching,
+    min_cover,
+)
 from visblock.crossing import crossing_graph
 from visblock.generators import regular_ngon_set
 
@@ -71,6 +80,28 @@ class TestMaxMatching:
             assert checked_size(n, edges) == want
 
 
+@cache
+def ngon10_complement():
+    """The complement of the 10-gon crossing graph: its colourings are the
+    partitions into crossing families."""
+    adj = crossing_graph(regular_ngon_set(10)).adj
+    m = len(adj)
+    return m, tuple(((1 << m) - 1) ^ a ^ (1 << s) for s, a in enumerate(adj))
+
+
+def counting_clock(monkeypatch):
+    """Replace the clock of cliques by one that returns how often it was
+    read, and return that count as a one-element list."""
+    reads = [0]
+
+    def monotonic():
+        reads[0] += 1
+        return reads[0]
+
+    monkeypatch.setattr(cliques, "time", types.SimpleNamespace(monotonic=monotonic))
+    return reads
+
+
 class TestKColourable:
     """k_colourable must visit the vertices in the order of the oracle's
     DSATUR (saturation, degree, lowest index) and return what it returns."""
@@ -82,15 +113,28 @@ class TestKColourable:
                 assert k_colourable(n, adj, k) == oracles.dsatur_k_colourable(n, adj, k)
 
     def test_ngon10_clique_cover_complement(self):
-        adj = crossing_graph(regular_ngon_set(10)).adj
-        m = len(adj)
-        comp = [((1 << m) - 1) ^ a ^ (1 << s) for s, a in enumerate(adj)]
-        for k in (1, 12, 22):  # 22 is the cover number
+        m, comp = ngon10_complement()
+        # 22 is the cover number; chromatic_number tries 17..21 first
+        for k in (1, 12, 17, 18, 19, 20, 21, 22):
             assert k_colourable(m, comp, k) == oracles.dsatur_k_colourable(m, comp, k)
+
+    def test_one_deadline_check_per_node(self, monkeypatch):
+        # the clock is read once per search node: 62,669 nodes at k = 22
+        m, comp = ngon10_complement()
+        reads = counting_clock(monkeypatch)
+        colours, budget_hit = k_colourable(m, comp, 22, deadline=float("inf"))
+        assert colours is not None and not budget_hit
+        assert reads[0] == 62669
 
     def test_budget_hit(self):
         adj = adjacency(6, list(combinations(range(6), 2)))
         assert k_colourable(6, adj, 3, deadline=0.0) == (None, True)
+
+    def test_budget_hit_partway(self, monkeypatch):
+        m, comp = ngon10_complement()
+        reads = counting_clock(monkeypatch)
+        assert k_colourable(m, comp, 22, deadline=1000.5) == (None, True)
+        assert reads[0] == 1001  # it stops at the first late read
 
     def test_greedy_is_the_search_without_backtracking(self):
         # with k = n no colour runs out, so the search takes the first choice
@@ -98,6 +142,18 @@ class TestKColourable:
         for n, edges in random_graphs(3, 200, 15):
             adj = adjacency(n, edges)
             assert greedy_colouring(n, adj) == oracles.dsatur_k_colourable(n, adj, n)[0]
+
+
+class TestChromaticNumber:
+    def test_long_odd_cycle(self):
+        # omega = 2 and greedy = 3, so the search at k = 2 runs around the
+        # whole cycle before it fails: far deeper than the recursion limit
+        n = 1201
+        adj = adjacency(n, [(v, (v + 1) % n) for v in range(n)])
+        k, colouring, exact, lower, upper = chromatic_number(n, adj)
+        assert (k, exact, lower, upper) == (3, True, 3, 3)
+        assert max(colouring) == 3
+        assert all(colouring[v] != colouring[(v + 1) % n] for v in range(n))
 
 
 def random_set_systems(seed, count, max_m):
@@ -140,6 +196,12 @@ class TestMinCover:
         assert big > sum(len(masks) for _, masks in systems) / 2
         for m, masks in systems:
             assert self.check(m, masks)
+
+    def test_element_in_no_mask_rejected(self):
+        with pytest.raises(ValueError, match=r"elements \[1\] lie in no mask"):
+            min_cover([1], 2)
+        with pytest.raises(ValueError, match=r"elements \[0\] lie in no mask"):
+            min_cover([], 1)
 
     def test_deadline_in_the_past_keeps_the_bounds(self):
         optimal = [self.check(m, masks, deadline=0.0) for m, masks in random_set_systems(5, 300, 12)]
