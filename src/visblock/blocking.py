@@ -10,10 +10,11 @@ from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .cliques import _deadline, min_cover
-from .errors import DegenerateSegment, GeometryError, NotGeneralPosition, SegmentOverlap
+from .errors import DegenerateSegment, GeometryError, NotGeneralPosition, SegmentOverlap, _json_int
 from .geometry import (
     Point,
     PointSet,
+    Record,
     _OVERLAP,
     _first_blockers,
     _scale,
@@ -163,7 +164,7 @@ def candidate_blockers(
 
 
 @dataclass(frozen=True)
-class BlockingSet:
+class BlockingSet(Record):
     points: tuple[Point, ...]
     covers: tuple[tuple[int, int], ...]  # (segment index, blocker index)
     optimal: bool
@@ -174,27 +175,17 @@ class BlockingSet:
         return len(self.points)
 
     def to_obj(self) -> dict:
-        return {
-            "size": self.size,
-            "optimal": self.optimal,
-            "lower_bound": self.lower_bound,
-            "blockers": [p.to_obj() for p in self.points],
-            "covers": [list(c) for c in self.covers],
-        }
+        obj = super().to_obj()
+        obj["blockers"] = obj.pop("points")
+        obj["size"] = self.size
+        return obj
 
 
 @dataclass(frozen=True)
-class BlockCheck:
+class BlockCheck(Record):
     ok: bool
     uncovered: Optional[tuple[int, int]] = None
     vertex_clash: Optional[Point] = None
-
-    def to_obj(self) -> dict:
-        return {
-            "ok": self.ok,
-            "uncovered": list(self.uncovered) if self.uncovered else None,
-            "vertex_clash": self.vertex_clash.to_obj() if self.vertex_clash else None,
-        }
 
 
 def _check_blocked(
@@ -272,7 +263,7 @@ def midpoint_blocking_set(ps: PointSet) -> BlockingSet:
 
 
 @dataclass(frozen=True)
-class BipartiteDrawing:
+class BipartiteDrawing(Record):
     """Straight-line K_{n,n} with its stated blocker list."""
 
     n: int
@@ -292,16 +283,6 @@ class BipartiteDrawing:
         labels = [(k, k) for k in range(len(self.edges))]
         return _check_blocked(self.vertices, self.edges, labels, self.blockers)
 
-    def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "left": [p.to_obj() for p in self.left],
-            "right": [p.to_obj() for p in self.right],
-            "edges": [[a.to_obj(), b.to_obj()] for a, b in self.edges],
-            "blockers": [p.to_obj() for p in self.blockers],
-        }
-
     @classmethod
     def from_obj(cls, obj: dict) -> "BipartiteDrawing":
         try:
@@ -316,7 +297,7 @@ class BipartiteDrawing:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GeometryError(f"malformed drawing bundle: {exc}") from exc
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not _json_int(n):
             raise GeometryError(f"drawing bundle 'n' must be an integer, got {n!r}")
         if not isinstance(name, str):
             raise GeometryError(f"drawing bundle 'name' must be a string, got {name!r}")

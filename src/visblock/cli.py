@@ -39,9 +39,9 @@ from .crossing import (
     partition_size_floor,
 )
 from .drawings import construct_kn_arc_drawing, verify_drawing_blocking, verify_simplicity
-from .errors import GeometryError
+from .errors import GeometryError, _json_int
 from .generators import KINDS, GeneratorSpec, _read_json, generate
-from .geometry import Point, PointSet, is_general_position, max_collinear
+from .geometry import Point, PointSet, Record, is_general_position, max_collinear
 from .midpoints import midpoint_set, sum_set
 from .visibility import (
     Colouring,
@@ -282,12 +282,12 @@ TASK_FNS = {
 
 def _check_budget(what: str, budget) -> None:
     # the one budget rule, for config entries and the --budget-ms flag alike
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+    if not _json_int(budget) or budget < 0:
         raise GeometryError(f"{what} must be a non-negative integer")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     generator: GeneratorSpec
     tasks: tuple[str, ...]
     budgets_ms: dict = field(default_factory=dict)
@@ -296,21 +296,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.tasks:
             raise GeometryError("config needs at least one task")
-        for t in self.tasks:
+        for k, t in enumerate(self.tasks):
             if t not in TASKS:
                 raise GeometryError(f"unknown task {t!r}; pick from {TASKS}")
+            if t in self.tasks[:k]:
+                raise GeometryError(f"task {t!r} is listed twice")
         for t, b in self.budgets_ms.items():
             if t not in TASKS:
                 raise GeometryError(f"budget for unknown task {t!r}")
             _check_budget(f"budget for {t!r}", b)
-
-    def to_obj(self) -> dict:
-        return {
-            "generator": self.generator.to_obj(),
-            "tasks": list(self.tasks),
-            "budgets_ms": dict(sorted(self.budgets_ms.items())),
-            "output_dir": self.output_dir,
-        }
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ExperimentConfig":
@@ -358,7 +352,7 @@ def run(config: ExperimentConfig) -> Path:
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "generator": config.generator.to_obj(),
-        "budgets_ms": dict(sorted(config.budgets_ms.items())),
+        "budgets_ms": config.budgets_ms,
         "tasks": {},
         "cross_checks": {},
     }
@@ -469,7 +463,7 @@ def _load_run(run_dir: Path) -> dict:
 def _typed(r: dict, what: str, value, kind: type):
     """value, if it has the JSON type kind (a boolean is no integer); else
     the run's results are malformed."""
-    if isinstance(value, kind) and (kind is not int or not isinstance(value, bool)):
+    if (_json_int(value) if kind is int else isinstance(value, kind)):
         return value
     raise GeometryError(f"run {r['dir']}: {what} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
 

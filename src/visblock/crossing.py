@@ -23,6 +23,7 @@ from .errors import GeometryError, NotGeneralPosition
 from .geometry import (
     Point,
     PointSet,
+    Record,
     _first_blockers,
     _hull_vertices,
     is_general_position,
@@ -75,16 +76,13 @@ def crossing_graph(ps: PointSet) -> CrossingGraph:
 
 
 @dataclass(frozen=True)
-class CrossingFamilyPartition:
+class CrossingFamilyPartition(Record):
     classes: tuple[tuple[int, ...], ...]
     exact: bool
 
     @property
     def size(self) -> int:
         return len(self.classes)
-
-    def to_obj(self) -> dict:
-        return {"classes": [list(c) for c in self.classes], "exact": self.exact}
 
 
 def partition_size_floor(n: int) -> int:
@@ -271,7 +269,7 @@ def _events_equal(e1, e2, n: int, phi: list[int]) -> bool:
 
 
 @dataclass(frozen=True)
-class NgonCensus:
+class NgonCensus(Record):
     n: int
     center_multiplicity: int
     max_multiplicity_excluding_center: int
@@ -279,12 +277,9 @@ class NgonCensus:
     ambiguous_clusters: tuple[tuple[tuple[int, int, int, int], ...], ...] = ()
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "center_multiplicity": self.center_multiplicity,
-            "max_multiplicity_excluding_center": self.max_multiplicity_excluding_center,
-            "certified": self.certified,
-        }
+        obj = super().to_obj()
+        del obj["ambiguous_clusters"]
+        return obj
 
 
 # float64 proposals, one chord (0, k) at a time: the events sorted by

@@ -19,11 +19,11 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import GeometryError
-from .geometry import Point
+from .geometry import Point, Record, _frac_str
 
 
 @dataclass(frozen=True)
-class Arc:
+class Arc(Record):
     """Semicircle with center on the x-axis; half = +1 keeps y >= 0, -1 keeps y <= 0.
 
     Center and radius are half-integers, so the arc also has an integer
@@ -52,16 +52,15 @@ class Arc:
         return p.y >= 0 if self.half > 0 else p.y <= 0
 
     def to_obj(self) -> dict:
-        r2 = self.radius ** 2
         return {
-            "center": [f"{self.center_x.numerator}/{self.center_x.denominator}", "0/1"],
-            "radius_squared": f"{r2.numerator}/{r2.denominator}",
+            "center": [_frac_str(self.center_x), "0/1"],
+            "radius_squared": _frac_str(self.radius ** 2),
             "half": "upper" if self.half > 0 else "lower",
         }
 
 
 @dataclass(frozen=True)
-class ArcEdge:
+class ArcEdge(Record):
     i: int
     j: int
     upper: Arc
@@ -84,19 +83,11 @@ class ArcEdge:
 
 
 @dataclass(frozen=True)
-class ArcDrawing:
+class ArcDrawing(Record):
     n: int
     vertices: tuple[Point, ...]
     edges: tuple[ArcEdge, ...]
     blockers: tuple[Point, ...]
-
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "vertices": [p.to_obj() for p in self.vertices],
-            "edges": [e.to_obj() for e in self.edges],
-            "blockers": [p.to_obj() for p in self.blockers],
-        }
 
 
 def construct_kn_arc_drawing(n: int) -> ArcDrawing:
@@ -105,8 +96,6 @@ def construct_kn_arc_drawing(n: int) -> ArcDrawing:
     vertices = tuple(Point(i, 0) for i in range(1, n + 1))
     edges = []
     for i, j in combinations(range(1, n + 1), 2):
-        if not 3 <= i + j <= 2 * n - 1:
-            raise GeometryError(f"pivot sum {i + j} out of range for n={n}")
         upper = Arc(Fraction(-j, 2), Fraction(2 * i + j, 2), +1)
         lower = Arc(Fraction(-i, 2), Fraction(i + 2 * j, 2), -1)
         edges.append(ArcEdge(i, j, upper, lower))
@@ -148,12 +137,9 @@ def edge_common_points(e1: ArcEdge, e2: ArcEdge) -> set[tuple]:
 
 
 @dataclass(frozen=True)
-class DrawingBlockCheck:
+class DrawingBlockCheck(Record):
     ok: bool
     failures: tuple[str, ...]
-
-    def to_obj(self) -> dict:
-        return {"ok": self.ok, "failures": list(self.failures)}
 
 
 def verify_drawing_blocking(d: ArcDrawing) -> DrawingBlockCheck:
@@ -183,7 +169,7 @@ def verify_drawing_blocking(d: ArcDrawing) -> DrawingBlockCheck:
 
 
 @dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(Record):
     ok: bool
     max_pairwise_intersections: int
     violating_pairs: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one JSON integer test
+the input checks raise them on."""
+
+
+def _json_int(v) -> bool:
+    # a JSON integer: Python's bool is an int, but JSON's true is no number
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class GeometryError(ValueError):

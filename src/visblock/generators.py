@@ -15,10 +15,11 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 from .blocking import BipartiteDrawing, construct_knn_grid, construct_knn_parabola
-from .errors import GeometryError
+from .errors import GeometryError, _json_int
 from .geometry import (
     Point,
     PointSet,
+    Record,
     convex_hull_size,
     is_general_position,
     max_collinear,
@@ -45,7 +46,7 @@ POINT_SET_KINDS = tuple(k for k in KINDS if k not in ("knn_grid", "knn_parabola"
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     kind: str
     params: dict = field(default_factory=dict)
     max_collinear_bound: Optional[int] = None
@@ -68,14 +69,6 @@ class GeneratorSpec:
         if self.kind == "random_general_position" and "seed" not in self.params:
             raise GeometryError("random generation needs an explicit seed")
 
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "max_collinear_bound": self.max_collinear_bound,
-            "dedupe_symmetry": self.dedupe_symmetry,
-        }
-
     @classmethod
     def from_obj(cls, obj: dict) -> "GeneratorSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
@@ -88,7 +81,7 @@ class GeneratorSpec:
         dedupe = obj.get("dedupe_symmetry", False)
         if not isinstance(params, dict):
             raise GeometryError(f"generator 'params' must be an object, got {params!r}")
-        if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool)):
+        if bound is not None and not _json_int(bound):
             raise GeometryError(f"'max_collinear_bound' must be an integer, got {bound!r}")
         if not isinstance(dedupe, bool):
             raise GeometryError(f"'dedupe_symmetry' must be true or false, got {dedupe!r}")
@@ -96,7 +89,7 @@ class GeneratorSpec:
 
 
 def _positive(v, what: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+    if not _json_int(v) or v < 1:
         raise GeometryError(f"{what} must be a positive integer, got {v!r}")
     return v
 
@@ -251,7 +244,7 @@ def generate(spec: GeneratorSpec) -> Union[PointSet, BipartiteDrawing]:
         out = regular_ngon_set(_positive_int(p, "n"))
     elif spec.kind == "random_general_position":
         seed = p.get("seed")
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not _json_int(seed):
             raise GeometryError("seed must be an integer")
         bound = None if p.get("bound") is None else _positive_int(p, "bound")
         out = random_general_position_set(_positive_int(p, "n"), bound, seed)

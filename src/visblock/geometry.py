@@ -8,7 +8,7 @@ value equality. The segment predicates (`orientation`, `on_open_segment`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -32,8 +32,27 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _obj(v):
+    # a dict field (generator params, budgets) is JSON already and kept as is
+    if isinstance(v, Record):
+        return v.to_obj()
+    if isinstance(v, (tuple, list)):
+        return [_obj(x) for x in v]
+    return v
+
+
+class Record:
+    """Base of the dataclasses written out as JSON: each field under its own
+    name, a nested record by its own to_obj, a tuple or list item by item,
+    any other value as it is. A record whose JSON shape differs overrides
+    to_obj."""
+
+    def to_obj(self):
+        return {f.name: _obj(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True, order=True)
-class Point:
+class Point(Record):
     """A plane point with exact rational coordinates.
 
     Fraction keeps numerator/denominator coprime with positive denominator,
@@ -169,7 +188,7 @@ class LineRecord:
 
 
 @dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """Ordered duplicate-free list of points; index i names a point for good."""
 
     points: tuple[Point, ...]
@@ -206,9 +225,6 @@ class PointSet:
     @cached_property
     def integer_view(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         return _scale(self.points)
-
-    def to_obj(self) -> dict:
-        return {"name": self.name, "points": [p.to_obj() for p in self.points]}
 
     @classmethod
     def from_obj(cls, obj) -> "PointSet":

@@ -13,6 +13,7 @@ from .errors import DisconnectedVisibility, GeometryError
 from .geometry import (
     LineRecord,
     PointSet,
+    Record,
     _first_blockers,
     max_collinear,
     sorted_along_line,
@@ -50,9 +51,6 @@ class VisibilityGraph:
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
-
-    def to_obj(self) -> dict:
-        return {"n": self.n, "edges": self.edges(), "source": self.source.to_obj()}
 
 
 def visibility_graph(ps: PointSet) -> VisibilityGraph:
@@ -104,13 +102,10 @@ def diameter(g: VisibilityGraph) -> int:
 
 
 @dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(Record):
     omega: int
     witness: tuple[int, ...]
     exact: bool
-
-    def to_obj(self) -> dict:
-        return {"omega": self.omega, "witness": list(self.witness), "exact": self.exact}
 
 
 def clique_number(g: VisibilityGraph, budget_ms: Optional[int] = None) -> CliqueResult:
@@ -119,7 +114,7 @@ def clique_number(g: VisibilityGraph, budget_ms: Optional[int] = None) -> Clique
 
 
 @dataclass(frozen=True)
-class Colouring:
+class Colouring(Record):
     """Colour ids 1..k assigned per point index."""
 
     k: int
@@ -138,26 +133,14 @@ class Colouring:
             out.setdefault(c, []).append(i)
         return out
 
-    def to_obj(self) -> dict:
-        return {"k": self.k, "colours": list(self.colours)}
-
 
 @dataclass(frozen=True)
-class ChromaticResult:
+class ChromaticResult(Record):
     chi: int
     colouring: Colouring
     exact: bool
     lower: int
     upper: int
-
-    def to_obj(self) -> dict:
-        return {
-            "chi": self.chi,
-            "colouring": self.colouring.to_obj(),
-            "exact": self.exact,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
 
 
 def chromatic_number(g: VisibilityGraph, budget_ms: Optional[int] = None) -> ChromaticResult:
@@ -166,7 +149,7 @@ def chromatic_number(g: VisibilityGraph, budget_ms: Optional[int] = None) -> Chr
 
 
 @dataclass(frozen=True)
-class BigLineBigCliqueVerdict:
+class BigLineBigCliqueVerdict(Record):
     kind: str  # "line" | "clique" | "neither" | "unknown"
     line: Optional[LineRecord] = None
     clique: tuple[int, ...] = ()
@@ -204,7 +187,7 @@ def big_line_big_clique_check(
 
 
 @dataclass(frozen=True)
-class Prop1Report:
+class Prop1Report(Record):
     proper: bool
     violations: tuple[tuple[int, int], ...]
     max_collinear: int
@@ -215,21 +198,8 @@ class Prop1Report:
     is_blocked: Optional[bool]
     uncovered_pair: Optional[tuple[int, int]]
 
-    def to_obj(self) -> dict:
-        return {
-            "proper": self.proper,
-            "violations": [list(v) for v in self.violations],
-            "max_collinear": self.max_collinear,
-            "largest_class_colour": self.largest_class_colour,
-            "largest_class": list(self.largest_class),
-            "s": self.s,
-            "s_lower": self.s_lower,
-            "is_blocked": self.is_blocked,
-            "uncovered_pair": list(self.uncovered_pair) if self.uncovered_pair else None,
-        }
 
-
-def proposition1_check(ps: PointSet, col: Colouring, ell: int = 3) -> Prop1Report:
+def proposition1_check(ps: PointSet, col: Colouring) -> Prop1Report:
     """Certificate for the colouring-to-blocking reduction.
 
     Verifies the colouring is proper for the visibility graph, that the

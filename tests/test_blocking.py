@@ -60,6 +60,7 @@ class TestIsBlockingSet:
         chk = is_blocking_set(TRIANGLE, tri_midpoints()[:2])
         assert not chk.ok
         assert chk.uncovered == (1, 2)
+        assert chk.to_obj() == {"ok": False, "uncovered": [1, 2], "vertex_clash": None}
 
     def test_square_five(self):
         blockers = [P(1, 1), P(1, 0), P(0, 1), P(2, 1), P(1, 2)]
@@ -68,6 +69,7 @@ class TestIsBlockingSet:
     def test_blocker_inside_set_rejected(self):
         chk = is_blocking_set(TRIANGLE, [P(0, 0), P(1, 1)])
         assert not chk.ok and chk.vertex_clash == P(0, 0)
+        assert chk.to_obj() == {"ok": False, "uncovered": None, "vertex_clash": ["0/1", "0/1"]}
 
 
 class TestCandidateBlockers:

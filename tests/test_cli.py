@@ -76,6 +76,12 @@ class TestConfig:
         with pytest.raises(GeometryError, match="unknown task"):
             ExperimentConfig(GeneratorSpec("grid", {"w": 2, "h": 2}), ("tsp",))
 
+    def test_repeated_task(self):
+        with pytest.raises(GeometryError, match="'midpoints' is listed twice"):
+            ExperimentConfig(
+                GeneratorSpec("grid", {"w": 2, "h": 2}), ("midpoints", "visgraph", "midpoints")
+            )
+
     def test_budget_for_unknown_task(self):
         with pytest.raises(GeometryError, match="unknown task"):
             ExperimentConfig(
@@ -600,6 +606,14 @@ class TestMainEntry:
         assert "unknown keys ['budget_ms']" in err
         assert "Traceback" not in err
 
+    def test_run_config_with_repeated_task(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GRID_2X2, ["midpoints", "midpoints"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: task 'midpoints' is listed twice" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("generator", GRID_2X2 | {"max_colinear_bound": 2}),
         ("generator", GRID_2X2 | {"max_collinear_bound": "3"}),
@@ -779,3 +793,47 @@ class TestMainEntry:
         obj = json.loads(capsys.readouterr().out)
         assert obj["line_or_clique"]["kind"] == "line"
         assert obj["mono_line_two_colourings"] is None
+
+
+# SHA-256 of every results/ and inputs/ file of two runs, frozen from a
+# release whose JSON shapes are known good: renaming, dropping or reshaping
+# any field of a written record changes a digest here
+FROZEN_DIGESTS = {
+    "convex-parabola-7": (
+        {"kind": "convex_parabola", "params": {"n": 7}},
+        ["visgraph", "block", "midpoints", "crossing", "drawing", "ramsey"],
+        {
+            "inputs/points.json": "d97ba59bc2523e19c6dc2c4cfe86b18d4de37c3383fcbb83a39b0244a51a9a35",
+            "results/block.json": "e36a42c4dbd19b7969f35c2fb65b2b6a37e8349a82c24de7ae79a9f4601b89d9",
+            "results/crossing.json": "3b87ec8c48dc52580fc22ce9f5a47d0e4bf2d58d02c19924a3c802b3c2248d8f",
+            "results/drawing.json": "a0c047b7a2ed65a371791a773033e2356b0367d8f1c859d2796d3252153554fa",
+            "results/midpoints.json": "2f7350efc9f06f13f1c7a45c73c91f89063d6d6a5a45e04c87cc5e6a14c9f18e",
+            "results/ramsey.json": "da8eb35f46b5907482cd56356ebf205fdb18ecbb8758094b747e03c2b4175962",
+            "results/visgraph.json": "11363ff68d37e56e68cf8f1f25fa0f0257e51538719b8af71cfd441ed21273ea",
+        },
+    ),
+    "knn-parabola-3": (
+        {"kind": "knn_parabola", "params": {"n": 3}},
+        ["block", "drawing"],
+        {
+            "inputs/drawing.json": "755bac5d98ea1d476966a62ee71219728e30905344c9883e7d37ee8d2ec7c683",
+            "results/block.json": "7402f6c2f197407d0f14db2fde1896295ea835115ddea1d11b728a16c8ac432a",
+            "results/drawing.json": "c5b51a8d59910eb2278aa1cb8e50d88b3f15e04188771938fbf378a2c15a4493",
+        },
+    ),
+}
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
+    def test_run_files_match_frozen_digests(self, tmp_path, capsys, name):
+        generator, tasks, want = FROZEN_DIGESTS[name]
+        cfg = write_config(tmp_path, generator, tasks)
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        run_dir = Path(capsys.readouterr().out.strip())
+        got = {
+            f"{sub}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+            for sub in ("inputs", "results")
+            for f in sorted((run_dir / sub).iterdir())
+        }
+        assert got == want

@@ -9,6 +9,7 @@ from visblock.errors import DisconnectedVisibility, GeometryError
 from visblock.geometry import PointSet
 from visblock.visibility import (
     Colouring,
+    Prop1Report,
     VisibilityGraph,
     big_line_big_clique_check,
     chromatic_number,
@@ -231,6 +232,34 @@ class TestProposition1:
         assert not rep.proper
         assert (0, 1) in rep.violations
         assert rep.is_blocked is None
+        assert rep.to_obj() == {
+            "proper": False,
+            "violations": [[0, 1]],
+            "max_collinear": 2,
+            "largest_class_colour": 1,
+            "largest_class": [0, 1],
+            "s": 2,
+            "s_lower": 2,
+            "is_blocked": None,
+            "uncovered_pair": None,
+        }
+
+    def test_uncovered_pair_json(self):
+        # a proper colouring is always blocked (the point next to i on a
+        # blocked segment ij sees i, so it has another colour); the failed
+        # form is only pinned here
+        rep = Prop1Report(True, (), 2, 1, (0, 2), 2, 2, False, (0, 2))
+        assert rep.to_obj() == {
+            "proper": True,
+            "violations": [],
+            "max_collinear": 2,
+            "largest_class_colour": 1,
+            "largest_class": [0, 2],
+            "s": 2,
+            "s_lower": 2,
+            "is_blocked": False,
+            "uncovered_pair": [0, 2],
+        }
 
     def test_grid_chi_colouring(self):
         g = visibility_graph(GRID33)
