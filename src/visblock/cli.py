@@ -304,6 +304,8 @@ class ExperimentConfig(Record):
         for t, b in self.budgets_ms.items():
             if t not in TASKS:
                 raise GeometryError(f"budget for unknown task {t!r}")
+            if t not in self.tasks:
+                raise GeometryError(f"budget for task {t!r}, which the config does not run")
             _check_budget(f"budget for {t!r}", b)
 
     @classmethod

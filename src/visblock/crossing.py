@@ -237,35 +237,44 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _event_fraction(ev: tuple[int, int, int, int], n: int) -> tuple[list[int], list[int]]:
-    i, j, k, l = ev
-    num = [0] * n
-    num[i] += 1
-    num[k] += 1
-    num[j] -= 1
-    num[l] -= 1
-    den = [0] * n
-    den[(i + k) % n] += 1
-    den[(j + l) % n] -= 1
-    return num, den
+def _packed_residues(n: int) -> tuple[int, list[int]]:
+    """(width, res): res[e] is x^e mod Phi_n for e = 0..n-1, its coefficients
+    packed low degree first into one int as signed digits of width bits.
+
+    An equality check adds 16 of these with signs. If every coefficient is
+    at most M in size, each digit of that sum is below 16 M < 2^(width - 1)
+    in size, so the sum is a balanced base-2^width number whose digits are
+    exactly the coefficients of the sum of the residues, and it is 0 iff
+    that polynomial is 0."""
+    phi = cyclotomic(n)
+    r = [1] + [0] * (len(phi) - 2)
+    rows = [r]
+    for _ in range(1, n):
+        top = r[-1]  # x r is r shifted plus top x^d; x^d - Phi_n has degree < d
+        r = [0] + r[:-1]
+        if top:
+            r = [c - top * p for c, p in zip(r, phi)]
+        rows.append(r)
+    bound = 16 * max(abs(c) for row in rows for c in row)
+    width = bound.bit_length() + 1
+    assert bound < 1 << (width - 1), "a sum of 16 residues would overflow a digit"
+    return width, [sum(c << (width * t) for t, c in enumerate(row)) for row in rows]
 
 
-def _mul_mod_xn(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[(i + j) % n] += ai * bj
-    return out
-
-
-def _events_equal(e1, e2, n: int, phi: list[int]) -> bool:
-    n1, d1 = _event_fraction(e1, n)
-    n2, d2 = _event_fraction(e2, n)
-    diff = [x - y for x, y in zip(_mul_mod_xn(n1, d2, n), _mul_mod_xn(n2, d1, n))]
-    _, rem = _poly_divmod_monic(diff, phi)
-    return not any(rem)
+def _events_equal(e1, e2, n: int, res: list[int]) -> bool:
+    """Whether two events meet at one point: with num = x^i + x^k - x^j - x^l
+    and den = x^(i+k) - x^(j+l), num1 den2 - num2 den1 vanishes mod Phi_n.
+    Phi_n divides x^n - 1, so every exponent is taken mod n and the product
+    is a signed sum of 16 residues."""
+    i1, j1, k1, l1 = e1
+    i2, j2, k2, l2 = e2
+    s1, t1, s2, t2 = i1 + k1, j1 + l1, i2 + k2, j2 + l2
+    return not (
+        res[(i1 + s2) % n] + res[(k1 + s2) % n] - res[(j1 + s2) % n] - res[(l1 + s2) % n]
+        - res[(i1 + t2) % n] - res[(k1 + t2) % n] + res[(j1 + t2) % n] + res[(l1 + t2) % n]
+        - res[(i2 + s1) % n] - res[(k2 + s1) % n] + res[(j2 + s1) % n] + res[(l2 + s1) % n]
+        + res[(i2 + t1) % n] + res[(k2 + t1) % n] - res[(j2 + t1) % n] - res[(l2 + t1) % n]
+    )
 
 
 @dataclass(frozen=True)
@@ -287,11 +296,11 @@ class NgonCensus(Record):
 # Crossing chords have |den| = |1 - zeta^(j+l-i-k)| >= 2 sin(pi/n) and
 # |conj(z)| <= 1, so the float error of conj(z) is a few ulp / 2 sin(pi/n);
 # projecting onto the real axis cannot increase it. Against a 120-bit
-# reference the real part is off by at most 6.9e-15 for n = 4..60 (worst at
-# n = 55). Two equal events thus lie at most about 1.4e-14 apart, and so does
-# every event sorted between them; each step of that stretch is far below
-# the gap 9.3e-10, so equal events always share a cluster and the exact
-# checks see every coincidence.
+# reference the real part is off by at most 1.12e-14 for n = 4..120 (worst at
+# n = 89) and 1.78e-14 at n = 210. Two equal events thus lie at most about
+# 3.6e-14 apart, and so does every event sorted between them; each step of
+# that stretch is far below the gap 9.3e-10, so equal events always share a
+# cluster and the exact checks see every coincidence.
 _GAP_EXP = 30
 _CHECK_BUDGET = 2_000_000
 
@@ -330,7 +339,7 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
     if n < 4:
         raise GeometryError("census needs n >= 4")
     center_mult = n // 2 if n % 2 == 0 else 0
-    phi = list(cyclotomic(n))
+    _, res = _packed_residues(n)
     checks = 0
     ambiguous: list[tuple] = []
     groups_by_mult: dict[int, int] = {}
@@ -344,7 +353,7 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
                     if checks > _CHECK_BUDGET:
                         overran = True
                         break
-                    if _events_equal(ev, grp[0], n, phi):
+                    if _events_equal(ev, grp[0], n, res):
                         grp.append(ev)
                         break
                 else:

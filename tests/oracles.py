@@ -415,3 +415,51 @@ def scan_blocking_instance(segments, gap_segments):
         if covers:
             cands.append((p, covers))
     return vertices, cands
+
+
+def event_fraction(ev, n):
+    """conj of the meeting point of chords (i, k) and (j, l) of the regular
+    n-gon as num/den, coefficient lists of polynomials mod x^n - 1 at a
+    primitive nth root of unity: num = x^i + x^k - x^j - x^l and
+    den = x^(i+k) - x^(j+l)."""
+    i, j, k, l = ev
+    num = [0] * n
+    num[i] += 1
+    num[k] += 1
+    num[j] -= 1
+    num[l] -= 1
+    den = [0] * n
+    den[(i + k) % n] += 1
+    den[(j + l) % n] -= 1
+    return num, den
+
+
+def mul_mod_xn(a, b, n):
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[(i + j) % n] += ai * bj
+    return out
+
+
+def remainder_monic(num, den):
+    """Remainder of integer polynomial num by monic den, both low degree
+    first, by schoolbook long division."""
+    num = list(num)
+    dn = len(den) - 1
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        for k in range(dn + 1):
+            num[i - dn + k] -= c * den[k]
+    return num[:dn]
+
+
+def events_equal_by_division(e1, e2, n, phi):
+    """Two census events meet at one point iff num1 den2 - num2 den1, taken
+    mod x^n - 1, leaves remainder 0 on division by phi = Phi_n."""
+    n1, d1 = event_fraction(e1, n)
+    n2, d2 = event_fraction(e2, n)
+    diff = [x - y for x, y in zip(mul_mod_xn(n1, d2, n), mul_mod_xn(n2, d1, n))]
+    return not any(remainder_monic(diff, phi))

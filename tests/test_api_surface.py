@@ -5,10 +5,13 @@ A public top-level function or class of a visblock module must be used by
 other package code (outside its own definition) or by the acceptance gate;
 being exported in `visblock.__all__` is not enough. A private one must be
 used by other package code. Every name a package or test module imports must
-be referenced in that module.
+be referenced in that module. Every per-layer metric of the benchmark
+must name a public function the package still defines.
 """
 
 import ast
+import importlib
+import json
 from pathlib import Path
 
 import visblock
@@ -16,6 +19,7 @@ import visblock
 PACKAGE = Path(visblock.__file__).parent
 TESTS = Path(__file__).parent
 ACCEPTANCE = TESTS / "test_acceptance.py"
+BENCHMARK = TESTS.parent / "BENCHMARK.json"
 
 
 def _referenced_names(tree) -> set[str]:
@@ -75,3 +79,19 @@ def test_every_imported_name_is_used():
                     if name not in used and name not in exported:
                         unused.append(f"{path.parent.name}/{path.name}: {name}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_benchmark_layer_names_resolve():
+    # a `<module>.<function>.<metric>` name is traced by wrapping that function
+    names = [m["name"].split(".") for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    functions = sorted({(parts[0], parts[1]) for parts in names if len(parts) == 3})
+    assert functions
+    missing = []
+    for module, name in functions:
+        fn = getattr(importlib.import_module(f"visblock.{module}"), name, None)
+        if (name.startswith("_") or not callable(fn)
+                or getattr(fn, "__module__", None) != f"visblock.{module}"):
+            missing.append(f"{module}.{name}")
+    assert not missing, f"benchmark names no public function of its module: {missing}"
+    # the benchmark empties this cache between passes
+    assert callable(getattr(importlib.import_module("visblock.crossing").cyclotomic, "cache_clear", None))

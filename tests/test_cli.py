@@ -88,6 +88,12 @@ class TestConfig:
                 GeneratorSpec("grid", {"w": 2, "h": 2}), ("visgraph",), {"tsp": 5}
             )
 
+    def test_budget_for_task_not_run(self):
+        with pytest.raises(GeometryError, match="'crossing', which the config does not run"):
+            ExperimentConfig(
+                GeneratorSpec("grid", {"w": 2, "h": 2}), ("visgraph",), {"crossing": 5}
+            )
+
     def test_negative_budget(self):
         with pytest.raises(GeometryError, match="non-negative"):
             ExperimentConfig(
@@ -611,6 +617,14 @@ class TestMainEntry:
         assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "error: task 'midpoints' is listed twice" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_run_config_with_budget_for_task_not_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GRID_2X2, ["visgraph"], {"crossing": 5})
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: budget for task 'crossing', which the config does not run" in err
         assert "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 

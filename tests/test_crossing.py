@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -23,7 +24,7 @@ from visblock.crossing import (
 from visblock.errors import GeometryError, NotGeneralPosition
 from visblock.geometry import Point, PointSet, is_general_position
 
-from oracles import brute_min_clique_cover, proper_crossing
+from oracles import brute_min_clique_cover, events_equal_by_division, proper_crossing
 from test_geometry import RATIONAL_COORDS
 
 SQUARE = PointSet.build([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -225,6 +226,17 @@ def float_census(n):
     return best
 
 
+def unpack_signed(v, width, d):
+    """The d balanced digits of v in base 2^width, low first."""
+    half, digits = 1 << (width - 1), []
+    for _ in range(d):
+        c = (v + half) % (1 << width) - half
+        digits.append(c)
+        v = (v - c) >> width
+    assert v == 0
+    return digits
+
+
 class TestNgonCensus:
     @pytest.mark.parametrize(
         "n,center,excl",
@@ -274,7 +286,7 @@ class TestNgonCensus:
             monkeypatch.setattr(crossing, "_GAP_EXP", exp)
             assert [regular_ngon_multiplicity(n).to_obj() for n in range(4, 31)] == base
 
-    @pytest.mark.parametrize("n", range(41, 61))
+    @pytest.mark.parametrize("n", [*range(41, 61), 84, 90, 120])
     def test_poonen_rubinstein_maximum(self, n):
         # off-center maximum for n >= 13, Poonen & Rubinstein (1998)
         expected = 2 if n % 2 else 3 if n % 6 else 7 if n % 30 == 0 else 5
@@ -298,6 +310,52 @@ class TestNgonCensus:
         with pytest.raises(AssertionError, match="not a multiple of"):
             regular_ngon_multiplicity(12)
         assert split
+
+    def test_packed_check_agrees_with_division(self):
+        for n in range(4, 41):
+            phi = cyclotomic(n)
+            _, res = crossing._packed_residues(n)
+            for k in range(2, n - 1):
+                for cluster in crossing._chord_clusters(n, k):
+                    for e1, e2 in combinations(cluster, 2):
+                        assert crossing._events_equal(e1, e2, n, res) == \
+                            events_equal_by_division(e1, e2, n, phi), (n, e1, e2)
+
+    def test_packed_check_agrees_with_division_on_random_pairs(self):
+        rng = random.Random(15)
+        residues = {n: crossing._packed_residues(n)[1] for n in range(4, 121)}
+        verdicts = []
+        for _ in range(3000):
+            n = rng.randrange(4, 121)
+            e1, e2 = (tuple(rng.randrange(n) for _ in range(4)) for _ in range(2))
+            # (j, i, l, k) negates num and den, so it is the same point
+            for f in (e2, (e1[1], e1[0], e1[3], e1[2])):
+                packed = crossing._events_equal(e1, f, n, residues[n])
+                assert packed == events_equal_by_division(e1, f, n, cyclotomic(n)), (n, e1, f)
+                verdicts.append(packed)
+        assert verdicts.count(False) > 2500 and verdicts.count(True) >= 3000
+
+    def test_residues_unpack_to_the_remainders(self):
+        for n in range(4, 61):
+            phi = list(cyclotomic(n))
+            d = len(phi) - 1
+            width, res = crossing._packed_residues(n)
+            assert len(res) == n
+            for e, r in enumerate(res):
+                rem = crossing._poly_divmod_monic([0] * e + [1], phi)[1]
+                coeffs = rem + [0] * (d - len(rem))
+                assert unpack_signed(r, width, d) == coeffs, (n, e)
+                # the widest digit sum a check forms still has its own digit
+                for m in (16, -16):
+                    assert unpack_signed(m * r, width, d) == [m * c for c in coeffs], (n, e, m)
+
+    def test_census_matches_the_division_census(self, monkeypatch):
+        base = [regular_ngon_multiplicity(n) for n in range(4, 31)]
+        monkeypatch.setattr(crossing, "_events_equal", lambda e1, e2, n, res:
+                            events_equal_by_division(e1, e2, n, cyclotomic(n)))
+        for n, c in zip(range(4, 31), base):
+            oracle = regular_ngon_multiplicity(n)
+            assert (c.to_obj(), c.ambiguous_clusters) == (oracle.to_obj(), oracle.ambiguous_clusters)
 
     def test_cyclotomic_degrees(self):
         # degree = Euler phi; spot values
