@@ -38,12 +38,7 @@ from .geometry import (
     lines_of,
     max_collinear,
 )
-from .midpoints import (
-    Progression,
-    midpoint_set,
-    progression_points,
-    sum_set,
-)
+from .midpoints import midpoint_set, sum_set
 from .visibility import (
     Colouring,
     VisibilityGraph,
@@ -68,7 +63,6 @@ __all__ = [
     "NotGeneralPosition",
     "Point",
     "PointSet",
-    "Progression",
     "VisibilityGraph",
     "big_line_big_clique_check",
     "chromatic_number",
@@ -92,7 +86,6 @@ __all__ = [
     "min_blocking_set",
     "monochromatic_line_check",
     "partition_size_floor",
-    "progression_points",
     "proposition1_check",
     "regular_ngon_multiplicity",
     "report",

@@ -354,30 +354,23 @@ def min_cover(
     missing = [s for s in range(m) if not cands_of[s]]
     if missing:
         raise ValueError(f"elements {missing} lie in no mask")
-    cand_union = [0] * m
-    for s in range(m):
-        acc = 0
-        for c in cands_of[s]:
-            acc |= 1 << c
-        cand_union[s] = acc
     lb_order = sorted(range(m), key=lambda s: (len(cands_of[s]), s))
-
-    def lower_bound(uncov: int) -> int:
-        # elements with pairwise disjoint candidate pools need distinct masks
-        used = 0
-        lb = 0
-        for s in lb_order:
-            if (uncov >> s) & 1 and not cand_union[s] & used:
-                lb += 1
-                used |= cand_union[s]
-        return lb
-
     # H: elements s ~ t when one mask covers both; big masks cover 3+
     share = [0] * m
     for cm in cover_masks:
         for s in _bits(cm):
             share[s] |= cm & ~(1 << s)
     big = [cm for cm in cover_masks if cm.bit_count() >= 3]
+
+    def lower_bound(uncov: int) -> int:
+        # elements pairwise non-adjacent in H need distinct masks
+        near = 0
+        lb = 0
+        for s in lb_order:
+            if (uncov >> s) & 1 and not (near >> s) & 1:
+                lb += 1
+                near |= share[s]
+        return lb
 
     def matching_in(uncov: int, warm: list[int]) -> list[int]:
         # maximum matching of H_U, warm-started from the edges of an
@@ -403,12 +396,11 @@ def min_cover(
         uncov &= ~cover_masks[best_c]
     best = greedy
     best_size = len(greedy)
-    aborted = False
     frontier_min: Optional[int] = None
     chosen: list[int] = []
 
     def rec(uncov: int, mate: list[int]) -> None:
-        nonlocal best, best_size, aborted, frontier_min
+        nonlocal best, best_size, frontier_min
         if uncov == 0:
             if len(chosen) < best_size:
                 best_size = len(chosen)
@@ -422,14 +414,10 @@ def min_cover(
         if len(chosen) + lb >= best_size:
             return
         if deadline is not None and time.monotonic() > deadline:
-            aborted = True
             bound = len(chosen) + lb
             frontier_min = bound if frontier_min is None else min(frontier_min, bound)
             return
-        s = min(
-            (s for s in range(m) if (uncov >> s) & 1),
-            key=lambda s: (len(cands_of[s]), s),
-        )
+        s = next(s for s in lb_order if (uncov >> s) & 1)
         for c in cands_of[s]:
             chosen.append(c)
             rec(uncov & ~cover_masks[c], mate)
@@ -439,7 +427,6 @@ def min_cover(
 
     if best_size > root_lb:
         rec(all_mask, mate)
-    if aborted:
-        lower = min(frontier_min, best_size) if frontier_min is not None else best_size
-        return best, False, max(lower, root_lb)
+    if frontier_min is not None:
+        return best, False, max(min(frontier_min, best_size), root_lb)
     return best, True, best_size

@@ -2,7 +2,9 @@
 
 Every generator is deterministic for a fixed spec; the random kind carries
 its seed explicitly and resamples any point that would create three
-collinear, logging how often that happened.
+collinear, logging how often that happened. Progressions, the lattice-like
+sets behind few-midpoint constructions, are summed on the integer view of
+their base point and generators, and log how many sums coincided.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from .geometry import (
     Point,
     PointSet,
     Record,
+    _scale,
+    _unscaled,
     convex_hull_size,
     is_general_position,
     max_collinear,
     orientation,
 )
-from .midpoints import Progression, progression_points
 
 log = logging.getLogger("visblock")
 
@@ -166,6 +169,9 @@ def random_general_position_set(n: int, bound: Optional[int], seed: int) -> Poin
 
 
 def progression_set(params: dict) -> PointSet:
+    """v0 plus every k_1 g_1 + ... + k_d g_d with each k_t in 1..n_t, summed
+    on the integer view of v0 and the generators g_t; coinciding sums
+    collapse to one point, sorted, and are counted in the log."""
     try:
         v0 = Point.from_obj(params["v0"])
         gens = tuple(Point.from_obj(g) for g in params["generators"])
@@ -173,10 +179,18 @@ def progression_set(params: dict) -> PointSet:
     except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"malformed progression parameters: {exc}") from exc
     extents = tuple(_positive(e, "progression extent") for e in extents)
-    res = progression_points(Progression(v0, gens, extents), name="progression")
-    if res.collisions:
-        log.info("progression generator: %d collisions collapsed", res.collisions)
-    return res.points
+    if len(gens) != len(extents):
+        raise GeometryError("one extent per generator")
+    if not gens:
+        raise GeometryError("need at least one generator")
+    den, (base, *steps) = _scale([v0, *gens])
+    sums = [base]
+    for (gx, gy), n in zip(steps, extents):
+        sums = [(x + k * gx, y + k * gy) for x, y in sums for k in range(1, n + 1)]
+    distinct = sorted(set(sums))
+    if len(sums) > len(distinct):
+        log.info("progression generator: %d collisions collapsed", len(sums) - len(distinct))
+    return PointSet(tuple(_unscaled(distinct, den)), "progression")
 
 
 def _read_json(path, what: str):

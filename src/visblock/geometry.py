@@ -24,7 +24,7 @@ def _frac(v: Rational) -> Fraction:
         return Fraction(v)
     except ZeroDivisionError:
         raise GeometryError(f"zero denominator in coordinate {v!r}") from None
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):  # OverflowError: an infinite float
         raise GeometryError(f"bad rational literal {v!r}") from None
 
 
@@ -65,16 +65,6 @@ class Point(Record):
     def __post_init__(self):
         object.__setattr__(self, "x", _frac(self.x))
         object.__setattr__(self, "y", _frac(self.y))
-
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def scaled(self, f: Rational) -> "Point":
-        f = Fraction(f)
-        return Point(self.x * f, self.y * f)
 
     def to_obj(self) -> list:
         return [_frac_str(self.x), _frac_str(self.y)]

@@ -353,6 +353,18 @@ def fraction_sum_set(pts):
     return frozenset((p.x + q.x, p.y + q.y) for p in pts for q in pts)
 
 
+def fraction_progression_points(v0, gens, extents):
+    """v0 plus every k_1 g_1 + ... + k_d g_d with k_t in 1..n_t, summed in
+    Fractions on (x, y) pairs of rational literals: (the distinct points in
+    sorted order, the number of sums that coincided with another)."""
+    coords = [(Fraction(v0[0]), Fraction(v0[1]))]
+    for (gx, gy), n in zip(gens, extents):
+        gx, gy = Fraction(gx), Fraction(gy)
+        coords = [(x + k * gx, y + k * gy) for x, y in coords for k in range(1, n + 1)]
+    pts = sorted(set(coords))
+    return pts, len(coords) - len(pts)
+
+
 def fraction_midpoint_blocking_set(pts):
     """The sorted distinct pair midpoints and, per pair (i, j) in
     combinations order, (pair number, index of its midpoint)."""

@@ -48,8 +48,10 @@ SQUARE = pset((0, 0), (2, 0), (0, 2), (2, 2), name="square")
 
 
 def tri_midpoints():
-    half = Fraction(1, 2)
-    return [(TRIANGLE[i] + TRIANGLE[j]).scaled(half) for i, j in combinations(range(3), 2)]
+    return [
+        P((TRIANGLE[i].x + TRIANGLE[j].x) / 2, (TRIANGLE[i].y + TRIANGLE[j].y) / 2)
+        for i, j in combinations(range(3), 2)
+    ]
 
 
 class TestIsBlockingSet:

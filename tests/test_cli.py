@@ -559,6 +559,45 @@ class TestMainEntry:
         assert main(["midpoints", "--input", str(bad)]) == EXIT_INPUT
         assert "is not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coord,literal", [
+        ("1e400", "inf"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+    ], ids=["1e400", "Infinity", "minus-Infinity"])
+    def test_infinite_coordinate_in_point_file(self, tmp_path, capsys, coord, literal):
+        path = tmp_path / "points.json"
+        path.write_text(f'{{"points": [[{coord}, 0], [1, 1]]}}')
+        assert main(["visgraph", "--input", str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad rational literal {literal}\n"
+
+    def test_infinite_coordinate_in_bundle(self, tmp_path, capsys):
+        obj = construct_knn_parabola(2).to_obj()
+        obj["blockers"][0] = [float("inf"), 0]
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(obj))
+        assert main(["block", "--input", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad rational literal inf" in err
+        assert "Traceback" not in err
+
+    def test_infinite_coordinate_in_progression(self, capsys):
+        prog = '{"v0": [Infinity, 0], "generators": [[1, 0]], "extents": [2]}'
+        assert main(["generate", "--kind", "progression", "--progression", prog]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad rational literal inf" in err
+        assert "Traceback" not in err
+
+    def test_infinite_coordinate_in_run_file_generator(self, tmp_path, capsys):
+        path = tmp_path / "points.json"
+        path.write_text('{"points": [[1e400, 0], [1, 1]]}')
+        cfg = write_config(tmp_path, {"kind": "file", "params": {"path": str(path)}},
+                           ["visgraph"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        run_dir = Path(capsys.readouterr().out.strip())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["generation"]["error_type"] == "GeometryError"
+        assert manifest["generation"]["message"] == "bad rational literal inf"
+
     def test_tampered_bundle_fails_verification(self, tmp_path, capsys):
         main(["generate", "--kind", "knn_grid", "--n", "4",
               "--output-dir", str(tmp_path)])

@@ -1,18 +1,16 @@
+import logging
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from visblock.errors import GeometryError
+from visblock.generators import GeneratorSpec, generate
 from visblock.geometry import Point, PointSet, is_general_position, max_collinear
-from visblock.midpoints import (
-    Progression,
-    midpoint_set,
-    progression_points,
-    sum_set,
-)
+from visblock.midpoints import midpoint_set, sum_set
 
 import oracles
 
@@ -90,62 +88,109 @@ def _is_line_ap(pts) -> bool:
         return True
     if any(oracles.orientation(spts[0], spts[1], p) for p in spts[2:]):
         return False
-    step = spts[1] - spts[0]
-    return all(spts[k + 1] - spts[k] == step for k in range(len(spts) - 1))
+    step = (spts[1].x - spts[0].x, spts[1].y - spts[0].y)
+    return all(
+        (spts[k + 1].x - spts[k].x, spts[k + 1].y - spts[k].y) == step
+        for k in range(len(spts) - 1)
+    )
+
+
+def progression_spec(v0, gens, extents):
+    return GeneratorSpec("progression", {"v0": v0, "generators": gens, "extents": extents})
+
+
+_COLLAPSED = re.compile(r"progression generator: (\d+) collisions collapsed")
+
+
+def progression(caplog, v0, gens, extents):
+    """The progression kind through generate: the point set, and the
+    collision count its log line reports (0 when there is no line)."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="visblock"):
+        ps = generate(progression_spec(v0, gens, extents))
+    counts = [int(c) for c in _COLLAPSED.findall(caplog.text)]
+    assert len(counts) <= 1
+    return ps, sum(counts)
+
+
+RATIONALS = st.builds(lambda p, q: f"{p}/{q}", st.integers(-12, 12), st.integers(1, 12))
+RATIONAL_POINTS = st.lists(RATIONALS, min_size=2, max_size=2)
 
 
 class TestProgression:
     def test_validation(self):
         with pytest.raises(GeometryError):
-            Progression(Point(0, 0), (Point(1, 0),), (1, 2))
+            generate(progression_spec([0, 0], [[1, 0]], [1, 2]))
         with pytest.raises(GeometryError):
-            Progression(Point(0, 0), (Point(1, 0),), (0,))
+            generate(progression_spec([0, 0], [[1, 0]], [0]))
+
+    @pytest.mark.parametrize("v0,gens,extents,message", [
+        ([0, 0, 0], [[1, 0]], [0], "malformed progression parameters: "),
+        ([0, 0], [[1, 0]], [2, 0], "progression extent must be a positive integer, got 0"),
+        ([0, 0], [], [0], "progression extent must be a positive integer, got 0"),
+        ([0, 0], [], [2], "one extent per generator"),
+        ([0, 0], [[1, 0], [0, 1]], [2], "one extent per generator"),
+        ([0, 0], [], [], "need at least one generator"),
+    ], ids=["malformed", "extent", "extent-first", "count", "count-short", "none"])
+    def test_validation_order(self, v0, gens, extents, message):
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            generate(progression_spec(v0, gens, extents))
 
     def test_zero_dimension_rejected_at_generation(self):
-        g = Progression(Point(0, 0), (), ())
         with pytest.raises(GeometryError):
-            progression_points(g)
+            generate(progression_spec([0, 0], [], []))
 
-    def test_one_dimensional_run(self):
-        g = Progression(Point(0, 0), (Point(1, 0),), (4,))
-        res = progression_points(g)
-        assert list(res.points) == [Point(1, 0), Point(2, 0), Point(3, 0), Point(4, 0)]
-        assert res.collisions == 0
-        assert max_collinear(res.points) == 4
+    def test_one_dimensional_run(self, caplog):
+        points, collisions = progression(caplog, [0, 0], [[1, 0]], [4])
+        assert list(points) == [Point(1, 0), Point(2, 0), Point(3, 0), Point(4, 0)]
+        assert collisions == 0
+        assert max_collinear(points) == 4
 
-    def test_unit_grid_translate(self):
-        g = Progression(Point(0, 0), (Point(1, 0), Point(0, 1)), (3, 3))
-        res = progression_points(g)
-        assert len(res.points) == 9
-        assert res.collisions == 0
-        assert set(res.points) == {Point(x, y) for x in (1, 2, 3) for y in (1, 2, 3)}
+    def test_unit_grid_translate(self, caplog):
+        points, collisions = progression(caplog, [0, 0], [[1, 0], [0, 1]], [3, 3])
+        assert len(points) == 9
+        assert collisions == 0
+        assert set(points) == {Point(x, y) for x in (1, 2, 3) for y in (1, 2, 3)}
 
-    def test_parallel_generators_two_by_two_all_distinct(self):
+    def test_parallel_generators_two_by_two_all_distinct(self, caplog):
         # x = k1 + 2*k2 over k in {1,2}^2 gives {3,4,5,6}: four distinct points
-        g = Progression(Point(0, 0), (Point(1, 0), Point(2, 0)), (2, 2))
-        res = progression_points(g)
-        assert len(res.points) == 4
-        assert res.collisions == 0
-        assert {p.x for p in res.points} == {3, 4, 5, 6}
+        points, collisions = progression(caplog, [0, 0], [[1, 0], [2, 0]], [2, 2])
+        assert len(points) == 4
+        assert collisions == 0
+        assert {p.x for p in points} == {3, 4, 5, 6}
 
-    def test_parallel_generators_with_real_collision(self):
+    def test_parallel_generators_with_real_collision(self, caplog):
         # x = k1 + 2*k2, k1 in {1..3}, k2 in {1,2}: x=5 arises twice
-        g = Progression(Point(0, 0), (Point(1, 0), Point(2, 0)), (3, 2))
-        res = progression_points(g)
-        assert len(res.points) == 5
-        assert res.collisions == 1
+        points, collisions = progression(caplog, [0, 0], [[1, 0], [2, 0]], [3, 2])
+        assert len(points) == 5
+        assert collisions == 1
 
     @given(
         st.integers(-2, 2), st.integers(-2, 2),
         st.integers(-2, 2), st.integers(-2, 2),
         st.integers(1, 4), st.integers(1, 4),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_size_never_exceeds_nominal(self, ax, ay, bx, by, n1, n2):
-        g = Progression(Point(0, 0), (Point(ax, ay), Point(bx, by)), (n1, n2))
-        res = progression_points(g)
-        assert len(res.points) + res.collisions == g.nominal_size()
-        assert len(res.points) <= g.nominal_size()
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_size_never_exceeds_nominal(self, caplog, ax, ay, bx, by, n1, n2):
+        points, collisions = progression(caplog, [0, 0], [[ax, ay], [bx, by]], [n1, n2])
+        assert len(points) + collisions == n1 * n2
+        assert len(points) <= n1 * n2
+
+    @given(
+        RATIONAL_POINTS,
+        st.lists(st.tuples(RATIONAL_POINTS, st.integers(1, 4)), min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_the_fraction_oracle(self, caplog, v0, steps):
+        gens = [g for g, _ in steps]
+        extents = [n for _, n in steps]
+        points, collisions = progression(caplog, v0, gens, extents)
+        want, want_collisions = oracles.fraction_progression_points(v0, gens, extents)
+        assert [(p.x, p.y) for p in points] == want
+        assert collisions == want_collisions
+        assert points.name == "progression"
 
 
 class TestSearch:
