@@ -341,7 +341,7 @@ def run(config: ExperimentConfig) -> Path:
     recorded in the manifest, never swallowed silently."""
     run_dir = Path(config.output_dir) / f"run-{_config_hash(config)}"
     for sub in ("inputs", "results", "logs"):
-        (run_dir / sub).mkdir(parents=True, exist_ok=True)
+        _make_dir(run_dir / sub)
         for f in (run_dir / sub).glob("*.json"):  # a step that fails now leaves no old artifact
             f.unlink()
     handler = logging.FileHandler(run_dir / "logs" / "run.log", mode="w")
@@ -522,7 +522,7 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
         row["n_ln_n"] = n * math.log(n) if n >= 1 else 0.0
         rows.append(row)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     written: dict[str, Path] = {}
     rows.sort(key=lambda r: r["n"])
     summary = out_dir / "summary.csv"
@@ -643,11 +643,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_dir(path: Path) -> None:
+    # a path that cannot be a directory is bad input, not a crash
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise GeometryError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(payload: dict, output_dir: Optional[str], filename: str) -> None:
     text = _dumps(payload)
     if output_dir:
         out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out)
         (out / filename).write_text(text)
         print(out / filename)
     else:
@@ -677,9 +685,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command in TASKS:
+        if args.command == "drawing" and (args.input is None) == (args.n is None):
+            raise GeometryError("drawing needs exactly one of --input and --n")
         if args.command == "drawing" and args.input is None:
-            if args.n is None:
-                raise GeometryError("drawing needs --input or --n")
             subject: Union[PointSet, BipartiteDrawing] = PointSet.build(
                 [(i, 0) for i in range(1, args.n + 1)], name=f"path-{args.n}"
             )

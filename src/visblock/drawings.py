@@ -6,55 +6,40 @@ semicircle from (i, 0) to (-i-j, 0) followed by the lower semicircle from
 endpoints and the pivot (-i-j, 0). The pivots range over [-(2n-1), -3], which
 is why the 2n-3 points (-k, 0), k in [3, 2n-1], block every edge.
 
-All intersection counting is exact: circles here have half-integer centers
-and radii, decided in doubled integers, and common points are identified by
-the Fraction tag (x, sign(y), y^2).
+All intersection counting is exact and runs on integers: an arc holds its
+doubled center and radius, a point (X/L, Y/L) of a scaled view lies on it
+when (2X - cL)^2 + (2Y)^2 = (rL)^2 on the right side of the axis, and common
+points are identified by the Fraction tag (x, sign(y), y^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 from .errors import GeometryError
-from .geometry import Point, Record, _frac_str
+from .geometry import Point, Record, _frac_str, _scale
 
 
 @dataclass(frozen=True)
 class Arc(Record):
-    """Semicircle with center on the x-axis; half = +1 keeps y >= 0, -1 keeps y <= 0.
+    """Semicircle with center (c/2, 0) and radius r/2, for integers c and r;
+    half = +1 keeps y >= 0, -1 keeps y <= 0."""
 
-    Center and radius are half-integers, so the arc also has an integer
-    view: the doubled center and the squared doubled radius.
-    """
-
-    center_x: Fraction
-    radius: Fraction
+    c: int
+    r: int
     half: int
 
-    @cached_property
-    def _doubled(self) -> tuple[int, int]:
-        """(2c, (2r)^2) as Python ints."""
-        c, r = 2 * self.center_x, 2 * self.radius
-        if c.denominator != 1 or r.denominator != 1:
-            raise GeometryError("arc center and radius must be half-integers")
-        return c.numerator, r.numerator ** 2
-
-    def contains(self, p: Point) -> bool:
-        c, s = self._doubled
-        if not p.y:  # axis point, on both halves: decided in integers
-            x, rem = divmod(2 * p.x.numerator, p.x.denominator)
-            return rem == 0 and (x - c) ** 2 == s
-        if (2 * p.x - c) ** 2 + 4 * p.y ** 2 != s:
-            return False
-        return p.y >= 0 if self.half > 0 else p.y <= 0
+    def holds(self, x: int, y: int, den: int) -> bool:
+        """Whether the point (x/den, y/den) lies on the arc."""
+        on_circle = (2 * x - self.c * den) ** 2 + 4 * y * y == (self.r * den) ** 2
+        return on_circle and self.half * y >= 0
 
     def to_obj(self) -> dict:
         return {
-            "center": [_frac_str(self.center_x), "0/1"],
-            "radius_squared": _frac_str(self.radius ** 2),
+            "center": [_frac_str(Fraction(self.c, 2)), "0/1"],
+            "radius_squared": _frac_str(Fraction(self.r * self.r, 4)),
             "half": "upper" if self.half > 0 else "lower",
         }
 
@@ -70,8 +55,8 @@ class ArcEdge(Record):
     def pivot(self) -> Point:
         return Point(-(self.i + self.j), 0)
 
-    def contains(self, p: Point) -> bool:
-        return self.upper.contains(p) or self.lower.contains(p)
+    def holds(self, x: int, y: int, den: int) -> bool:
+        return self.upper.holds(x, y, den) or self.lower.holds(x, y, den)
 
     def to_obj(self) -> dict:
         return {
@@ -96,9 +81,7 @@ def construct_kn_arc_drawing(n: int) -> ArcDrawing:
     vertices = tuple(Point(i, 0) for i in range(1, n + 1))
     edges = []
     for i, j in combinations(range(1, n + 1), 2):
-        upper = Arc(Fraction(-j, 2), Fraction(2 * i + j, 2), +1)
-        lower = Arc(Fraction(-i, 2), Fraction(i + 2 * j, 2), -1)
-        edges.append(ArcEdge(i, j, upper, lower))
+        edges.append(ArcEdge(i, j, Arc(-j, 2 * i + j, +1), Arc(-i, i + 2 * j, -1)))
     blockers = tuple(Point(-k, 0) for k in range(3, 2 * n))
     return ArcDrawing(n, vertices, tuple(edges), blockers)
 
@@ -106,12 +89,12 @@ def construct_kn_arc_drawing(n: int) -> ArcDrawing:
 def _arc_common_points(a1: Arc, a2: Arc) -> set[tuple]:
     """Common points of two semicircles, as exact tags (x, sign(y), y^2).
 
-    Decided in the doubled integers: with den = 2(c2 - c1) and
-    num = s1 - s2 + c2^2 - c1^2 (c, s the doubled view), the radical line
-    is x = num / (2 den) and y^2 = disc / (4 den^2) there. Fractions are
-    built only for a common point."""
-    c1, s1 = a1._doubled
-    c2, s2 = a2._doubled
+    Decided in integers: with s = r^2, den = 2(c2 - c1) and
+    num = s1 - s2 + c2^2 - c1^2, the radical line is x = num / (2 den) and
+    y^2 = disc / (4 den^2) there. Fractions are built only for a common
+    point."""
+    c1, s1 = a1.c, a1.r * a1.r
+    c2, s2 = a2.c, a2.r * a2.r
     if c1 == c2:
         if s1 == s2:
             raise GeometryError("two edge arcs share a full circle; the realization is broken")
@@ -144,26 +127,31 @@ class DrawingBlockCheck(Record):
 
 def verify_drawing_blocking(d: ArcDrawing) -> DrawingBlockCheck:
     """Each edge must contain exactly its pivot blocker, no other blocker,
-    and no vertex other than its own endpoints; blockers avoid vertices."""
+    and no vertex other than its own endpoints; blockers avoid vertices.
+
+    Decided on one integer view of the vertices and blockers; a Point is
+    built only for a failure message."""
     failures = []
-    vset = set(d.vertices)
-    for b in d.blockers:
-        if b in vset:
+    den, view = _scale(d.vertices + d.blockers)
+    verts, blocks = view[: len(d.vertices)], view[len(d.vertices) :]
+    vset = set(verts)
+    for b, q in zip(d.blockers, blocks):
+        if q in vset:
             failures.append(f"blocker {b.to_obj()} coincides with a vertex")
-    bset = set(d.blockers)
+    bset = set(blocks)
     for e in d.edges:
-        hits = [b for b in d.blockers if e.contains(b)]
-        if e.pivot not in bset:
+        pivot = (-(e.i + e.j) * den, 0)
+        hits = [k for k, (x, y) in enumerate(blocks) if e.holds(x, y, den)]
+        if pivot not in bset:
             failures.append(f"edge ({e.i},{e.j}) has pivot outside the blocker set")
-        if set(hits) != {e.pivot}:
+        if {blocks[k] for k in hits} != {pivot}:
             failures.append(
-                f"edge ({e.i},{e.j}) meets blockers {[b.to_obj() for b in hits]}, "
+                f"edge ({e.i},{e.j}) meets blockers {[d.blockers[k].to_obj() for k in hits]}, "
                 f"expected exactly its pivot {e.pivot.to_obj()}"
             )
-        for v in d.vertices:
-            if v in (Point(e.i, 0), Point(e.j, 0)):
-                continue
-            if e.contains(v):
+        ends = ((e.i * den, 0), (e.j * den, 0))
+        for v, (x, y) in zip(d.vertices, verts):
+            if (x, y) not in ends and e.holds(x, y, den):
                 failures.append(f"edge ({e.i},{e.j}) passes through vertex {v.to_obj()}")
     return DrawingBlockCheck(not failures, tuple(failures))
 

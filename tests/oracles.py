@@ -277,12 +277,25 @@ def dsatur_k_colourable(n, adj, k):
     return (list(colours) if ok else None), False
 
 
+def fraction_arc_contains(a, x, y):
+    """Whether the point (x, y) (Fractions) lies on a semicircle centred on
+    the x-axis, decided in Fractions. The arc needs c and r, its doubled
+    centre and radius, and half (+1 upper, -1 lower)."""
+    c, s = Fraction(a.c), Fraction(a.r) ** 2
+    if not y:  # axis point, on both halves
+        return (2 * x - c) ** 2 == s
+    if (2 * x - c) ** 2 + 4 * y ** 2 != s:
+        return False
+    return y >= 0 if a.half > 0 else y <= 0
+
+
 def fraction_arc_common_points(a1, a2):
     """Common points of two semicircles centred on the x-axis, as tags
     (x, sign(y), y^2), intersected in Fractions from the centres and radii.
-    Each arc needs center_x, radius and half (+1 upper, -1 lower)."""
-    c1, r1 = Fraction(a1.center_x), Fraction(a1.radius)
-    c2, r2 = Fraction(a2.center_x), Fraction(a2.radius)
+    Each arc needs c, r (its doubled centre and radius) and half (+1 upper,
+    -1 lower)."""
+    c1, r1 = Fraction(a1.c, 2), Fraction(a1.r, 2)
+    c2, r2 = Fraction(a2.c, 2), Fraction(a2.r, 2)
     if c1 == c2:
         if r1 == r2:
             raise ValueError("two arcs share a full circle")

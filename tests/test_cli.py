@@ -544,6 +544,38 @@ class TestMainEntry:
         assert main(["drawing"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_drawing_input_and_n_rejected(self, tmp_path, capsys):
+        # --n would be silently ignored next to --input
+        pts = write_points(tmp_path / "points.json", grid_set(3, 3))
+        assert main(["drawing", "--input", str(pts), "--n", "5"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--input" in captured.err and "--n" in captured.err
+
+    @pytest.mark.parametrize("command", ["generate", "visgraph", "env", "run", "report"])
+    def test_output_dir_that_is_a_file(self, tmp_path, capsys, monkeypatch, command):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        pts = write_points(tmp_path / "points.json", grid_set(2, 2))
+        cfg = write_config(tmp_path, GRID_2X2, ["visgraph"])
+        if command == "report":
+            assert main(["run", "--config", str(cfg)]) == EXIT_OK
+            argv = ["report", capsys.readouterr().out.strip()]
+        else:
+            argv = {
+                "generate": ["generate", "--kind", "grid", "--w", "2", "--h", "2"],
+                "visgraph": ["visgraph", "--input", str(pts)],
+                "env": ["visgraph", "--input", str(pts)],
+                "run": ["run", "--config", str(cfg)],
+            }[command]
+        if command == "env":
+            monkeypatch.setenv("VISBLOCK_OUTPUT_DIR", str(afile))
+        else:
+            argv += ["--output-dir", str(afile)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: cannot write {afile}")
+        assert afile.read_text() == ""
+
     def test_bad_input_path(self, tmp_path, capsys):
         rc = main(["block", "--input", str(tmp_path / "missing.json")])
         assert rc == EXIT_INPUT
@@ -863,6 +895,14 @@ FROZEN_DIGESTS = {
             "results/midpoints.json": "2f7350efc9f06f13f1c7a45c73c91f89063d6d6a5a45e04c87cc5e6a14c9f18e",
             "results/ramsey.json": "da8eb35f46b5907482cd56356ebf205fdb18ecbb8758094b747e03c2b4175962",
             "results/visgraph.json": "11363ff68d37e56e68cf8f1f25fa0f0257e51538719b8af71cfd441ed21273ea",
+        },
+    ),
+    "convex-parabola-20-drawing": (
+        {"kind": "convex_parabola", "params": {"n": 20}},
+        ["drawing"],
+        {
+            "inputs/points.json": "b00212987692c23362c2247a2fb0d3f50b9acef6ebaff77f8bffe8169c88e193",
+            "results/drawing.json": "8092a95b260794386b548e671100eb3a0eee82f0b082c64ce47a321ce6709ef7",
         },
     ),
     "knn-parabola-3": (

@@ -1,8 +1,12 @@
+import cProfile
 import dataclasses
+import pstats
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visblock.crossing import partition_size_floor
 from visblock.drawings import (
@@ -13,9 +17,15 @@ from visblock.drawings import (
     verify_simplicity,
 )
 from visblock.errors import GeometryError
-from visblock.geometry import Point
+from visblock.geometry import Point, _scale
 
 import oracles
+
+
+def holds(shape, p):
+    """Arc or edge membership of a Point, through its own integer view."""
+    den, ((x, y),) = _scale([p])
+    return shape.holds(x, y, den)
 
 
 # Independent oracle: classify two circles with centers on the x-axis purely
@@ -41,7 +51,9 @@ def oracle_common_count(e1, e2):
     proper = 0
     for a1 in (e1.upper, e1.lower):
         for a2 in (e2.upper, e2.lower):
-            kind, x = circle_relation(a1.center_x, a1.radius, a2.center_x, a2.radius)
+            kind, x = circle_relation(
+                Fraction(a1.c, 2), Fraction(a1.r, 2), Fraction(a2.c, 2), Fraction(a2.r, 2)
+            )
             if kind == "tangent":
                 tangency_xs.add(x)
             elif kind == "two" and a1.half == a2.half:
@@ -56,8 +68,8 @@ class TestConstruction:
         assert d.blockers == (Point(-3, 0),)
         e = d.edges[0]
         assert (e.i, e.j) == (1, 2)
-        assert e.upper == Arc(Fraction(-1), Fraction(2), +1)
-        assert e.lower == Arc(Fraction(-1, 2), Fraction(5, 2), -1)
+        assert e.upper == Arc(-2, 4, +1)
+        assert e.lower == Arc(-1, 5, -1)
 
     @pytest.mark.parametrize("n,edges,blockers", [(2, 1, 1), (7, 21, 11), (10, 45, 17)])
     def test_counts(self, n, edges, blockers):
@@ -72,16 +84,11 @@ class TestConstruction:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_arc_endpoints(self, n):
-        # upper runs (i,0) to (-i-j,0), lower runs (-i-j,0) to (j,0)
+        # upper runs (i,0) to (-i-j,0), lower runs (-i-j,0) to (j,0), in
+        # doubled coordinates
         for e in construct_kn_arc_drawing(n).edges:
-            assert {e.upper.center_x - e.upper.radius, e.upper.center_x + e.upper.radius} == {
-                Fraction(e.i),
-                Fraction(-(e.i + e.j)),
-            }
-            assert {e.lower.center_x - e.lower.radius, e.lower.center_x + e.lower.radius} == {
-                Fraction(e.j),
-                Fraction(-(e.i + e.j)),
-            }
+            assert {e.upper.c - e.upper.r, e.upper.c + e.upper.r} == {2 * e.i, -2 * (e.i + e.j)}
+            assert {e.lower.c - e.lower.r, e.lower.c + e.lower.r} == {2 * e.j, -2 * (e.i + e.j)}
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_pivots_cover_blocker_range(self, n):
@@ -96,29 +103,71 @@ class TestConstruction:
         assert {(e.i, e.j) for e in shared} == {(1, 4), (2, 3)}
 
 
+# arcs of any doubled centre and radius, and of the drawing itself
+ARCS = st.one_of(
+    st.builds(Arc, st.integers(-40, 40), st.integers(1, 40), st.sampled_from([1, -1])),
+    st.integers(2, 12).flatmap(
+        lambda n: st.sampled_from(
+            [a for e in construct_kn_arc_drawing(n).edges for a in (e.upper, e.lower)]
+        )
+    ),
+)
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def circle_point(a, t):
+    # the rational parametrisation of the arc's circle; t < 0 gives y < 0
+    q = 1 + t * t
+    return Point((a.c + a.r * (1 - t * t) / q) / 2, a.r * t / q)
+
+
+POINTS = st.one_of(
+    st.tuples(ARCS, RATIONALS).map(lambda at: (at[0], circle_point(*at))),
+    st.tuples(
+        ARCS,
+        st.builds(Fraction, st.integers(-90, 90), st.sampled_from([1, 2, 3])).map(
+            lambda x: Point(x, 0)
+        ),
+    ),
+    st.tuples(ARCS, st.builds(Point, RATIONALS, RATIONALS)),
+)
+
+
 class TestArcMembership:
     def test_contains_endpoints_and_top(self):
-        a = Arc(Fraction(-1), Fraction(2), +1)
-        assert a.contains(Point(1, 0))
-        assert a.contains(Point(-3, 0))
-        assert a.contains(Point(-1, 2))
-        assert not a.contains(Point(-1, -2))
-        assert not a.contains(Point(0, 0))
+        a = Arc(-2, 4, +1)
+        assert holds(a, Point(1, 0))
+        assert holds(a, Point(-3, 0))
+        assert holds(a, Point(-1, 2))
+        assert not holds(a, Point(-1, -2))
+        assert not holds(a, Point(0, 0))
 
     def test_lower_half_sign(self):
-        a = Arc(Fraction(0), Fraction(1), -1)
-        assert a.contains(Point(0, -1))
-        assert not a.contains(Point(0, 1))
+        a = Arc(0, 2, -1)
+        assert holds(a, Point(0, -1))
+        assert not holds(a, Point(0, 1))
 
     def test_half_integer_axis_points(self):
-        a = Arc(Fraction(-1, 2), Fraction(5, 2), -1)
-        assert a.contains(Point(-3, 0)) and a.contains(Point(2, 0))
-        assert not a.contains(Point(Fraction(5, 2), 0))
-        assert not a.contains(Point(Fraction(7, 3), 0))
+        a = Arc(-1, 5, -1)
+        assert holds(a, Point(-3, 0)) and holds(a, Point(2, 0))
+        assert not holds(a, Point(Fraction(5, 2), 0))
+        assert not holds(a, Point(Fraction(7, 3), 0))
 
-    def test_integer_view_needs_half_integers(self):
-        with pytest.raises(GeometryError):
-            Arc(Fraction(1, 3), Fraction(2), +1).contains(Point(0, 0))
+    @settings(max_examples=400, deadline=None)
+    @given(POINTS, st.integers(1, 6))
+    def test_matches_the_fraction_oracle(self, arc_point, m):
+        # m scales the view beyond the point's own denominator, as a
+        # verifier's common denominator does
+        a, p = arc_point
+        den, ((x, y),) = _scale([p])
+        assert a.holds(m * x, m * y, m * den) == oracles.fraction_arc_contains(a, p.x, p.y)
+
+    def test_parametrised_points_lie_on_their_half(self):
+        a = Arc(-3, 7, +1)
+        for t in (Fraction(1, 3), Fraction(2), Fraction(-1, 5)):
+            p = circle_point(a, t)
+            assert holds(a, p) == (t > 0)
+            assert holds(dataclasses.replace(a, half=-1), p) == (t < 0)
 
 
 class TestBlockingVerification:
@@ -132,16 +181,21 @@ class TestBlockingVerification:
         tampered = dataclasses.replace(
             d, blockers=tuple(b for b in d.blockers if b != Point(-3, 0))
         )
-        report = verify_drawing_blocking(tampered)
-        assert not report.ok
-        assert any("(1,2)" in f for f in report.failures)
+        assert verify_drawing_blocking(tampered).failures == (
+            "edge (1,2) has pivot outside the blocker set",
+            "edge (1,2) meets blockers [], expected exactly its pivot ['-3/1', '0/1']",
+        )
 
     def test_blocker_on_vertex_detected(self):
         d = construct_kn_arc_drawing(3)
         tampered = dataclasses.replace(d, blockers=d.blockers + (Point(1, 0),))
-        report = verify_drawing_blocking(tampered)
-        assert not report.ok
-        assert any("coincides with a vertex" in f for f in report.failures)
+        assert verify_drawing_blocking(tampered).failures == (
+            "blocker ['1/1', '0/1'] coincides with a vertex",
+            "edge (1,2) meets blockers [['-3/1', '0/1'], ['1/1', '0/1']], "
+            "expected exactly its pivot ['-3/1', '0/1']",
+            "edge (1,3) meets blockers [['-4/1', '0/1'], ['1/1', '0/1']], "
+            "expected exactly its pivot ['-4/1', '0/1']",
+        )
 
     @pytest.mark.parametrize("moved", [Point(-4, 1), Point(Fraction(-9, 2), 0), Point(-4, -1)])
     def test_blocker_moved_off_its_pivot_detected(self, moved):
@@ -149,16 +203,43 @@ class TestBlockingVerification:
         tampered = dataclasses.replace(
             d, blockers=tuple(moved if b == Point(-4, 0) else b for b in d.blockers)
         )
-        report = verify_drawing_blocking(tampered)
-        assert not report.ok
-        assert any("(1,3)" in f and "pivot" in f for f in report.failures)
+        assert verify_drawing_blocking(tampered).failures == (
+            "edge (1,3) has pivot outside the blocker set",
+            "edge (1,3) meets blockers [], expected exactly its pivot ['-4/1', '0/1']",
+        )
 
     def test_stray_blocker_on_edge_detected(self):
         d = construct_kn_arc_drawing(3)
         # top of the (1,2) upper arc
         tampered = dataclasses.replace(d, blockers=d.blockers + (Point(-1, 2),))
-        report = verify_drawing_blocking(tampered)
-        assert not report.ok
+        assert verify_drawing_blocking(tampered).failures == (
+            "edge (1,2) meets blockers [['-3/1', '0/1'], ['-1/1', '2/1']], "
+            "expected exactly its pivot ['-3/1', '0/1']",
+        )
+
+    def test_extra_vertex_on_an_edge_detected(self):
+        d = construct_kn_arc_drawing(3)
+        # top of the (1,2) upper arc
+        tampered = dataclasses.replace(d, vertices=d.vertices + (Point(-1, 2),))
+        assert verify_drawing_blocking(tampered).failures == (
+            "edge (1,2) passes through vertex ['-1/1', '2/1']",
+        )
+
+    def test_few_fractions_at_n20(self):
+        # a deterministic work counter: the verifier decides on one integer
+        # view and builds a Fraction only for a failure message (the
+        # Fraction version built 16,720 here)
+        d = construct_kn_arc_drawing(20)
+        prof = cProfile.Profile()
+        prof.enable()
+        report = verify_drawing_blocking(d)
+        prof.disable()
+        calls = sum(
+            stat[0]
+            for (path, _, name), stat in pstats.Stats(prof).stats.items()
+            if name == "__new__" and path.endswith("fractions.py")
+        )
+        assert report.ok and calls < 1_000
 
 
 class TestSimplicity:
@@ -204,14 +285,14 @@ class TestSimplicity:
                 if sign == 0:
                     assert ysq == 0
                     p = Point(x, 0)
-                    assert e1.contains(p) and e2.contains(p)
+                    assert holds(e1, p) and holds(e2, p)
                 else:
                     # y^2 must fit both supporting circles
                     arcs = [a for a in (e1.upper, e1.lower) if a.half == sign]
                     arcs += [a for a in (e2.upper, e2.lower) if a.half == sign]
                     assert len(arcs) == 2
                     for a in arcs:
-                        assert (x - a.center_x) ** 2 + ysq == a.radius ** 2
+                        assert (x - Fraction(a.c, 2)) ** 2 + ysq == Fraction(a.r, 2) ** 2
 
 
 class TestVerifiedConstructor:
