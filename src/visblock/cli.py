@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -526,7 +527,7 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
     written: dict[str, Path] = {}
     rows.sort(key=lambda r: r["n"])
     summary = out_dir / "summary.csv"
-    with open(summary, "w") as fh:
+    with _writing(summary), open(summary, "w") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         for row in rows:
             cells = []
@@ -540,12 +541,13 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
         if not pts:
             continue
         p = out_dir / f"plot_{col}.txt"
-        p.write_text("".join(f"{n} {v}\n" for n, v in pts))
+        with _writing(p):
+            p.write_text("".join(f"{n} {v}\n" for n, v in pts))
         written[f"plot_{col}"] = p
     if drawing_rows:
         drawing_rows.sort()
         p = out_dir / "drawing_table.csv"
-        with open(p, "w") as fh:
+        with _writing(p), open(p, "w") as fh:
             fh.write("n,blockers,verified\n")
             for n, blockers, ok in drawing_rows:
                 fh.write(f"{n},{blockers},{ok}\n")
@@ -643,21 +645,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_dir(path: Path) -> None:
-    # a path that cannot be a directory is bad input, not a crash
+@contextmanager
+def _writing(path: Path):
+    # a path that cannot be written is bad input, not a crash
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        yield
     except OSError as exc:
         raise GeometryError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _make_dir(path: Path) -> None:
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
 
 
 def _emit(payload: dict, output_dir: Optional[str], filename: str) -> None:
     text = _dumps(payload)
     if output_dir:
-        out = Path(output_dir)
-        _make_dir(out)
-        (out / filename).write_text(text)
-        print(out / filename)
+        path = Path(output_dir) / filename
+        _make_dir(path.parent)
+        with _writing(path):
+            path.write_text(text)
+        print(path)
     else:
         sys.stdout.write(text)
 

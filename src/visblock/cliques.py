@@ -5,9 +5,12 @@ Shared search engine: visibility statistics and crossing-family covers
 reduce to cliques and colourings, blocking sets to min_cover, whose nodes
 are bounded by matchings. The colouring search is DSATUR (Brelaz, 1979)
 on an explicit stack, so its depth is not bounded by the recursion limit;
-the greedy colouring is its first leaf at k = n. Graphs are given as
-lists of neighbour bitmasks; vertex v must not appear in its own mask. All
-tie-breaking is by lowest index, so results are deterministic.
+the greedy colouring is its first leaf at k = n. It backs up when the k
+colours lack room for the free vertices, a colour holding at most one
+vertex of each clique of a greedy clique partition of the free vertices
+it may take. Graphs are given as lists of neighbour bitmasks; vertex v
+must not appear in its own mask. All tie-breaking is by lowest index, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -25,6 +28,20 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _clique_count(mask: int, adj: Sequence[int]) -> int:
+    """Cliques in the greedy clique partition of mask, lowest index first;
+    an independent set holds at most that many vertices of mask."""
+    count = 0
+    while mask:
+        count += 1
+        cand = mask
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            mask ^= 1 << v
+            cand &= adj[v]
+    return count
 
 
 def _greedy_colour_sort(p_mask: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -101,50 +118,67 @@ def k_colourable(
 
     Returns (colour list or None, budget_hit). DSATUR vertex choice; a fresh
     colour may only be opened one step past the largest in use, which kills
-    colour-permutation symmetry.
+    colour-permutation symmetry. A node without room for its free vertices
+    has no leaf below it, so backing up there keeps the first leaf found.
     """
     if n == 0:
         return [], False
-    nbr = [list(_bits(a)) for a in adj]
     colours = [0] * n
     ncmask = [0] * n  # bit c-1 set iff some coloured neighbour has colour c
+    sat = [0] * k  # sat[c-1]: the vertices whose ncmask holds colour c
     # DSATUR rank n * saturation + degree, saturation being the number of
     # colours in ncmask. A degree is below n, so max() over the ascending
     # free list takes the highest saturation, then the highest degree, then
     # the lowest index.
-    rank = [len(a) for a in nbr]
+    rank = [a.bit_count() for a in adj]
     free = list(range(n))
+    fmask = (1 << n) - 1  # the vertices in free
     # one frame per coloured vertex: (v, its place in free, colour bits not
     # yet tried, colours in use before it, the free neighbours it saturated)
-    stack: list[tuple[int, int, int, int, list[int]]] = []
+    stack: list[tuple[int, int, int, int, int]] = []
     used = 0
     while True:  # one pass per search node
         if deadline is not None and time.monotonic() > deadline:
             return None, True
-        if not free:
+        need = len(free)
+        if not need:
             return colours, False
+        # capacity bound: colour c can take at most _clique_count of the
+        # free vertices it may still go to, so the k colours must have room
+        # for all of them; it cannot fire while k - used >= need
+        room = need
+        if k - used < need:
+            room = (k - used) * _clique_count(fmask, adj)
+            for c in range(used):
+                if room >= need:
+                    break
+                room += _clique_count(fmask & ~sat[c], adj)
         v = max(free, key=rank.__getitem__)
         i = free.index(v)
         del free[i]
-        avail = ~ncmask[v] & ((1 << min(used + 1, k)) - 1)
-        while not avail:  # v has no colour left: back up to the last choice
+        fmask ^= 1 << v
+        avail = ~ncmask[v] & ((1 << min(used + 1, k)) - 1) if room >= need else 0
+        while not avail:  # no colour left or no room: back up to the last choice
             free.insert(i, v)
+            fmask |= 1 << v
             if not stack:
                 return None, False
-            v, i, avail, used, touched = stack.pop()
+            v, i, avail, used, tmask = stack.pop()
             bit = 1 << (colours[v] - 1)
-            for u in touched:
+            sat[colours[v] - 1] ^= tmask
+            for u in _bits(tmask):
                 ncmask[u] ^= bit
                 rank[u] -= n
             colours[v] = 0
         bit = avail & -avail
         c = bit.bit_length()
         colours[v] = c
-        touched = [u for u in nbr[v] if not colours[u] and not ncmask[u] & bit]
-        for u in touched:
+        tmask = adj[v] & fmask & ~sat[c - 1]
+        sat[c - 1] |= tmask
+        for u in _bits(tmask):
             ncmask[u] |= bit
             rank[u] += n
-        stack.append((v, i, avail ^ bit, used, touched))
+        stack.append((v, i, avail ^ bit, used, tmask))
         if c > used:
             used = c
 

@@ -576,6 +576,28 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith(f"error: cannot write {afile}")
         assert afile.read_text() == ""
 
+    @pytest.mark.parametrize("command", ["generate", "visgraph", "report"])
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        pts = write_points(tmp_path / "points.json", grid_set(2, 2))
+        if command == "report":
+            cfg = write_config(tmp_path, GRID_2X2, ["visgraph"])
+            assert main(["run", "--config", str(cfg)]) == EXIT_OK
+            argv = ["report", capsys.readouterr().out.strip()]
+            target = out / "summary.csv"
+        else:
+            argv = {
+                "generate": ["generate", "--kind", "grid", "--w", "2", "--h", "2"],
+                "visgraph": ["visgraph", "--input", str(pts)],
+            }[command]
+            target = out / ("points.json" if command == "generate" else "visgraph.json")
+        target.mkdir(parents=True)
+        assert main(argv + ["--output-dir", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}")
+        assert target.is_dir() and not any(target.iterdir())
+
     def test_bad_input_path(self, tmp_path, capsys):
         rc = main(["block", "--input", str(tmp_path / "missing.json")])
         assert rc == EXIT_INPUT

@@ -118,13 +118,27 @@ class TestKColourable:
         for k in (1, 12, 17, 18, 19, 20, 21, 22):
             assert k_colourable(m, comp, k) == oracles.dsatur_k_colourable(m, comp, k)
 
+    def test_dense_graphs_match_the_dsatur_oracle(self):
+        # the capacity bound fires on dense graphs; it must never cut a
+        # subtree that holds a leaf
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randrange(8, 19)
+            p = rng.uniform(0.2, 0.9)
+            adj = adjacency(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            for k in range(1, n + 1):
+                assert k_colourable(n, adj, k) == oracles.dsatur_k_colourable(n, adj, k)
+
     def test_one_deadline_check_per_node(self, monkeypatch):
-        # the clock is read once per search node: 62,669 nodes at k = 22
+        # the clock is read once per search node, pruned nodes included:
+        # 2,221 nodes at k = 22 and 38 at k = 21 (62,669 and 4,369 without
+        # the capacity bound)
         m, comp = ngon10_complement()
-        reads = counting_clock(monkeypatch)
-        colours, budget_hit = k_colourable(m, comp, 22, deadline=float("inf"))
-        assert colours is not None and not budget_hit
-        assert reads[0] == 62669
+        for k, nodes in ((21, 38), (22, 2221)):
+            reads = counting_clock(monkeypatch)
+            colours, budget_hit = k_colourable(m, comp, k, deadline=float("inf"))
+            assert (colours is not None, budget_hit) == (k == 22, False)
+            assert reads[0] == nodes
 
     def test_budget_hit(self):
         adj = adjacency(6, list(combinations(range(6), 2)))
