@@ -344,8 +344,11 @@ def run(config: ExperimentConfig) -> Path:
     for sub in ("inputs", "results", "logs"):
         _make_dir(run_dir / sub)
         for f in (run_dir / sub).glob("*.json"):  # a step that fails now leaves no old artifact
-            f.unlink()
-    handler = logging.FileHandler(run_dir / "logs" / "run.log", mode="w")
+            with _writing(f):
+                f.unlink()
+    log_path = run_dir / "logs" / "run.log"
+    with _writing(log_path):
+        handler = logging.FileHandler(log_path, mode="w")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     log.addHandler(handler)
     prev_level = log.level
@@ -361,7 +364,7 @@ def run(config: ExperimentConfig) -> Path:
     }
     outcomes: dict[str, TaskOutcome] = {}
     try:
-        (run_dir / "config.json").write_text(_dumps(config.to_obj()))
+        _write(run_dir / "config.json", _dumps(config.to_obj()))
         try:
             subject = generate(config.generator)
         except Exception as exc:
@@ -369,7 +372,7 @@ def run(config: ExperimentConfig) -> Path:
             subject = None
         else:
             manifest["generation"] = {"status": "ok"}
-            (run_dir / "inputs" / _input_name(subject)).write_text(_dumps(subject.to_obj()))
+            _write(run_dir / "inputs" / _input_name(subject), _dumps(subject.to_obj()))
         for task in config.tasks:
             entry: dict = {"budget_ms": config.budgets_ms.get(task)}
             if subject is None:
@@ -384,7 +387,7 @@ def run(config: ExperimentConfig) -> Path:
             else:
                 outcomes[task] = outcome
                 entry["status"] = outcome.status
-                (run_dir / "results" / f"{task}.json").write_text(_dumps(outcome.result))
+                _write(run_dir / "results" / f"{task}.json", _dumps(outcome.result))
             entry["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
             manifest["tasks"][task] = entry
         _cross_checks(subject, outcomes, manifest)
@@ -393,7 +396,7 @@ def run(config: ExperimentConfig) -> Path:
             for f in sorted((run_dir / sub).glob("*.json")):
                 hashes[f"{sub}/{f.name}"] = _sha256(f)
         manifest["artifact_hashes"] = hashes
-        (run_dir / "manifest.json").write_text(_dumps(manifest))
+        _write(run_dir / "manifest.json", _dumps(manifest))
     finally:
         log.removeHandler(handler)
         handler.close()
@@ -541,8 +544,7 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
         if not pts:
             continue
         p = out_dir / f"plot_{col}.txt"
-        with _writing(p):
-            p.write_text("".join(f"{n} {v}\n" for n, v in pts))
+        _write(p, "".join(f"{n} {v}\n" for n, v in pts))
         written[f"plot_{col}"] = p
     if drawing_rows:
         drawing_rows.sort()
@@ -659,13 +661,17 @@ def _make_dir(path: Path) -> None:
         path.mkdir(parents=True, exist_ok=True)
 
 
+def _write(path: Path, text: str) -> None:
+    with _writing(path):
+        path.write_text(text)
+
+
 def _emit(payload: dict, output_dir: Optional[str], filename: str) -> None:
     text = _dumps(payload)
     if output_dir:
         path = Path(output_dir) / filename
         _make_dir(path.parent)
-        with _writing(path):
-            path.write_text(text)
+        _write(path, text)
         print(path)
     else:
         sys.stdout.write(text)

@@ -279,15 +279,21 @@ def _events_equal(e1, e2, n: int, res: list[int]) -> bool:
 
 @dataclass(frozen=True)
 class NgonCensus(Record):
+    """histogram holds the pairs (k, a_k), a_k > 0 the number of interior
+    points where exactly k chords meet, centre included; it is empty when
+    the census is not certified. Neither it nor ambiguous_clusters is part
+    of the JSON shape."""
+
     n: int
     center_multiplicity: int
     max_multiplicity_excluding_center: int
     certified: bool
     ambiguous_clusters: tuple[tuple[tuple[int, int, int, int], ...], ...] = ()
+    histogram: tuple[tuple[int, int], ...] = ()
 
     def to_obj(self) -> dict:
         obj = super().to_obj()
-        del obj["ambiguous_clusters"]
+        del obj["ambiguous_clusters"], obj["histogram"]
         return obj
 
 
@@ -335,7 +341,11 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
     Rotation maps every off-center point, with its multiplicity, onto a chord
     through vertex 0, and two such chords meet only at the vertex. So only
     the events (0, j, k, l) are examined, and a point of multiplicity m on
-    the chord (0, k) is one group of m - 1 of them."""
+    the chord (0, k) is one group of m - 1 of them. The reflection
+    t -> -t mod n fixes vertex 0 and maps the event (0, j, k, l) onto
+    (0, n-l, n-k, n-j), so chord (0, n-k) carries the groups of chord (0, k)
+    with the same multiplicities: only the chords with k <= n/2 are
+    examined, and each group counts twice except on the diameter k = n/2."""
     if n < 4:
         raise GeometryError("census needs n >= 4")
     center_mult = n // 2 if n % 2 == 0 else 0
@@ -343,8 +353,12 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
     checks = 0
     ambiguous: list[tuple] = []
     groups_by_mult: dict[int, int] = {}
-    for k in range(2, n - 1):
+    for k in range(2, n // 2 + 1):
+        weight = 1 if 2 * k == n else 2
         for cluster in _chord_clusters(n, k):
+            if len(cluster) == 1:
+                groups_by_mult[2] = groups_by_mult.get(2, 0) + weight
+                continue
             members: list[list[tuple[int, int, int, int]]] = []
             overran = False
             for ev in cluster:
@@ -362,18 +376,33 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
                     break
             if overran:
                 ambiguous.append(tuple(cluster))
+                if weight == 2:
+                    ambiguous.append(tuple((0, n - l, n - k, n - j) for _, j, _, l in cluster))
                 continue
             for grp in members:
                 mult = len(grp) + 1
-                groups_by_mult[mult] = groups_by_mult.get(mult, 0) + 1
-    # A point of multiplicity m has 2m distinct chord endpoints, so exactly
-    # 2m points of its rotation orbit lie on chords through vertex 0; with
-    # clusters left undecided the count is partial.
-    for mult, count in groups_by_mult.items():
-        if count % (2 * mult) and not ambiguous:
+                groups_by_mult[mult] = groups_by_mult.get(mult, 0) + weight
+    histogram: dict[int, int] = {}
+    if not ambiguous:
+        # A point of multiplicity m has 2m distinct chord endpoints, so
+        # exactly 2m points of its rotation orbit lie on chords through
+        # vertex 0; with clusters left undecided the counts are partial.
+        for mult, count in groups_by_mult.items():
+            if count % (2 * mult):
+                raise AssertionError(
+                    f"{count} points of multiplicity {mult} on the chords through "
+                    f"vertex 0, not a multiple of {2 * mult}"
+                )
+            histogram[mult] = count * n // (2 * mult)
+        if center_mult:
+            histogram[center_mult] = histogram.get(center_mult, 0) + 1
+        # each 4-subset of the vertices is one crossing pair of chords
+        pairs = sum(a * k * (k - 1) // 2 for k, a in histogram.items())
+        if pairs != math.comb(n, 4):
             raise AssertionError(
-                f"{count} points of multiplicity {mult} on the chords through "
-                f"vertex 0, not a multiple of {2 * mult}"
+                f"the histogram holds {pairs} crossing chord pairs, not C({n}, 4) = "
+                f"{math.comb(n, 4)}"
             )
     max_excl = max(groups_by_mult, default=0)
-    return NgonCensus(n, center_mult, max_excl, not ambiguous, tuple(ambiguous))
+    return NgonCensus(n, center_mult, max_excl, not ambiguous, tuple(ambiguous),
+                      tuple(sorted(histogram.items())))

@@ -488,3 +488,47 @@ def events_equal_by_division(e1, e2, n, phi):
     n2, d2 = event_fraction(e2, n)
     diff = [x - y for x, y in zip(mul_mod_xn(n1, d2, n), mul_mod_xn(n2, d1, n))]
     return not any(remainder_monic(diff, phi))
+
+
+def full_chord_histogram(n, chord_clusters, events_equal):
+    """a_k of the regular n-gon census by the full-chord loop: every chord
+    (0, k), k = 2..n-2, examined once, no reflection. Each cluster of
+    chord_clusters(n, k) is split into groups by events_equal(e1, e2); a
+    point where m chords meet is one group of m - 1 events on each of the 2m
+    chords through vertex 0 of its rotation orbit, and the centre of an even
+    n is the one point where the n/2 diameters meet."""
+    groups = {}
+    for k in range(2, n - 1):
+        for cluster in chord_clusters(n, k):
+            sizes, reps = [], []
+            for ev in cluster:
+                for g, rep in enumerate(reps):
+                    if events_equal(ev, rep):
+                        sizes[g] += 1
+                        break
+                else:
+                    reps.append(ev)
+                    sizes.append(1)
+            for size in sizes:
+                groups[size + 1] = groups.get(size + 1, 0) + 1
+    hist = {}
+    for m, count in groups.items():
+        assert count % (2 * m) == 0, (n, m, count)
+        hist[m] = count // (2 * m) * n
+    if n % 2 == 0:
+        hist[n // 2] = hist.get(n // 2, 0) + 1
+    return hist
+
+
+def a006561(n):
+    """Interior intersection points of the diagonals of the regular n-gon,
+    the closed formula of Poonen & Rubinstein (OEIS A006561)."""
+    def d(m):
+        return 1 if n % m == 0 else 0
+    i = (Fraction(n * (n - 1) * (n - 2) * (n - 3), 24)
+         + Fraction(-5 * n**3 + 45 * n**2 - 70 * n + 24, 24) * d(2) - Fraction(3 * n, 2) * d(4)
+         + Fraction(-45 * n**2 + 262 * n, 6) * d(6) + 42 * n * d(12) + 60 * n * d(18)
+         + 35 * n * d(24) - 38 * n * d(30) - 82 * n * d(42) - 330 * n * d(60)
+         - 144 * n * d(84) - 96 * n * d(90) - 144 * n * d(120) - 96 * n * d(210))
+    assert i.denominator == 1, (n, i)
+    return int(i)

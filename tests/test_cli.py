@@ -598,6 +598,22 @@ class TestMainEntry:
         assert captured.err.startswith(f"error: cannot write {target}")
         assert target.is_dir() and not any(target.iterdir())
 
+    @pytest.mark.parametrize("target", ["results/visgraph.json", "inputs/points.json",
+                                        "config.json", "logs/run.log", "manifest.json"])
+    def test_run_file_that_is_a_directory(self, tmp_path, capsys, target):
+        cfg = write_config(tmp_path, GRID_2X2, ["visgraph"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        path = Path(capsys.readouterr().out.strip()) / target
+        path.unlink()
+        path.mkdir()
+        level = logging.getLogger("visblock").level
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}")
+        assert path.is_dir() and not any(path.iterdir())
+        assert logging.getLogger("visblock").level == level
+
     def test_bad_input_path(self, tmp_path, capsys):
         rc = main(["block", "--input", str(tmp_path / "missing.json")])
         assert rc == EXIT_INPUT

@@ -24,7 +24,13 @@ from visblock.crossing import (
 from visblock.errors import GeometryError, NotGeneralPosition
 from visblock.geometry import Point, PointSet, is_general_position
 
-from oracles import brute_min_clique_cover, events_equal_by_division, proper_crossing
+from oracles import (
+    a006561,
+    brute_min_clique_cover,
+    events_equal_by_division,
+    full_chord_histogram,
+    proper_crossing,
+)
 from test_geometry import RATIONAL_COORDS
 
 SQUARE = PointSet.build([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -239,6 +245,25 @@ def unpack_signed(v, width, d):
     return digits
 
 
+def split_first_cluster(monkeypatch, on_chord):
+    """Make _chord_clusters split the first multi-event cluster on a chord
+    (0, k) with on_chord(n, k) into its first event and the rest; returns
+    the list that receives the split cluster."""
+    chord_clusters = crossing._chord_clusters
+    split = []
+
+    def split_first(n, k):
+        clusters = chord_clusters(n, k)
+        for i, cl in enumerate(clusters):
+            if len(cl) > 1 and not split and on_chord(n, k):
+                split.append(cl)
+                return clusters[:i] + [cl[:1], cl[1:]] + clusters[i + 1:]
+        return clusters
+
+    monkeypatch.setattr(crossing, "_chord_clusters", split_first)
+    return split
+
+
 class TestNgonCensus:
     @pytest.mark.parametrize(
         "n,center,excl",
@@ -297,21 +322,58 @@ class TestNgonCensus:
         assert c.max_multiplicity_excluding_center == expected
 
     def test_split_cluster_breaks_the_rotation_count(self, monkeypatch):
-        chord_clusters = crossing._chord_clusters
-        split = []
-
-        def split_first(n, k):
-            clusters = chord_clusters(n, k)
-            for i, cl in enumerate(clusters):
-                if len(cl) > 1 and not split:
-                    split.append(cl)
-                    return clusters[:i] + [cl[:1], cl[1:]] + clusters[i + 1:]
-            return clusters
-
-        monkeypatch.setattr(crossing, "_chord_clusters", split_first)
+        split = split_first_cluster(monkeypatch, lambda n, k: True)
         with pytest.raises(AssertionError, match="not a multiple of"):
             regular_ngon_multiplicity(12)
         assert split
+
+    def test_split_diameter_cluster_breaks_the_rotation_count(self, monkeypatch):
+        # the diameter (0, 6) is its own mirror, so its groups count once
+        split = split_first_cluster(monkeypatch, lambda n, k: 2 * k == n)
+        with pytest.raises(AssertionError, match="not a multiple of"):
+            regular_ngon_multiplicity(12)
+        assert split and split[0][0][2] == 6
+
+    def test_lost_chord_breaks_the_chord_pair_count(self, monkeypatch):
+        # for odd n every chord (0, k) with k < n/2 holds an even number of
+        # events, so dropping one keeps the rotation count; the histogram
+        # then misses crossing pairs
+        chord_clusters = crossing._chord_clusters
+        monkeypatch.setattr(crossing, "_chord_clusters",
+                            lambda n, k: [] if k == 3 else chord_clusters(n, k))
+        with pytest.raises(AssertionError, match="crossing chord pairs, not C"):
+            regular_ngon_multiplicity(13)
+
+    def test_histogram_matches_the_full_chord_oracle(self):
+        for n in range(4, 61):
+            _, res = crossing._packed_residues(n)
+            oracle = full_chord_histogram(
+                n, crossing._chord_clusters,
+                lambda e1, e2: crossing._events_equal(e1, e2, n, res))
+            assert dict(regular_ngon_multiplicity(n).histogram) == oracle, n
+
+    def test_histogram_counts_a006561_points(self):
+        for n in range(4, 91):
+            c = regular_ngon_multiplicity(n)
+            hist = dict(c.histogram)
+            assert sum(hist.values()) == a006561(n), n
+            assert sum(a * math.comb(k, 2) for k, a in hist.items()) == math.comb(n, 4), n
+            assert max((k for k in hist if k != c.center_multiplicity), default=0) == \
+                c.max_multiplicity_excluding_center
+            assert hist.get(n // 2, 0) >= (n % 2 == 0)
+            assert "histogram" not in c.to_obj()
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_budget_leaves_mirrored_clusters(self, monkeypatch, n):
+        monkeypatch.setattr(crossing, "_CHECK_BUDGET", 5)
+        c = regular_ngon_multiplicity(n)
+        assert c.certified is False and c.histogram == ()
+        clusters = {frozenset(cl) for cl in c.ambiguous_clusters}
+        mirrored = {frozenset((0, n - l, n - k, n - j) for _, j, k, l in cl) for cl in clusters}
+        assert mirrored == clusters
+        chords = {ev[2] for cl in c.ambiguous_clusters for ev in cl}
+        assert any(2 * k < n for k in chords) and any(2 * k > n for k in chords)
+        assert all(len(cl) > 1 for cl in c.ambiguous_clusters)
 
     def test_packed_check_agrees_with_division(self):
         for n in range(4, 41):
