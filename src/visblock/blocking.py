@@ -5,8 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import gcd
+from operator import or_
 from typing import Iterable, Optional, Sequence, Union
 
 from .cliques import _deadline, min_cover
@@ -27,23 +29,18 @@ from .geometry import (
 
 
 @dataclass(frozen=True)
-class Candidate:
-    point: Point
-    covers: frozenset[int]
-
-
-@dataclass(frozen=True)
 class BlockingInstance:
-    """Hitting-set universe: open segments plus candidate blocker points.
+    """Hitting-set universe: open segments, as pairs of vertex indices, plus
+    candidate blocker points.
 
-    Each candidate's cover set is exact: it lists precisely the segments
-    whose open interior contains the candidate. No candidate coincides with
-    an instance vertex.
+    Bit s of masks[c] is set exactly when candidates[c] lies inside the open
+    segment s. No candidate coincides with a vertex.
     """
 
-    segments: tuple[tuple[Point, Point], ...]
     vertices: tuple[Point, ...]
-    candidates: tuple[Candidate, ...]
+    segments: tuple[tuple[int, int], ...]
+    candidates: tuple[Point, ...]
+    masks: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -63,17 +60,20 @@ def _private_params():
 
 
 def _build_instance(
-    segments: Sequence[tuple[Point, Point]],
-    gap_segments: Sequence[int],
+    vertices: Sequence[Point],
+    view: tuple[int, Sequence[tuple[int, int]]],
+    segments: Iterable[tuple[int, int]],
+    gap_segments: Iterable[int],
     drawing: bool,
 ) -> BlockingInstance:
     """Shared candidate construction, one pass over the segment pairs.
 
-    The vertices are the segment endpoints in first-seen order. gap_segments
-    lists the segment indices that need a schedule-placed candidate of their
-    own (gaps of multi-point lines, private positions of drawing edges);
-    pairwise meeting points contribute the rest. A drawing's edges must not
-    overlap along a line; all-pairs segments may.
+    view is the integer view (L, xy) of the vertices, and segments are
+    distinct pairs of distinct vertex indices. gap_segments lists the
+    segment indices that need a schedule-placed candidate of their own (gaps
+    of multi-point lines, private positions of drawing edges); pairwise
+    meeting points contribute the rest. A drawing's edges must not overlap
+    along a line; all-pairs segments may.
 
     Covers come from the pair pass. A meeting point of two segments that is
     not a vertex lies inside both, and they are not parallel, so every
@@ -82,23 +82,15 @@ def _build_instance(
     it. Drawings have no overlaps; an all-pairs gap holds no vertex, so a
     segment overlapping it contains all of it.
 
-    The pass runs on the integer view of the vertices, scaled by L; a
-    candidate is keyed by its reduced triple (X, Y, D), the point
+    A candidate is keyed by its reduced triple (X, Y, D), the point
     (X / (D L), Y / (D L)), and is a vertex iff D = 1 and (X, Y) is one.
     """
-    segs = list(segments)
-    if len({(a, b) for a, b in segs}) != len(segs):
-        raise GeometryError("instance segments must be pairwise distinct")
-    for k, (a, b) in enumerate(segs):
-        if a == b:
-            raise DegenerateSegment(f"segment {k} has both endpoints at {a.to_obj()}")
-    vertices = tuple(dict.fromkeys(p for seg in segs for p in seg))  # ordered set
-    den, xy = _scale(vertices)
-    at = dict(zip(vertices, xy))
-    ends = [(at[a], at[b]) for a, b in segs]
+    den, xy = view
+    segs = tuple(segments)
+    ends = [(xy[a], xy[b]) for a, b in segs]
     taken = {(x, y, 1) for x, y in xy}
-    covers: dict[tuple[int, int, int], set[int]] = {}
-    overlaps: list[set[int]] = [set() for _ in segs]
+    covers: dict[tuple[int, int, int], int] = {}
+    overlaps = [0] * len(segs)
     for i, j in combinations(range(len(segs)), 2):
         m = segment_intersection(*ends[i], *ends[j])
         if m is None:
@@ -109,10 +101,10 @@ def _build_instance(
                     f"segments {i} and {j} overlap along a line; "
                     "blocked drawings must have interior-disjoint collinear edges"
                 )
-            overlaps[i].add(j)
-            overlaps[j].add(i)
+            overlaps[i] |= 1 << j
+            overlaps[j] |= 1 << i
         elif m not in taken:
-            covers.setdefault(m, set()).update((i, j))
+            covers[m] = covers.get(m, 0) | 1 << i | 1 << j
     for s in gap_segments:
         (ax, ay), (bx, by) = ends[s]
         for num, d in _private_params():
@@ -120,14 +112,13 @@ def _build_instance(
             g = gcd(x, y, d)
             key = (x // g, y // g, d // g)
             if key not in taken and key not in covers:
-                covers[key] = {s} | overlaps[s]
+                covers[key] = 1 << s | overlaps[s]
                 break
-    cands = sorted(
-        (Candidate(Point(Fraction(x, d * den), Fraction(y, d * den)), frozenset(cov))
-         for (x, y, d), cov in covers.items()),
-        key=lambda c: (c.point.x, c.point.y),
-    )
-    return BlockingInstance(tuple(segs), vertices, tuple(cands))
+    cands = dict(sorted(
+        (Point(Fraction(x, d * den), Fraction(y, d * den)), mask)
+        for (x, y, d), mask in covers.items()
+    ))
+    return BlockingInstance(tuple(vertices), segs, tuple(cands), tuple(cands.values()))
 
 
 def all_pairs_instance(ps: PointSet) -> BlockingInstance:
@@ -137,20 +128,36 @@ def all_pairs_instance(ps: PointSet) -> BlockingInstance:
     n = len(ps)
     if n < 2:
         raise GeometryError("need at least 2 points")
-    labels = tuple((i, j) for i, j in combinations(range(n), 2))
-    seg_index = {lab: k for k, lab in enumerate(labels)}
-    segments = [(ps[i], ps[j]) for i, j in labels]
+    segments = list(combinations(range(n), 2))
+    seg_index = {lab: k for k, lab in enumerate(segments)}
     gap_segments = []
     for rec in ps.lines:
         order = sorted_along_line(ps, rec)
         for a, b in zip(order, order[1:]):
             gap_segments.append(seg_index[(a, b) if a < b else (b, a)])
-    return _build_instance(segments, gap_segments, drawing=False)
+    return _build_instance(ps.points, ps.integer_view, segments, gap_segments, drawing=False)
 
 
-def drawing_instance(edges: Sequence[tuple[Point, Point]]) -> BlockingInstance:
+def _edge_pairs(
+    edges: Iterable[tuple[Point, Point]],
+) -> tuple[tuple[Point, ...], list[tuple[int, int]]]:
+    """The endpoints of the edges in first-seen order, and each edge as a
+    pair of their indices; the edges must be pairwise distinct and proper."""
     edges = list(edges)
-    return _build_instance(edges, range(len(edges)), drawing=True)
+    if len({(a, b) for a, b in edges}) != len(edges):
+        raise GeometryError("instance segments must be pairwise distinct")
+    for k, (a, b) in enumerate(edges):
+        if a == b:
+            raise DegenerateSegment(f"segment {k} has both endpoints at {a.to_obj()}")
+    vertices = tuple(dict.fromkeys(p for e in edges for p in e))  # ordered set
+    index = {p: i for i, p in enumerate(vertices)}
+    return vertices, [(index[a], index[b]) for a, b in edges]
+
+
+def drawing_instance(edges: Iterable[tuple[Point, Point]]) -> BlockingInstance:
+    vertices, segments = _edge_pairs(edges)
+    return _build_instance(vertices, _scale(vertices), segments, range(len(segments)),
+                           drawing=True)
 
 
 def candidate_blockers(
@@ -189,8 +196,8 @@ class BlockCheck(Record):
 
 
 def _check_blocked(
-    vertices: Iterable[Point],
-    segments: Sequence[tuple[Point, Point]],
+    vertices: Sequence[Point],
+    segments: Sequence[tuple[int, int]],
     labels: Sequence[tuple[int, int]],
     blockers: Iterable[Point],
 ) -> BlockCheck:
@@ -199,7 +206,7 @@ def _check_blocked(
     for b in bl:
         if b in vset:
             return BlockCheck(False, vertex_clash=b)
-    for label, owner in zip(labels, _first_blockers(segments, bl)):
+    for label, owner in zip(labels, _first_blockers(vertices, segments, bl)):
         if owner is None:
             return BlockCheck(False, uncovered=label)
     return BlockCheck(True)
@@ -208,7 +215,7 @@ def _check_blocked(
 def is_blocking_set(ps: PointSet, blockers: Iterable[Point]) -> BlockCheck:
     """Certificate check: blockers avoid the set and cover every pair."""
     pairs = list(combinations(range(len(ps)), 2))
-    return _check_blocked(ps, [(ps[i], ps[j]) for i, j in pairs], pairs, blockers)
+    return _check_blocked(ps.points, pairs, pairs, blockers)
 
 
 def min_blocking_set(
@@ -222,20 +229,17 @@ def min_blocking_set(
     """
     inst = candidate_blockers(source)
     deadline = _deadline(budget_ms)
-    missing = sorted(set(range(inst.m)).difference(*(c.covers for c in inst.candidates)))
+    covered = reduce(or_, inst.masks, 0)
+    missing = [s for s in range(inst.m) if not covered >> s & 1]
     if missing:
         raise GeometryError(f"segments {missing} have no candidate blocker")
-    cover_masks = [sum(1 << s for s in cand.covers) for cand in inst.candidates]
-    chosen, optimal, lower = min_cover(cover_masks, inst.m, deadline)
+    chosen, optimal, lower = min_cover(inst.masks, inst.m, deadline)
     chosen_sorted = sorted(set(chosen))
-    points = tuple(inst.candidates[c].point for c in chosen_sorted)
-    covers = []
-    for s in range(inst.m):
-        for bi, c in enumerate(chosen_sorted):
-            if s in inst.candidates[c].covers:
-                covers.append((s, bi))
-                break
-    return BlockingSet(points, tuple(covers), optimal, lower)
+    masks = [inst.masks[c] for c in chosen_sorted]
+    covers = tuple(
+        (s, next(bi for bi, mask in enumerate(masks) if mask >> s & 1)) for s in range(inst.m)
+    )
+    return BlockingSet(tuple(inst.candidates[c] for c in chosen_sorted), covers, optimal, lower)
 
 
 def triangulation_lower_bound(ps: PointSet) -> int:
@@ -273,15 +277,12 @@ class BipartiteDrawing(Record):
     blockers: tuple[Point, ...]
     name: str
 
-    @property
-    def vertices(self) -> tuple[Point, ...]:
-        return self.left + self.right
-
     def check(self) -> BlockCheck:
         """Blocking certificate of the stated blockers; uncovered is (k, k)
         for edge index k."""
-        labels = [(k, k) for k in range(len(self.edges))]
-        return _check_blocked(self.vertices, self.edges, labels, self.blockers)
+        vertices, segments = _edge_pairs(self.edges)
+        labels = [(k, k) for k in range(len(segments))]
+        return _check_blocked(vertices, segments, labels, self.blockers)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "BipartiteDrawing":

@@ -238,15 +238,15 @@ def task_ramsey(obj, budget_ms: Optional[int]) -> TaskOutcome:
     result: dict = {"n": n}
     failed = False
     budget_hit = False
+    g = visibility_graph(ps)
     if n >= 3:
-        verdict = big_line_big_clique_check(ps, 3, 3, budget_ms)
+        verdict = big_line_big_clique_check(g, 3, 3, budget_ms)
         result["line_or_clique"] = verdict.to_obj()
         failed |= verdict.kind == "neither"
         budget_hit = verdict.kind == "unknown"
-    g = visibility_graph(ps)
     ch = chromatic_number(g, budget_ms)
     if ch.exact:
-        rep = proposition1_check(ps, ch.colouring)
+        rep = proposition1_check(g, ch.colouring)
         result["largest_class_certificate"] = rep.to_obj()
         failed |= not (rep.proper and rep.s >= rep.s_lower and rep.is_blocked)
     else:

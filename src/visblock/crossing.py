@@ -145,7 +145,7 @@ def cover_from_blockers(ps: PointSet, blockers: Sequence[Point]) -> CrossingFami
     partition of the same size or smaller; this is the witness behind
     comparing partition sizes with blocking numbers."""
     g = crossing_graph(ps)
-    owners = _first_blockers([(ps[i], ps[j]) for i, j in g.segments], blockers)
+    owners = _first_blockers(ps.points, g.segments, blockers)
     classes: dict[int, list[int]] = {}
     for s, owner in enumerate(owners):
         if owner is None:

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import DegenerateHull, DegenerateSegment, GeometryError
+from .errors import DegenerateHull, GeometryError
 
 Rational = Union[int, str, Fraction]
 
@@ -94,19 +94,14 @@ def on_open_segment(x: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) 
 
 
 def _first_blockers(
-    segments: Iterable[tuple[Point, Point]], blockers: Iterable[Point]
+    vertices: Sequence[Point], segments: Iterable[tuple[int, int]], blockers: Iterable[Point]
 ) -> Iterator[Optional[int]]:
-    """Per segment, lazily, the index of the first blocker strictly inside
-    it, or None. A degenerate segment raises once it is reached and some
-    blocker is there to test."""
-    segs = list(segments)
-    bl = list(blockers)
-    _, xy = _scale([p for seg in segs for p in seg] + bl)
-    bxy = xy[2 * len(segs):]
-    for s, (a, b) in enumerate(segs):
-        if a == b and bxy:
-            raise DegenerateSegment(f"segment {s} has both endpoints at {a.to_obj()}")
-        pa, pb = xy[2 * s], xy[2 * s + 1]
+    """Per segment, a pair of distinct vertex indices, lazily: the index of
+    the first blocker strictly inside it, or None."""
+    _, xy = _scale([*vertices, *blockers])
+    bxy = xy[len(vertices):]
+    for i, j in segments:
+        pa, pb = xy[i], xy[j]
         yield next((k for k, x in enumerate(bxy) if on_open_segment(x, pa, pb)), None)
 
 

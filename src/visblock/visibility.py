@@ -167,16 +167,16 @@ class BigLineBigCliqueVerdict(Record):
 
 
 def big_line_big_clique_check(
-    ps: PointSet, k: int, ell: int, budget_ms: Optional[int] = None
+    g: VisibilityGraph, k: int, ell: int, budget_ms: Optional[int] = None
 ) -> BigLineBigCliqueVerdict:
-    """Find ell collinear points or k pairwise visible ones; lines win ties.
-    The verdict is "unknown" when the clique search runs out of budget."""
+    """Find ell collinear points or k pairwise visible ones of g.source; lines
+    win ties. The verdict is "unknown" if the clique search runs out of budget."""
     if k < 2 or ell < 3:
         raise GeometryError("need k >= 2 and ell >= 3")
-    for rec in ps.lines:
+    for rec in g.source.lines:
         if len(rec) >= ell:
             return BigLineBigCliqueVerdict("line", line=rec)
-    om = clique_number(visibility_graph(ps), budget_ms)
+    om = clique_number(g, budget_ms)
     if om.omega >= k:
         return BigLineBigCliqueVerdict("clique", clique=om.witness[:k])
     if not om.exact:
@@ -199,18 +199,18 @@ class Prop1Report(Record):
     uncovered_pair: Optional[tuple[int, int]]
 
 
-def proposition1_check(ps: PointSet, col: Colouring) -> Prop1Report:
-    """Certificate for the colouring-to-blocking reduction.
+def proposition1_check(g: VisibilityGraph, col: Colouring) -> Prop1Report:
+    """Certificate for the colouring-to-blocking reduction on g.source.
 
-    Verifies the colouring is proper for the visibility graph, that the
+    Verifies the colouring is proper for the visibility graph g, that the
     largest colour class S has size >= ceil(n/k), and that the rest of the
     set blocks S: every pair of S has a point of P outside S strictly inside
     its segment. Improper colourings are reported with their violations.
     """
+    ps = g.source
     n = len(ps)
     if len(col.colours) != n:
         raise GeometryError(f"colouring has {len(col.colours)} entries for {n} points")
-    g = visibility_graph(ps)
     violations = tuple(
         (i, j)
         for i, j in combinations(range(n), 2)
@@ -226,7 +226,7 @@ def proposition1_check(ps: PointSet, col: Colouring) -> Prop1Report:
         return Prop1Report(False, violations, mc, largest_colour, largest, s, s_lower, None, None)
     others = [ps[i] for i in range(n) if i not in set(largest)]
     pairs = list(combinations(largest, 2))
-    owners = _first_blockers([(ps[i], ps[j]) for i, j in pairs], others)
+    owners = _first_blockers(ps.points, pairs, others)
     uncovered = next((pair for pair, owner in zip(pairs, owners) if owner is None), None)
     return Prop1Report(
         True, (), mc, largest_colour, largest, s, s_lower, uncovered is None, uncovered

@@ -128,6 +128,11 @@ def brute_chromatic(n, edges):
     raise AssertionError("unreachable")
 
 
+def mask_set(mask):
+    """The indices of the set bits of mask, as a frozenset."""
+    return frozenset(s for s in range(mask.bit_length()) if mask >> s & 1)
+
+
 def brute_min_hitting_set(num_segments, candidate_covers):
     """Minimum subset of candidates covering all segments, by enumeration.
 

@@ -150,7 +150,7 @@ def test_criterion_02_solver_matches_enumeration(corpus):
             continue
         inst = candidate_blockers(ps)
         assert inst.m <= 12
-        covers = [c.covers for c in inst.candidates]
+        covers = [oracles.mask_set(mask) for mask in inst.masks]
         want = oracles.brute_min_hitting_set(inst.m, covers)
         got = min_blocking_set(ps)
         assert got.optimal, label
@@ -161,7 +161,7 @@ def test_criterion_02_solver_matches_enumeration(corpus):
         for d in (construct_knn_grid(n), construct_knn_parabola(n)):
             inst = drawing_instance(list(d.edges))
             assert inst.m <= 12
-            covers = [c.covers for c in inst.candidates]
+            covers = [oracles.mask_set(mask) for mask in inst.masks]
             want = oracles.brute_min_hitting_set(inst.m, covers)
             got = min_blocking_set(inst)
             assert got.optimal and got.size == want, d.name
@@ -360,7 +360,7 @@ def test_criterion_10_largest_class_blocked(corpus):
     cols = exact_colourings(corpus)
     assert cols
     for label, (ps, ch) in cols.items():
-        rep = proposition1_check(ps, ch.colouring)
+        rep = proposition1_check(visibility_graph(ps), ch.colouring)
         assert rep.proper, label
         assert rep.s_lower == math.ceil(len(ps) / ch.chi), label
         assert rep.s >= rep.s_lower, (label, rep.s, rep.s_lower)

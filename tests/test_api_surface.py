@@ -6,20 +6,28 @@ other package code (outside its own definition) or by the acceptance gate;
 being exported in `visblock.__all__` is not enough. A private one must be
 used by other package code. Every name a package or test module imports must
 be referenced in that module. Every per-layer metric of the benchmark
-must name a public function the package still defines.
+must name a public function the package still defines, and every count
+the benchmark's tracer reads off a result must still be there.
 """
 
 import ast
 import importlib
+import importlib.util
 import json
 from pathlib import Path
 
 import visblock
+from visblock.blocking import candidate_blockers, min_blocking_set
+from visblock.cli import ExperimentConfig, run
+from visblock.crossing import regular_ngon_multiplicity
+from visblock.generators import GeneratorSpec, convex_parabola_set
+from visblock.geometry import lines_of
 
 PACKAGE = Path(visblock.__file__).parent
 TESTS = Path(__file__).parent
 ACCEPTANCE = TESTS / "test_acceptance.py"
 BENCHMARK = TESTS.parent / "BENCHMARK.json"
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 
 def _referenced_names(tree) -> set[str]:
@@ -95,3 +103,26 @@ def test_benchmark_layer_names_resolve():
     assert not missing, f"benchmark names no public function of its module: {missing}"
     # the benchmark empties this cache between passes
     assert callable(getattr(importlib.import_module("visblock.crossing").cyclotomic, "cache_clear", None))
+
+
+def test_benchmark_tracer_reads_real_results(tmp_path):
+    # perfbench/tracer.py reads counts off the results of a few functions;
+    # each reader must still find an int for every count it declares
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    ps = convex_parabola_set(5)
+    calls = {
+        "geometry.lines_of": lambda: lines_of(ps),
+        "blocking.candidate_blockers": lambda: candidate_blockers(ps),
+        "blocking.min_blocking_set": lambda: min_blocking_set(ps),
+        "crossing.regular_ngon_multiplicity": lambda: regular_ngon_multiplicity(6),
+        "cli.run": lambda: run(ExperimentConfig(GeneratorSpec("grid", {"w": 2, "h": 2}),
+                                                ("visgraph",), output_dir=str(tmp_path))),
+    }
+    readers = {name: extra for name, extra in tracer.EXTRAS.items() if extra[1] is not None}
+    assert sorted(readers) == sorted(calls)
+    for name, (counts, read) in readers.items():
+        got = read(calls[name]())
+        assert sorted(got) == sorted(counts), name
+        assert all(type(v) is int for v in got.values()), (name, got)

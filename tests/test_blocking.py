@@ -79,14 +79,14 @@ class TestCandidateBlockers:
         inst = candidate_blockers(TRIANGLE)
         assert inst.m == 3
         assert len(inst.candidates) == 3
-        assert all(len(c.covers) == 1 for c in inst.candidates)
+        assert all(mask.bit_count() == 1 for mask in inst.masks)
 
     def test_square_center_covers_diagonals(self):
         inst = candidate_blockers(SQUARE)
-        center = [c for c in inst.candidates if c.point == P(1, 1)]
+        center = [mask for p, mask in zip(inst.candidates, inst.masks) if p == P(1, 1)]
         assert len(center) == 1
         labels = list(combinations(range(len(SQUARE)), 2))
-        covered = [labels[s] for s in sorted(center[0].covers)]
+        covered = [labels[s] for s in sorted(oracles.mask_set(center[0]))]
         assert covered == [(0, 3), (1, 2)]
         # the 4 sides and 2 diagonals all get a candidate of their own too
         assert len(inst.candidates) == 7
@@ -94,23 +94,23 @@ class TestCandidateBlockers:
     def test_k22_grid_candidate(self):
         d = construct_knn_grid(2)
         inst = candidate_blockers(list(d.edges))
-        multi = [c for c in inst.candidates if len(c.covers) == 2]
-        assert len(multi) == 1 and multi[0].point == P(3, 1)
+        multi = [p for p, mask in zip(inst.candidates, inst.masks) if mask.bit_count() == 2]
+        assert len(multi) == 1 and multi[0] == P(3, 1)
 
     def test_coverage_exact(self):
         for ps in (TRIANGLE, SQUARE, pset((0, 0), (4, 0), (0, 4), (4, 4), (2, 1))):
             inst = candidate_blockers(ps)
-            for cand in inst.candidates:
-                x = (cand.point.x, cand.point.y)
-                for s, (a, b) in enumerate(inst.segments):
-                    inside = oracles.strictly_between(x, (a.x, a.y), (b.x, b.y))
-                    assert inside == (s in cand.covers)
+            for p, mask in zip(inst.candidates, inst.masks):
+                for s, (i, j) in enumerate(inst.segments):
+                    a, b = inst.vertices[i], inst.vertices[j]
+                    inside = oracles.strictly_between(_xy(p), _xy(a), _xy(b))
+                    assert inside == bool(mask >> s & 1)
 
     def test_no_candidate_at_vertices(self):
         for ps in (SQUARE, pset(*[(x, y) for x in range(3) for y in range(3)])):
             inst = candidate_blockers(ps)
             vset = set(inst.vertices)
-            assert all(c.point not in vset for c in inst.candidates)
+            assert all(p not in vset for p in inst.candidates)
 
     def test_collinear_gap_structure(self):
         # 4 collinear points: 3 gap candidates covering nested pair bundles
@@ -118,7 +118,7 @@ class TestCandidateBlockers:
         inst = candidate_blockers(ps)
         assert inst.m == 6
         assert len(inst.candidates) == 3
-        sizes = sorted(len(c.covers) for c in inst.candidates)
+        sizes = sorted(mask.bit_count() for mask in inst.masks)
         assert sizes == [3, 3, 4]  # middle gap spans 2*2 pairs, outer gaps 1*3
 
     def test_overlap_rejected_for_drawings(self):
@@ -160,9 +160,11 @@ class TestScanOracle:
     @staticmethod
     def assert_matches(inst, segments, gap_segments):
         vertices, cands = oracles.scan_blocking_instance(segments, gap_segments)
-        assert [(_xy(a), _xy(b)) for a, b in inst.segments] == segments
-        assert [_xy(p) for p in inst.vertices] == vertices
-        assert [(_xy(c.point), c.covers) for c in inst.candidates] == cands
+        xy = [_xy(p) for p in inst.vertices]
+        assert [(xy[i], xy[j]) for i, j in inst.segments] == segments
+        assert xy == vertices
+        assert [(_xy(p), oracles.mask_set(mask))
+                for p, mask in zip(inst.candidates, inst.masks)] == cands
 
     @given(RATIONAL_COORDS)
     @settings(max_examples=150, deadline=None)
@@ -235,8 +237,8 @@ class TestMinBlockingSet:
         inst = candidate_blockers(SQUARE)
         covered = set()
         for s, bi in bs.covers:
-            a, b = inst.segments[s]
-            assert oracles.on_open_segment(bs.points[bi], a, b)
+            i, j = inst.segments[s]
+            assert oracles.on_open_segment(bs.points[bi], inst.vertices[i], inst.vertices[j])
             covered.add(s)
         assert covered == set(range(inst.m))
 
@@ -257,7 +259,7 @@ class TestMinBlockingSet:
         ]
         for ps in sets:
             inst = candidate_blockers(ps)
-            covers = [c.covers for c in inst.candidates]
+            covers = [oracles.mask_set(mask) for mask in inst.masks]
             want = oracles.brute_min_hitting_set(inst.m, covers)
             got = min_blocking_set(ps)
             assert got.optimal and got.size == want
@@ -266,7 +268,7 @@ class TestMinBlockingSet:
         for n in (1, 2, 3):
             for d in (construct_knn_grid(n), construct_knn_parabola(n)):
                 inst = drawing_instance(list(d.edges))
-                covers = [c.covers for c in inst.candidates]
+                covers = [oracles.mask_set(mask) for mask in inst.masks]
                 want = oracles.brute_min_hitting_set(inst.m, covers)
                 got = min_blocking_set(inst)
                 assert got.optimal and got.size == want
@@ -281,7 +283,7 @@ class TestMinBlockingSet:
 
     def test_segment_without_candidate_rejected(self):
         inst = candidate_blockers(SQUARE)
-        inst = BlockingInstance(inst.segments, inst.vertices, inst.candidates[1:])
+        inst = BlockingInstance(inst.vertices, inst.segments, inst.candidates[1:], inst.masks[1:])
         with pytest.raises(GeometryError, match=r"segments \[\d+\] have no candidate blocker"):
             min_blocking_set(inst)
 
@@ -294,9 +296,10 @@ class TestMinBlockingSet:
 def gallai_number(inst):
     """m - nu(H), H joining two segments when one candidate covers both."""
     share = [0] * inst.m
-    for cand in inst.candidates:
-        for s in cand.covers:
-            for t in cand.covers:
+    for mask in inst.masks:
+        covers = oracles.mask_set(mask)
+        for s in covers:
+            for t in covers:
                 if s != t:
                     share[s] |= 1 << t
     mate, _ = max_matching(inst.m, share)
@@ -311,7 +314,7 @@ class TestMatchingBound:
         bs = min_blocking_set(inst)
         assert bs.optimal and bs.size == bs.lower_bound == want
         assert is_blocking_set(ps, bs.points).ok
-        assert all(len(c.covers) <= 2 for c in inst.candidates)
+        assert all(mask.bit_count() <= 2 for mask in inst.masks)
         assert gallai_number(inst) == want
 
     @pytest.mark.parametrize("n", range(4, 11))
@@ -322,7 +325,7 @@ class TestMatchingBound:
         want = n + -(-n * (n - 3) // 4)
         assert bs.optimal and bs.size == want
         assert is_blocking_set(ps, bs.points).ok
-        assert all(len(c.covers) <= 2 for c in inst.candidates)
+        assert all(mask.bit_count() <= 2 for mask in inst.masks)
         assert gallai_number(inst) == want
 
     def test_budget_keeps_the_root_bound(self):
@@ -442,12 +445,12 @@ class TestKnnConstructions:
     def test_parabola_general_position(self):
         from visblock.geometry import is_general_position
         d = construct_knn_parabola(5)
-        assert is_general_position(PointSet(d.vertices))
+        assert is_general_position(PointSet(d.left + d.right))
 
     def test_blockers_avoid_vertices(self):
         for n in (1, 3, 6):
             for d in (construct_knn_grid(n), construct_knn_parabola(n)):
-                assert not set(d.blockers) & set(d.vertices)
+                assert not set(d.blockers) & set(d.left + d.right)
 
     def test_bad_n(self):
         with pytest.raises(GeometryError):

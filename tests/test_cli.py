@@ -182,6 +182,26 @@ class TestRunHarness:
         assert manifest["cross_checks"]["partition_at_most_blocking"] is True
         assert len(builds) == 2  # task_crossing, then the blocker-induced cover
 
+    @pytest.mark.parametrize("logged", [True, False], ids=["cover-raises", "cover-too-large"])
+    def test_failed_cross_check_fails_both_tasks(self, tmp_path, capsys, monkeypatch, logged):
+        def bad_cover(ps, blockers):
+            if logged:
+                raise GeometryError("segment (0, 1) is not blocked; cover impossible")
+            return crossing.CrossingFamilyPartition(tuple((s,) for s in range(len(blockers) + 1)),
+                                                    False)
+
+        monkeypatch.setattr(cli, "cover_from_blockers", bad_cover)
+        cfg = write_config(tmp_path, {"kind": "convex_parabola", "params": {"n": 5}},
+                           ["block", "crossing"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_VERIFICATION
+        run_dir = Path(capsys.readouterr().out.strip())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["cross_checks"] == {"partition_at_most_blocking": False}
+        assert manifest["tasks"]["block"]["status"] == "verification_failed"
+        assert manifest["tasks"]["crossing"]["status"] == "verification_failed"
+        log_text = (run_dir / "logs" / "run.log").read_text()
+        assert ("blocker-induced cover failed" in log_text) == logged
+
     def test_knn_parabola_bundle(self, tmp_path):
         cfg = ExperimentConfig(
             GeneratorSpec("knn_parabola", {"n": 7}), ("block",),
@@ -504,6 +524,28 @@ class TestReport:
         assert f"error: run {d}: {complaint}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("results, complaint", [
+        ({"visgraph": {"n": 4}, "block": {"n": 5, "input": "point-set"}},
+         "results disagree on n: [4, 5]"),
+        ({"drawing": {"n": 5, "blocker_count": 3, "blocking": {"ok": True}}},
+         "drawing result missing 'simplicity'"),
+        ({"midpoints": {"midpoints": 6}}, "no result reports n"),
+        ({"block": {"n": 4, "input": "point-set"}}, "block result missing 'blocking'"),
+        ({"midpoints": {"n": 4}}, "midpoints result missing count"),
+        ({"crossing": {"n": 4}}, "crossing result missing size"),
+    ], ids=["n-disagrees", "drawing-missing-key", "no-n", "block-missing-blocking",
+            "midpoints-missing-count", "crossing-missing-size"])
+    def test_result_missing_a_field_rejected(self, tmp_path, capsys, results, complaint):
+        (d,) = self.make_runs(tmp_path, sizes=(4,))
+        for f in (d / "results").glob("*.json"):
+            f.unlink()
+        for task, result in results.items():
+            (d / "results" / f"{task}.json").write_text(json.dumps(result))
+        assert main(["report", str(d), "--output-dir", str(tmp_path / "rpt")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: run {d}: {complaint}" in err
+        assert "Traceback" not in err
+
 
 class TestMainEntry:
     def test_python_m_visblock(self):
@@ -795,6 +837,29 @@ class TestMainEntry:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["generation"]["error_type"] == "GeometryError"
         assert "'bound'" in manifest["generation"]["message"]
+
+    @pytest.mark.parametrize("seed", ["3", True, 2.0], ids=["str", "bool", "float"])
+    def test_run_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, {
+            "kind": "random_general_position", "params": {"n": 5, "seed": seed},
+        }, ["visgraph"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        run_dir = Path(capsys.readouterr().out.strip())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["generation"]["error_type"] == "GeometryError"
+        assert manifest["generation"]["message"] == "seed must be an integer"
+        assert manifest["tasks"]["visgraph"]["status"] == "skipped"
+
+    def test_budget_flag_on_run_fills_missing_budgets(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GRID_2X2, ["visgraph", "crossing"], {"crossing": 7000})
+        assert main(["run", "--config", str(cfg), "--budget-ms", "5000"]) == EXIT_OK
+        run_dir = Path(capsys.readouterr().out.strip())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["budgets_ms"] == {"visgraph": 5000, "crossing": 7000}
+        assert manifest["tasks"]["visgraph"]["budget_ms"] == 5000
+        assert manifest["tasks"]["crossing"]["budget_ms"] == 7000
+        config = json.loads((run_dir / "config.json").read_text())
+        assert config["budgets_ms"] == {"visgraph": 5000, "crossing": 7000}
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == EXIT_INPUT

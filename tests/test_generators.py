@@ -118,6 +118,10 @@ class TestRegularNgon:
         with pytest.raises(GeometryError, match="n >= 3"):
             regular_ngon_set(2)
 
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_via_generate(self, n):
+        assert generate(GeneratorSpec("regular_ngon", {"n": n})) == regular_ngon_set(n)
+
 
 class TestRandom:
     def test_deterministic_for_seed(self):

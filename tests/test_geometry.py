@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visblock.blocking import drawing_instance
+from visblock.blocking import BipartiteDrawing, drawing_instance
 from visblock.errors import DegenerateHull, DegenerateSegment, GeometryError
 from visblock.generators import GeneratorSpec, generate, grid_set
 from visblock.geometry import (
@@ -114,8 +114,9 @@ class TestOpenSegment:
 
     def test_degenerate(self):
         msg = r"segment 0 has both endpoints at \['2/1', '2/1'\]"
+        d = BipartiteDrawing(1, (P(2, 2),), (P(2, 2),), ((P(2, 2), P(2, 2)),), (P(1, 1),), "")
         with pytest.raises(DegenerateSegment, match=msg):
-            next(_first_blockers([(P(2, 2), P(2, 2))], [P(1, 1)]))
+            d.check()
 
     @given(st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=6)] * 6))
     def test_membership_implies_collinear(self, c):
@@ -310,15 +311,17 @@ class TestIntegerView:
     @settings(max_examples=100, deadline=None)
     def test_first_blockers_match_fraction_oracle(self, coords, extra):
         # the set's own points and some pair midpoints make hits common
-        pts = [(p.x, p.y) for p in PointSet.build(coords)]
-        segments = list(combinations(pts, 2))
+        ps = PointSet.build(coords)
+        pts = [(p.x, p.y) for p in ps]
+        pairs = list(combinations(range(len(pts)), 2))
+        segments = [(pts[i], pts[j]) for i, j in pairs]
         mids = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in segments[::3]]
         blockers = extra + mids + pts
         want = [
             next((k for k, x in enumerate(blockers) if oracles.strictly_between(x, a, b)), None)
             for a, b in segments
         ]
-        got = _first_blockers([(P(*a), P(*b)) for a, b in segments], [P(*x) for x in blockers])
+        got = _first_blockers(ps.points, pairs, [P(*x) for x in blockers])
         assert list(got) == want
 
     @given(RATIONAL_COORDS)

@@ -183,22 +183,22 @@ class TestCliqueAndChromatic:
 
 class TestBigLineBigClique:
     def test_grid_prefers_line(self):
-        v = big_line_big_clique_check(GRID33, 3, 3)
+        v = big_line_big_clique_check(visibility_graph(GRID33), 3, 3)
         assert v.kind == "line"
         assert len(v.line.member_indices) >= 3
 
     def test_triangle_clique(self):
-        v = big_line_big_clique_check(TRIANGLE, 3, 3)
+        v = big_line_big_clique_check(visibility_graph(TRIANGLE), 3, 3)
         assert v.kind == "clique" and v.clique == (0, 1, 2)
 
     def test_parabola_neither(self):
         ps = pset(*[(i, i * i) for i in range(5)])
-        v = big_line_big_clique_check(ps, 6, 3)
+        v = big_line_big_clique_check(visibility_graph(ps), 6, 3)
         assert v.kind == "neither"
 
     def test_budget_exhausted_is_unknown(self):
         ps = pset(*[(i, i * i) for i in range(5)])
-        v = big_line_big_clique_check(ps, 6, 3, budget_ms=0)
+        v = big_line_big_clique_check(visibility_graph(ps), 6, 3, budget_ms=0)
         assert v.to_obj() == {
             "kind": "unknown",
             "message": "clique search budget exhausted before a verdict",
@@ -206,9 +206,9 @@ class TestBigLineBigClique:
 
     def test_bad_params(self):
         with pytest.raises(GeometryError):
-            big_line_big_clique_check(TRIANGLE, 1, 3)
+            big_line_big_clique_check(visibility_graph(TRIANGLE), 1, 3)
         with pytest.raises(GeometryError):
-            big_line_big_clique_check(TRIANGLE, 3, 2)
+            big_line_big_clique_check(visibility_graph(TRIANGLE), 3, 2)
 
 
 class TestColouring:
@@ -221,14 +221,14 @@ class TestColouring:
 
 class TestProposition1:
     def test_collinear_blocked(self):
-        rep = proposition1_check(COLL3, Colouring(2, (1, 2, 1)))
+        rep = proposition1_check(visibility_graph(COLL3), Colouring(2, (1, 2, 1)))
         assert rep.proper
         assert rep.largest_class == (0, 2)
         assert rep.s == 2 and rep.s_lower == 2
         assert rep.is_blocked is True
 
     def test_improper_reported(self):
-        rep = proposition1_check(TRIANGLE, Colouring(2, (1, 1, 2)))
+        rep = proposition1_check(visibility_graph(TRIANGLE), Colouring(2, (1, 1, 2)))
         assert not rep.proper
         assert (0, 1) in rep.violations
         assert rep.is_blocked is None
@@ -264,14 +264,14 @@ class TestProposition1:
     def test_grid_chi_colouring(self):
         g = visibility_graph(GRID33)
         r = chromatic_number(g)
-        rep = proposition1_check(GRID33, r.colouring)
+        rep = proposition1_check(g, r.colouring)
         assert rep.proper
         assert rep.s >= rep.s_lower
         assert rep.is_blocked is True
 
     def test_length_mismatch(self):
         with pytest.raises(GeometryError):
-            proposition1_check(TRIANGLE, Colouring(2, (1, 2)))
+            proposition1_check(visibility_graph(TRIANGLE), Colouring(2, (1, 2)))
 
 
 class TestMonochromaticLine:
