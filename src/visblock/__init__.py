@@ -15,7 +15,6 @@ from .blocking import (
 )
 from .cli import ExperimentConfig, report, run
 from .crossing import (
-    circle_graph_cover,
     cover_from_blockers,
     crossing_family_partition,
     crossing_graph,
@@ -66,7 +65,6 @@ __all__ = [
     "VisibilityGraph",
     "big_line_big_clique_check",
     "chromatic_number",
-    "circle_graph_cover",
     "clique_number",
     "construct_kn_arc_drawing",
     "construct_knn_grid",

@@ -309,6 +309,9 @@ class BipartiteDrawing(Record):
                 f"the {n * n} edges left x right; got {len(d.left)}, {len(d.right)} "
                 f"and {len(d.edges)}"
             )
+        for side, pts in (("left", d.left), ("right", d.right)):
+            if len(set(pts)) < n:
+                raise GeometryError(f"drawing bundle {side!r} repeats a point")
         return d
 
 

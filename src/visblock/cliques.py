@@ -3,12 +3,13 @@ cover over bitmasks.
 
 Shared search engine: visibility statistics and crossing-family covers
 reduce to cliques and colourings, blocking sets to min_cover, whose nodes
-are bounded by matchings. The colouring search is DSATUR (Brelaz, 1979)
-on an explicit stack, so its depth is not bounded by the recursion limit;
-the greedy colouring is its first leaf at k = n. It backs up when the k
-colours lack room for the free vertices, a colour holding at most one
-vertex of each clique of a greedy clique partition of the free vertices
-it may take. Graphs are given as lists of neighbour bitmasks; vertex v
+are bounded by matchings. The clique search and the colouring search,
+DSATUR (Brelaz, 1979), run on explicit stacks, so their depth is not
+bounded by the recursion limit; the greedy colouring is the first leaf of
+the colouring search at k = n. That search backs up when the k colours
+lack room for the free vertices, a colour holding at most one vertex of
+each clique of a greedy clique partition of the free vertices it may
+take. Graphs are given as lists of neighbour bitmasks; vertex v
 must not appear in its own mask. All tie-breaking is by lowest index, so
 results are deterministic.
 """
@@ -68,41 +69,43 @@ def max_clique(
 ) -> tuple[int, list[int], bool]:
     """Maximum clique size with witness; exact unless the deadline cuts in.
 
-    Branch and bound with a greedy colouring upper bound. Returns
+    Branch and bound with a greedy colouring upper bound, on an explicit
+    stack: each node sorts its candidates into greedy colour classes and
+    tries them from the last one back until the clique plus the colour can
+    no longer beat the best. Reads the deadline once per node. Returns
     (size, sorted witness, exact).
     """
     if n == 0:
         return 0, [], True
     best: list[int] = []
     best_size = 0
-    exact = True
-    stack: list[int] = []
-
-    def expand(p_mask: int) -> None:
-        nonlocal best, best_size, exact
-        if deadline is not None and time.monotonic() > deadline:
-            exact = False
-            return
-        order, colours = _greedy_colour_sort(p_mask, adj)
-        m = p_mask
-        for i in range(len(order) - 1, -1, -1):
-            v = order[i]
-            if len(stack) + colours[i] <= best_size:
-                return
-            stack.append(v)
-            sub = m & adj[v]
+    clique: list[int] = []
+    # one frame per open node below the current one: (its order, its
+    # colours, the place of the vertex it is trying, its untried candidates)
+    frames: list[tuple[list[int], list[int], int, int]] = []
+    sub = (1 << n) - 1
+    while True:
+        if sub:  # open a node on the candidates sub
+            if deadline is not None and time.monotonic() > deadline:
+                return best_size, best, False
+            order, colours = _greedy_colour_sort(sub, adj)
+            i, m = len(order), sub
+        i -= 1
+        if i < 0 or len(clique) + colours[i] <= best_size:
+            if not frames:
+                return best_size, best, True
+            order, colours, i, m = frames.pop()  # back up to the parent
+            sub = 0
+        else:
+            clique.append(order[i])
+            sub = m & adj[order[i]]
             if sub:
-                expand(sub)
-            elif len(stack) > best_size:
-                best_size = len(stack)
-                best = sorted(stack)
-            stack.pop()
-            m &= ~(1 << v)
-            if not exact:
-                return
-
-    expand((1 << n) - 1)
-    return best_size, best, exact
+                frames.append((order, colours, i, m))
+                continue
+            if len(clique) > best_size:
+                best_size = len(clique)
+                best = sorted(clique)
+        m &= ~(1 << clique.pop())
 
 
 def greedy_colouring(n: int, adj: Sequence[int]) -> list[int]:

@@ -1,6 +1,5 @@
 """Crossing structure of straight-line drawings on a point set, clique covers
-of the crossing relation, circle-graph covers, and the regular polygon
-intersection census.
+of the crossing relation, and the regular polygon intersection census.
 
 Two segments cross only if they meet in a single point interior to both;
 sharing an endpoint never counts. The census part works on irrational
@@ -25,7 +24,6 @@ from .geometry import (
     PointSet,
     Record,
     _first_blockers,
-    _hull_vertices,
     is_general_position,
     orientation,
 )
@@ -93,48 +91,36 @@ def partition_size_floor(n: int) -> int:
     return -(- (n * (n - 1) // 2) // (n // 2))
 
 
-def _check_classes(adj: Sequence[int], labels: Sequence, classes: Sequence[Sequence[int]],
-                   ) -> None:
+def _check_partition(g: CrossingGraph, classes: Sequence[Sequence[int]]) -> None:
     for cls in classes:
         for s, t in combinations(cls, 2):
-            if not adj[s] >> t & 1:
+            if not g.adj[s] >> t & 1:
                 raise GeometryError(
-                    f"{labels[s]} and {labels[t]} share a class but do not cross"
+                    f"{g.segments[s]} and {g.segments[t]} share a class but do not cross"
                 )
-
-
-def _check_partition(g: CrossingGraph, classes: Sequence[Sequence[int]]) -> None:
-    _check_classes(g.adj, g.segments, classes)
-    if {s for cls in classes for s in cls} != set(range(g.m)):
+    if sorted(s for cls in classes for s in cls) != list(range(g.m)):
         raise GeometryError("classes do not partition the segments")
     n = len(g.source)
     if len(classes) < partition_size_floor(n):
         raise GeometryError("partition smaller than the counting floor; solver bug")
 
 
-def _min_clique_cover(adj: Sequence[int], budget_ms: Optional[int],
-                      ) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Minimum clique cover as an exact colouring of the complement graph;
-    returns (classes ordered by colour, exact)."""
-    m = len(adj)
-    full = (1 << m) - 1
-    comp = tuple(full ^ adj[s] ^ (1 << s) for s in range(m))
-    _, colouring, exact, _, _ = chromatic_number(m, comp, _deadline(budget_ms))
-    buckets: dict[int, list[int]] = {}
-    for s, c in enumerate(colouring):
-        buckets.setdefault(c, []).append(s)
-    return tuple(tuple(sorted(b)) for _, b in sorted(buckets.items())), exact
-
-
 def crossing_family_partition(source: Union[PointSet, CrossingGraph],
                               budget_ms: Optional[int] = None,
                               ) -> CrossingFamilyPartition:
     """Minimum partition of all segments into pairwise-crossing classes,
-    found as an exact colouring of the complement of the crossing graph.
-    On budget exhaustion the best greedy partition is returned, exact=False.
-    A CrossingGraph is used as given; a PointSet gets its graph built."""
+    found as an exact colouring of the complement of the crossing graph,
+    classes ordered by colour. On budget exhaustion the best greedy
+    partition is returned, exact=False. A CrossingGraph is used as given;
+    a PointSet gets its graph built."""
     g = source if isinstance(source, CrossingGraph) else crossing_graph(source)
-    classes, exact = _min_clique_cover(g.adj, budget_ms)
+    full = (1 << g.m) - 1
+    comp = tuple(full ^ a ^ (1 << s) for s, a in enumerate(g.adj))
+    _, colouring, exact, _, _ = chromatic_number(g.m, comp, _deadline(budget_ms))
+    buckets: dict[int, list[int]] = {}
+    for s, c in enumerate(colouring):
+        buckets.setdefault(c, []).append(s)
+    classes = tuple(tuple(b) for _, b in sorted(buckets.items()))
     _check_partition(g, classes)
     return CrossingFamilyPartition(classes, exact)
 
@@ -154,53 +140,6 @@ def cover_from_blockers(ps: PointSet, blockers: Sequence[Point]) -> CrossingFami
     out = tuple(tuple(cls) for _, cls in sorted(classes.items()))
     _check_partition(g, out)
     return CrossingFamilyPartition(out, False)
-
-
-# circle graphs: chords of a cycle, adjacency by interleaving
-
-def _interleaves(a: tuple[int, int], b: tuple[int, int], n: int) -> bool:
-    if len({a[0], a[1], b[0], b[1]}) < 4:
-        return False
-    i, k = a
-    gap = (k - i) % n
-    return sum(1 for x in b if 0 < (x - i) % n < gap) == 1
-
-
-def circle_graph_cover(n: int, chords: Sequence[tuple[int, int]],
-                       budget_ms: Optional[int] = None) -> CrossingFamilyPartition:
-    """Minimum clique cover of the interleaving relation of chords on a cycle
-    of n positions. Coordinate-free twin of crossing_family_partition for
-    convex position."""
-    if n < 2:
-        raise GeometryError("cycle needs at least 2 positions")
-    seen = set()
-    for c in chords:
-        i, j = c
-        if i == j:
-            raise GeometryError(f"chord {c} has equal endpoints")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GeometryError(f"chord {c} outside cycle positions 0..{n - 1}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GeometryError(f"duplicate chord {c}")
-        seen.add(key)
-    m = len(chords)
-    adj = [0] * m
-    for s, t in combinations(range(m), 2):
-        if _interleaves(tuple(chords[s]), tuple(chords[t]), n):
-            adj[s] |= 1 << t
-            adj[t] |= 1 << s
-    classes, exact = _min_clique_cover(adj, budget_ms)
-    _check_classes(adj, chords, classes)
-    return CrossingFamilyPartition(classes, exact)
-
-
-def cyclic_order_of_convex(ps: PointSet) -> list[int]:
-    """Indices of a convex-position set in hull walk order."""
-    hull = _hull_vertices(ps.integer_view[1])
-    if len(hull) != len(ps):
-        raise GeometryError("points are not in convex position")
-    return hull
 
 
 # Regular polygon census. Positions 0..n-1 on the unit circle; every 4-subset

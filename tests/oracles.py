@@ -1,12 +1,21 @@
 """Independent brute-force oracles used to cross-check the package.
 
 Everything here is deliberately naive: direct definitions, exhaustive
-enumeration, no shared code with the implementation under test.
+enumeration, no shared code with the implementation under test. One
+exception: the circle-graph oracle colours the interleaving complement
+with the package's own `chromatic_number`, because what it checks is the
+geometry of the crossing graph (on convex points, crossing is
+interleaving on the cycle), not the colouring search, and equal graphs
+then give equal classes.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, product
 from math import gcd
+
+from visblock.cliques import chromatic_number
+from visblock.crossing import CrossingFamilyPartition
 
 
 def orient(p, q, r):
@@ -234,6 +243,81 @@ def tutte_berge_bound(n, edges, removed):
         seen |= comp
         odd += len(comp) % 2
     return (n + len(removed) - odd) // 2
+
+
+def recursive_max_clique(n, adj):
+    """The branch and bound of cliques.max_clique as plain recursion, without
+    a deadline: the reference for the nodes it visits and their order. Each
+    node sorts its candidates into greedy colour classes (lowest index
+    first) and tries them from the last one back, stopping once the clique
+    plus the candidate's colour is no larger than the best. Returns (size,
+    sorted witness, nodes visited)."""
+    best = []
+    clique = []
+    nodes = 0
+
+    def expand(p_mask):
+        nonlocal best, nodes
+        nodes += 1
+        order = []
+        rest, colour = p_mask, 0
+        while rest:
+            colour += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, colour))
+                rest &= ~(1 << v)
+                avail &= ~(1 << v) & ~adj[v]
+        for v, colour in reversed(order):
+            if len(clique) + colour <= len(best):
+                return
+            clique.append(v)
+            sub = p_mask & adj[v]
+            if sub:
+                expand(sub)
+            elif len(clique) > len(best):
+                best = sorted(clique)
+            clique.pop()
+            p_mask &= ~(1 << v)
+
+    if n:
+        expand((1 << n) - 1)
+    return len(best), best, nodes
+
+
+def convex_cyclic_order(points):
+    """Indices of Points in convex position, counter-clockwise from the
+    leftmost (lowest on ties): every other point lies in the half-plane
+    right of it, where orientation about it is a total order."""
+    xy = [_xy(p) for p in points]
+    start = min(range(len(xy)), key=xy.__getitem__)
+    rest = [i for i in range(len(xy)) if i != start]
+    rest.sort(key=cmp_to_key(lambda a, b: -orient(xy[start], xy[a], xy[b])))
+    return [start] + rest
+
+
+def interleaves(a, b, n):
+    """Chords a and b of a cycle of n positions cross: four distinct ends,
+    exactly one end of b strictly inside the arc from a[0] to a[1]."""
+    if len({*a, *b}) < 4:
+        return False
+    gap = (a[1] - a[0]) % n
+    return sum(0 < (x - a[0]) % n < gap for x in b) == 1
+
+
+def circle_graph_cover(n, chords):
+    """Minimum clique cover of the interleaving relation of chords on a
+    cycle of n positions, classes ordered by colour as in
+    crossing_family_partition."""
+    m = len(chords)
+    comp = [
+        sum(1 << t for t in range(m) if t != s and not interleaves(chords[s], chords[t], n))
+        for s in range(m)
+    ]
+    _, colouring, exact, _, _ = chromatic_number(m, comp)
+    classes = [[s for s in range(m) if colouring[s] == c] for c in sorted(set(colouring))]
+    return CrossingFamilyPartition(tuple(map(tuple, classes)), exact)
 
 
 def _bits(mask):

@@ -27,10 +27,8 @@ from visblock.blocking import (
     triangulation_lower_bound,
 )
 from visblock.crossing import (
-    circle_graph_cover,
     crossing_family_partition,
     crossing_graph,
-    cyclic_order_of_convex,
     partition_size_floor,
     regular_ngon_multiplicity,
 )
@@ -286,10 +284,10 @@ def test_criterion_07_crossing_partition(corpus):
     for label in [f"parabola-{n}" for n in range(3, 8)] + [f"ngon-{n}" for n in (5, 6, 7)]:
         ps = corpus[label]
         n = len(ps)
-        order = cyclic_order_of_convex(ps)
+        order = oracles.convex_cyclic_order(ps.points)
         pos = {v: i for i, v in enumerate(order)}
         chords = [(pos[i], pos[j]) for i, j in combinations(range(n), 2)]
-        cov = circle_graph_cover(n, chords)
+        cov = oracles.circle_graph_cover(n, chords)
         geo = crossing_family_partition(ps)
         assert cov.exact and geo.exact and cov.size == geo.size, label
         convex_checked += 1

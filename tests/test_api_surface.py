@@ -72,6 +72,11 @@ def test_every_private_name_is_used_by_package_code():
     assert not unused, f"private names no package code references: {unused}"
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in visblock.__all__ if not hasattr(visblock, name)]
+    assert not missing, f"names in visblock.__all__ the package does not define: {missing}"
+
+
 def test_every_imported_name_is_used():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):

@@ -937,6 +937,21 @@ class TestMainEntry:
         assert err.startswith("error: drawing bundle with n = ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("task", ["block", "drawing"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_bundle_repeated_point(self, tmp_path, capsys, task, side):
+        sides = {"left": [[0, 0], [1, 0]], "right": [[1, 2], [2, 2]]}
+        sides[side][1] = sides[side][0]
+        obj = {"n": 2, **sides, "blockers": [[1, 1]],
+               "edges": [[a, b] for a in sides["left"] for b in sides["right"]]}
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(obj))
+        assert main([task, "--input", str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: drawing bundle {side!r} repeats a point")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("task", cli.TASKS)
     def test_negative_budget_flag(self, tmp_path, capsys, task):
         pts = write_points(tmp_path / "points.json", random_general_position_set(6, None, 1))

@@ -10,6 +10,7 @@ from visblock.cliques import (
     chromatic_number,
     greedy_colouring,
     k_colourable,
+    max_clique,
     max_matching,
     min_cover,
 )
@@ -100,6 +101,45 @@ def counting_clock(monkeypatch):
 
     monkeypatch.setattr(cliques, "time", types.SimpleNamespace(monotonic=monotonic))
     return reads
+
+
+class TestMaxClique:
+    """max_clique must visit the nodes of the recursive reference in its
+    order and return what it returns."""
+
+    @staticmethod
+    def random_adjacencies(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randrange(0, 41)
+            p = rng.random()
+            yield n, adjacency(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+    def test_matches_the_recursive_reference(self):
+        for n, adj in self.random_adjacencies(7, 1000):
+            size, witness, _ = oracles.recursive_max_clique(n, adj)
+            assert max_clique(n, adj) == (size, witness, True)
+
+    def test_one_deadline_check_per_node(self, monkeypatch):
+        for n, adj in self.random_adjacencies(8, 100):
+            size, witness, nodes = oracles.recursive_max_clique(n, adj)
+            reads = counting_clock(monkeypatch)
+            assert max_clique(n, adj, deadline=float("inf")) == (size, witness, True)
+            assert reads[0] == nodes
+
+    def test_budget_hit(self, monkeypatch):
+        adj = adjacency(6, list(combinations(range(6), 2)))
+        assert max_clique(6, adj, deadline=0.0) == (0, [], False)
+        # the clock is read once per node, so deadline 3.5 stops at the
+        # fourth node, reached by taking 5, 4 and 3, before any leaf
+        reads = counting_clock(monkeypatch)
+        assert max_clique(6, adj, deadline=3.5) == (0, [], False)
+        assert reads[0] == 4
+
+    def test_complete_graph_deeper_than_the_recursion_limit(self):
+        n = 1200
+        adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+        assert max_clique(n, adj) == (n, list(range(n)), True)
 
 
 class TestKColourable:

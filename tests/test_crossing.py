@@ -12,11 +12,9 @@ from hypothesis import given, settings
 from visblock import crossing
 from visblock.blocking import min_blocking_set
 from visblock.crossing import (
-    circle_graph_cover,
     cover_from_blockers,
     crossing_family_partition,
     crossing_graph,
-    cyclic_order_of_convex,
     cyclotomic,
     partition_size_floor,
     regular_ngon_multiplicity,
@@ -27,6 +25,8 @@ from visblock.geometry import Point, PointSet, is_general_position
 from oracles import (
     a006561,
     brute_min_clique_cover,
+    circle_graph_cover,
+    convex_cyclic_order,
     events_equal_by_division,
     full_chord_histogram,
     proper_crossing,
@@ -131,6 +131,23 @@ class TestFamilyPartition:
         assert obj == {"classes": [[0], [1], [2]], "exact": True}
 
 
+class TestCheckPartition:
+    # square segments: 0 (0,1), 1 (0,2), 2 (0,3), 3 (1,2), 4 (1,3), 5 (2,3);
+    # only the diagonals 1 and 4 cross
+    def test_valid_partition_passes(self):
+        crossing._check_partition(crossing_graph(SQUARE), ((0,), (1, 4), (2,), (3,), (5,)))
+
+    @pytest.mark.parametrize("classes,message", [
+        (((0, 1), (2,), (3,), (4,), (5,)),
+         r"\(0, 1\) and \(0, 2\) share a class but do not cross"),
+        (((0,), (1, 4), (2,), (3,)), "classes do not partition the segments"),
+        (((0,), (1, 4), (2,), (3,), (4,), (5,)), "classes do not partition the segments"),
+    ], ids=["non-crossing-pair", "missing-segment", "repeated-segment"])
+    def test_rejected(self, classes, message):
+        with pytest.raises(GeometryError, match=message):
+            crossing._check_partition(crossing_graph(SQUARE), classes)
+
+
 class TestCoverFromBlockers:
     def test_square_blockers_give_cover(self):
         bs = min_blocking_set(SQUARE)
@@ -173,34 +190,13 @@ class TestCircleGraph:
         # chords in segment order: the interleaving graph is the crossing
         # graph, so both routes colour the same graph into the same classes
         ps = convex_parabola(n)
-        order = cyclic_order_of_convex(ps)
+        order = convex_cyclic_order(ps.points)
         pos = {v: i for i, v in enumerate(order)}
         chords = [(pos[i], pos[j]) for i, j in crossing_graph(ps).segments]
-        cov = circle_graph_cover(n, chords, budget_ms=120_000)
+        cov = circle_graph_cover(n, chords)
         geo = crossing_family_partition(ps, budget_ms=120_000)
         assert cov.exact and geo.exact
         assert cov.classes == geo.classes
-
-    def test_validation(self):
-        with pytest.raises(GeometryError):
-            circle_graph_cover(4, [(0, 0)])
-        with pytest.raises(GeometryError):
-            circle_graph_cover(4, [(0, 4)])
-        with pytest.raises(GeometryError):
-            circle_graph_cover(4, [(0, 1), (1, 0)])
-
-
-class TestCyclicOrder:
-    def test_square_cycle(self):
-        order = cyclic_order_of_convex(SQUARE)
-        assert sorted(order) == [0, 1, 2, 3]
-        # consecutive points are polygon neighbours
-        idx = {v: i for i, v in enumerate(order)}
-        assert abs(idx[0] - idx[2]) == 2  # opposite corners stay opposite
-
-    def test_rejects_interior_point(self):
-        with pytest.raises(GeometryError):
-            cyclic_order_of_convex(PointSet.build([(0, 0), (4, 0), (0, 4), (1, 1)]))
 
 
 # Float oracle for the polygon census: build chords with trig, intersect
