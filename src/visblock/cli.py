@@ -114,7 +114,7 @@ def task_visgraph(obj, budget_ms: Optional[int]) -> TaskOutcome:
     g = visibility_graph(ps)
     dia = diameter(g)
     om = clique_number(g, budget_ms)
-    ch = chromatic_number(g, budget_ms)
+    ch = chromatic_number(g, budget_ms, om.omega if om.exact else None)
     n = len(ps)
     checks: dict = {}
     failed = False
@@ -239,12 +239,13 @@ def task_ramsey(obj, budget_ms: Optional[int]) -> TaskOutcome:
     failed = False
     budget_hit = False
     g = visibility_graph(ps)
+    om = clique_number(g, budget_ms)
     if n >= 3:
-        verdict = big_line_big_clique_check(g, 3, 3, budget_ms)
+        verdict = big_line_big_clique_check(g, 3, 3, budget_ms, om)
         result["line_or_clique"] = verdict.to_obj()
         failed |= verdict.kind == "neither"
         budget_hit = verdict.kind == "unknown"
-    ch = chromatic_number(g, budget_ms)
+    ch = chromatic_number(g, budget_ms, om.omega if om.exact else None)
     if ch.exact:
         rep = proposition1_check(g, ch.colouring)
         result["largest_class_certificate"] = rep.to_obj()

@@ -187,17 +187,21 @@ def k_colourable(
 
 
 def chromatic_number(
-    n: int, adj: Sequence[int], deadline: Optional[float] = None
+    n: int, adj: Sequence[int], deadline: Optional[float] = None, omega: Optional[int] = None
 ) -> tuple[int, list[int], bool, int, int]:
     """Exact chromatic number when the budget allows.
 
     Returns (k, colouring, exact, lower, upper). When exact, lower == upper
     == k and the colouring uses k colours; otherwise the colouring is the
-    greedy upper-bound witness.
+    greedy upper-bound witness. The search starts from the clique number:
+    omega when the caller knows it exactly, else a max_clique search.
     """
     if n == 0:
         return 0, [], True, 0, 0
-    lower, _, clique_exact = max_clique(n, adj, deadline)
+    if omega is None:
+        lower, _, clique_exact = max_clique(n, adj, deadline)
+    else:
+        lower, clique_exact = omega, True
     greedy = greedy_colouring(n, adj)
     upper = max(greedy)
     if not clique_exact:

@@ -24,6 +24,7 @@ from .geometry import (
     PointSet,
     Record,
     _first_blockers,
+    convex_hull_size,
     is_general_position,
     orientation,
 )
@@ -116,7 +117,12 @@ def crossing_family_partition(source: Union[PointSet, CrossingGraph],
     g = source if isinstance(source, CrossingGraph) else crossing_graph(source)
     full = (1 << g.m) - 1
     comp = tuple(full ^ a ^ (1 << s) for s, a in enumerate(g.adj))
-    _, colouring, exact, _, _ = chromatic_number(g.m, comp, _deadline(budget_ms))
+    # a clique of comp is a non-crossing segment set; on n >= 3 points in
+    # general position every maximal one is a triangulation, 3n - 3 - h
+    # segments with h hull points
+    n = len(g.source)
+    omega = 3 * n - 3 - convex_hull_size(g.source) if n >= 3 else g.m
+    _, colouring, exact, _, _ = chromatic_number(g.m, comp, _deadline(budget_ms), omega)
     buckets: dict[int, list[int]] = {}
     for s, c in enumerate(colouring):
         buckets.setdefault(c, []).append(s)

@@ -7,17 +7,22 @@ endpoints and the pivot (-i-j, 0). The pivots range over [-(2n-1), -3], which
 is why the 2n-3 points (-k, 0), k in [3, 2n-1], block every edge.
 
 All intersection counting is exact and runs on integers: an arc holds its
-doubled center and radius, a point (X/L, Y/L) of a scaled view lies on it
-when (2X - cL)^2 + (2Y)^2 = (rL)^2 on the right side of the axis, and common
-points are identified by the Fraction tag (x, sign(y), y^2).
+doubled center and radius, and a point (X/L, Y/L) of a scaled view lies on
+it when (2X - cL)^2 + (2Y)^2 = (rL)^2 on the right side of the axis. Common
+points of edges are counted from the arcs' diameters alone: two circles
+centred on the axis cross off it exactly when their diameters strictly
+interleave, once in each half, and meet on it exactly at a shared diameter
+end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .cliques import _bits
 from .errors import GeometryError
 from .geometry import Point, Record, _frac_str, _scale
 
@@ -30,6 +35,17 @@ class Arc(Record):
     c: int
     r: int
     half: int
+
+    def __post_init__(self):
+        if self.r <= 0:
+            raise GeometryError(f"arc radius must be positive, got r={self.r}")
+        if self.half not in (1, -1):
+            raise GeometryError(f"arc half must be +1 or -1, got {self.half!r}")
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """The doubled ends (c - r, c + r) of the arc's diameter."""
+        return self.c - self.r, self.c + self.r
 
     def holds(self, x: int, y: int, den: int) -> bool:
         """Whether the point (x/den, y/den) lies on the arc."""
@@ -50,6 +66,14 @@ class ArcEdge(Record):
     j: int
     upper: Arc
     lower: Arc
+
+    def __post_init__(self):
+        # the simplicity census counts one off-axis crossing per half and
+        # pair of edges, which needs exactly one arc of each edge per half
+        if self.upper.half != 1:
+            raise GeometryError(f"edge ({self.i},{self.j}): its upper arc must have half +1")
+        if self.lower.half != -1:
+            raise GeometryError(f"edge ({self.i},{self.j}): its lower arc must have half -1")
 
     @property
     def pivot(self) -> Point:
@@ -84,39 +108,6 @@ def construct_kn_arc_drawing(n: int) -> ArcDrawing:
         edges.append(ArcEdge(i, j, Arc(-j, 2 * i + j, +1), Arc(-i, i + 2 * j, -1)))
     blockers = tuple(Point(-k, 0) for k in range(3, 2 * n))
     return ArcDrawing(n, vertices, tuple(edges), blockers)
-
-
-def _arc_common_points(a1: Arc, a2: Arc) -> set[tuple]:
-    """Common points of two semicircles, as exact tags (x, sign(y), y^2).
-
-    Decided in integers: with s = r^2, den = 2(c2 - c1) and
-    num = s1 - s2 + c2^2 - c1^2, the radical line is x = num / (2 den) and
-    y^2 = disc / (4 den^2) there. Fractions are built only for a common
-    point."""
-    c1, s1 = a1.c, a1.r * a1.r
-    c2, s2 = a2.c, a2.r * a2.r
-    if c1 == c2:
-        if s1 == s2:
-            raise GeometryError("two edge arcs share a full circle; the realization is broken")
-        return set()
-    den = 2 * (c2 - c1)
-    num = s1 - s2 + c2 * c2 - c1 * c1
-    disc = s1 * den * den - (num - c1 * den) ** 2
-    if disc < 0:
-        return set()
-    if disc == 0:
-        return {(Fraction(num, 2 * den), 0, Fraction(0))}  # touch on the axis
-    if a1.half == a2.half:
-        return {(Fraction(num, 2 * den), a1.half, Fraction(disc, 4 * den * den))}
-    return set()
-
-
-def edge_common_points(e1: ArcEdge, e2: ArcEdge) -> set[tuple]:
-    out: set[tuple] = set()
-    for a1 in (e1.upper, e1.lower):
-        for a2 in (e2.upper, e2.lower):
-            out |= _arc_common_points(a1, a2)
-    return out
 
 
 @dataclass(frozen=True)
@@ -172,18 +163,66 @@ class SimplicityReport(Record):
         }
 
 
+def _interleaving(spans: list[tuple[int, int]]) -> list[int]:
+    """Bit l of entry k is set when spans k and l strictly interleave: one
+    starts strictly inside the other and ends strictly beyond it."""
+    order = sorted(range(len(spans)), key=lambda k: spans[k][0])
+    starts = [spans[k][0] for k in order]
+    start_mask = [0]
+    for k in order:
+        start_mask.append(start_mask[-1] | 1 << k)
+    order.sort(key=lambda k: spans[k][1])
+    ends = [spans[k][1] for k in order]
+    end_mask = [0]
+    for k in order:
+        end_mask.append(end_mask[-1] | 1 << k)
+    full = end_mask[-1]
+    out = []
+    for a, b in spans:
+        start_inside = start_mask[bisect_left(starts, b)] & ~start_mask[bisect_right(starts, a)]
+        end_inside = end_mask[bisect_left(ends, b)] & ~end_mask[bisect_right(ends, a)]
+        ends_beyond = full & ~end_mask[bisect_right(ends, b)]
+        starts_before = start_mask[bisect_left(starts, a)]
+        out.append(start_inside & ends_beyond | end_inside & starts_before)
+    return out
+
+
 def verify_simplicity(d: ArcDrawing) -> SimplicityReport:
     """Exact census of pairwise edge-curve intersections.
 
     Shared endpoints count, so a clean drawing shows at most one common
-    point for every pair of edges."""
+    point for every pair of edges. Two edges meet once at each axis point
+    their arcs' diameters share, and once in a half where their arcs'
+    diameters strictly interleave; an "at least two" carry over these
+    masks picks the pairs that need an exact count."""
+    edges = d.edges
+    owner: dict[tuple[int, int], int] = {}
+    ends = []
+    at: dict[int, int] = {}
+    for k, e in enumerate(edges):
+        for a in (e.upper, e.lower):
+            if owner.setdefault((a.c, a.r), k) != k:
+                raise GeometryError("two edge arcs share a full circle; the realization is broken")
+        ends.append(frozenset(e.upper.span + e.lower.span))
+        for x in ends[k]:
+            at[x] = at.get(x, 0) | 1 << k
+    upper = _interleaving([e.upper.span for e in edges])
+    lower = _interleaving([e.lower.span for e in edges])
     worst = 0
     bad = []
-    for e1, e2 in combinations(d.edges, 2):
-        count = len(edge_common_points(e1, e2))
-        if count > worst:
-            worst = count
-        if count > 1:
-            bad.append(((e1.i, e1.j), (e2.i, e2.j), count))
+    for k, e in enumerate(edges):
+        shift = k + 1  # later edges only, in combinations order
+        once = twice = 0
+        for mask in (upper[k], lower[k], *(at[x] for x in ends[k])):
+            mask >>= shift
+            twice |= once & mask
+            once |= mask
+        if once and not worst:
+            worst = 1
+        for t in _bits(twice):
+            l = t + shift
+            count = len(ends[k] & ends[l]) + (upper[k] >> l & 1) + (lower[k] >> l & 1)
+            if count > worst:
+                worst = count
+            bad.append(((e.i, e.j), (edges[l].i, edges[l].j), count))
     return SimplicityReport(not bad, worst, tuple(bad))
-

@@ -143,8 +143,14 @@ class ChromaticResult(Record):
     upper: int
 
 
-def chromatic_number(g: VisibilityGraph, budget_ms: Optional[int] = None) -> ChromaticResult:
-    k, colours, exact, lower, upper = cliques.chromatic_number(g.n, g.adj, _deadline(budget_ms))
+def chromatic_number(
+    g: VisibilityGraph, budget_ms: Optional[int] = None, omega: Optional[int] = None
+) -> ChromaticResult:
+    """Exact chromatic number when the budget allows; omega, the exact
+    clique number if the caller has it, spares a second clique search."""
+    k, colours, exact, lower, upper = cliques.chromatic_number(
+        g.n, g.adj, _deadline(budget_ms), omega
+    )
     return ChromaticResult(k, Colouring(max(colours), tuple(colours)), exact, lower, upper)
 
 
@@ -167,16 +173,21 @@ class BigLineBigCliqueVerdict(Record):
 
 
 def big_line_big_clique_check(
-    g: VisibilityGraph, k: int, ell: int, budget_ms: Optional[int] = None
+    g: VisibilityGraph,
+    k: int,
+    ell: int,
+    budget_ms: Optional[int] = None,
+    clique: Optional[CliqueResult] = None,
 ) -> BigLineBigCliqueVerdict:
     """Find ell collinear points or k pairwise visible ones of g.source; lines
-    win ties. The verdict is "unknown" if the clique search runs out of budget."""
+    win ties. The verdict is "unknown" if the clique search runs out of budget.
+    A clique result the caller already has for g replaces the search."""
     if k < 2 or ell < 3:
         raise GeometryError("need k >= 2 and ell >= 3")
     for rec in g.source.lines:
         if len(rec) >= ell:
             return BigLineBigCliqueVerdict("line", line=rec)
-    om = clique_number(g, budget_ms)
+    om = clique if clique is not None else clique_number(g, budget_ms)
     if om.omega >= k:
         return BigLineBigCliqueVerdict("clique", clique=om.witness[:k])
     if not om.exact:

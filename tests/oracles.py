@@ -400,6 +400,52 @@ def fraction_arc_common_points(a1, a2):
     return set()
 
 
+def arc_common_points(a1, a2):
+    """Common points of two semicircles centred on the x-axis, as exact tags
+    (x, sign(y), y^2), decided in integers from the doubled centres and
+    radii: with s = r^2, den = 2(c2 - c1) and num = s1 - s2 + c2^2 - c1^2,
+    the radical line is x = num / (2 den) and y^2 = disc / (4 den^2) there.
+    Fractions are built only for a common point."""
+    c1, s1 = a1.c, a1.r * a1.r
+    c2, s2 = a2.c, a2.r * a2.r
+    if c1 == c2:
+        if s1 == s2:
+            raise ValueError("two edge arcs share a full circle")
+        return set()
+    den = 2 * (c2 - c1)
+    num = s1 - s2 + c2 * c2 - c1 * c1
+    disc = s1 * den * den - (num - c1 * den) ** 2
+    if disc < 0:
+        return set()
+    if disc == 0:
+        return {(Fraction(num, 2 * den), 0, Fraction(0))}  # touch on the axis
+    if a1.half == a2.half:
+        return {(Fraction(num, 2 * den), a1.half, Fraction(disc, 4 * den * den))}
+    return set()
+
+
+def edge_common_points(e1, e2):
+    """Common points of two edges, each an upper and a lower arc."""
+    out = set()
+    for a1 in (e1.upper, e1.lower):
+        for a2 in (e2.upper, e2.lower):
+            out |= arc_common_points(a1, a2)
+    return out
+
+
+def simplicity_census(edges):
+    """The to_obj() of a simplicity report, counted pair by pair from
+    edge_common_points; raises ValueError where two arcs share a circle."""
+    worst = 0
+    bad = []
+    for e1, e2 in combinations(edges, 2):
+        count = len(edge_common_points(e1, e2))
+        worst = max(worst, count)
+        if count > 1:
+            bad.append({"edges": [[e1.i, e1.j], [e2.i, e2.j]], "count": count})
+    return {"ok": not bad, "max_pairwise_intersections": worst, "violating_pairs": bad}
+
+
 def fraction_primitive(dx, dy):
     """A nonzero rational vector scaled to a primitive integer vector,
     sign-fixed so the first nonzero entry is positive."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from visblock import cli, crossing
+from visblock import cli, cliques, crossing
 from visblock.blocking import construct_knn_grid, construct_knn_parabola
 from visblock.cli import (
     EXIT_BUDGET,
@@ -181,6 +181,25 @@ class TestRunHarness:
         manifest = json.loads((run(cfg) / "manifest.json").read_text())
         assert manifest["cross_checks"]["partition_at_most_blocking"] is True
         assert len(builds) == 2  # task_crossing, then the blocker-induced cover
+
+    @pytest.mark.parametrize("task,searches", [("visgraph", 1), ("ramsey", 1), ("crossing", 0)])
+    def test_clique_searched_at_most_once(self, tmp_path, monkeypatch, task, searches):
+        # chromatic_number is handed the exact omega of clique_number, and
+        # the crossing partition the triangulation size 3n - 3 - h
+        calls = []
+        search = cliques.max_clique
+
+        def counted(*args):
+            calls.append(args[0])
+            return search(*args)
+
+        monkeypatch.setattr(cliques, "max_clique", counted)
+        cfg = ExperimentConfig(
+            GeneratorSpec("convex_parabola", {"n": 6}), (task,), output_dir=str(tmp_path),
+        )
+        manifest = json.loads((run(cfg) / "manifest.json").read_text())
+        assert manifest["tasks"][task]["status"] == "ok"
+        assert len(calls) == searches
 
     @pytest.mark.parametrize("logged", [True, False], ids=["cover-raises", "cover-too-large"])
     def test_failed_cross_check_fails_both_tasks(self, tmp_path, capsys, monkeypatch, logged):

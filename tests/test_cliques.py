@@ -209,6 +209,15 @@ class TestChromaticNumber:
         assert max(colouring) == 3
         assert all(colouring[v] != colouring[(v + 1) % n] for v in range(n))
 
+    def test_given_clique_number_changes_nothing(self):
+        # a caller that knows omega exactly skips the clique search and gets
+        # the same colouring and bounds
+        for n, edges in random_graphs(22, 300, 14):
+            adj = adjacency(n, edges)
+            omega, _, exact = max_clique(n, adj)
+            assert exact
+            assert chromatic_number(n, adj, omega=omega) == chromatic_number(n, adj)
+
 
 def random_set_systems(seed, count, max_m):
     """(m, masks): 8 to 20 masks over 0..m-1, 6 <= m <= max_m, that cover

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from visblock import crossing
 from visblock.blocking import min_blocking_set
+from visblock.cliques import max_clique
 from visblock.crossing import (
     cover_from_blockers,
     crossing_family_partition,
@@ -20,10 +21,12 @@ from visblock.crossing import (
     regular_ngon_multiplicity,
 )
 from visblock.errors import GeometryError, NotGeneralPosition
+from visblock.generators import random_general_position_set, regular_ngon_set
 from visblock.geometry import Point, PointSet, is_general_position
 
 from oracles import (
     a006561,
+    brute_hull_size,
     brute_min_clique_cover,
     circle_graph_cover,
     convex_cyclic_order,
@@ -129,6 +132,35 @@ class TestFamilyPartition:
     def test_json_shape(self):
         obj = crossing_family_partition(TRIANGLE).to_obj()
         assert obj == {"classes": [[0], [1], [2]], "exact": True}
+
+
+TRIANGULATION_SETS = (
+    [("random", n, seed) for n in range(3, 11) for seed in range(6)]
+    + [("convex", n, None) for n in range(3, 10)]
+    + [("ngon", n, None) for n in range(3, 11)]
+)
+
+
+class TestNonCrossingClique:
+    """crossing_family_partition starts its colouring at 3n - 3 - h: on
+    points in general position every maximal set of pairwise non-crossing
+    segments is a triangulation, so that is the clique number of the
+    complement of the crossing graph."""
+
+    @pytest.mark.parametrize("kind,n,seed", TRIANGULATION_SETS)
+    def test_largest_non_crossing_set_is_a_triangulation(self, kind, n, seed):
+        if kind == "random":
+            ps = random_general_position_set(n, None, seed)
+        elif kind == "convex":
+            ps = convex_parabola(n)
+        else:
+            ps = regular_ngon_set(n)
+        g = crossing_graph(ps)
+        full = (1 << g.m) - 1
+        comp = [full ^ a ^ (1 << s) for s, a in enumerate(g.adj)]
+        size, _, exact = max_clique(g.m, comp)
+        assert exact
+        assert size == 3 * n - 3 - brute_hull_size([(p.x, p.y) for p in ps])
 
 
 class TestCheckPartition:

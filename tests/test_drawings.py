@@ -2,6 +2,7 @@ import cProfile
 import dataclasses
 import pstats
 from fractions import Fraction
+import random
 from itertools import combinations
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from visblock.crossing import partition_size_floor
 from visblock.drawings import (
     Arc,
+    ArcDrawing,
+    ArcEdge,
     construct_kn_arc_drawing,
-    edge_common_points,
     verify_drawing_blocking,
     verify_simplicity,
 )
@@ -20,6 +22,7 @@ from visblock.errors import GeometryError
 from visblock.geometry import Point, _scale
 
 import oracles
+from oracles import edge_common_points
 
 
 def holds(shape, p):
@@ -293,6 +296,80 @@ class TestSimplicity:
                     assert len(arcs) == 2
                     for a in arcs:
                         assert (x - Fraction(a.c, 2)) ** 2 + ysq == Fraction(a.r, 2) ** 2
+
+
+class TestArcGuards:
+    # the simplicity census needs proper semicircles and one arc of each
+    # edge in each half: with two arcs of one edge in one half, three
+    # circles can share an off-axis point that a per-pair sum counts twice
+
+    @pytest.mark.parametrize("r", [0, -3])
+    def test_radius_must_be_positive(self, r):
+        with pytest.raises(GeometryError, match="arc radius must be positive"):
+            Arc(0, r, 1)
+
+    @pytest.mark.parametrize("half", [0, 2, -2])
+    def test_half_must_be_a_sign(self, half):
+        with pytest.raises(GeometryError, match=r"arc half must be \+1 or -1"):
+            Arc(0, 2, half)
+
+    def test_upper_arc_must_be_upper(self):
+        with pytest.raises(GeometryError, match=r"edge \(1,2\): its upper arc must have half \+1"):
+            ArcEdge(1, 2, Arc(-2, 4, -1), Arc(-1, 5, -1))
+
+    def test_lower_arc_must_be_lower(self):
+        with pytest.raises(GeometryError, match=r"edge \(1,2\): its lower arc must have half -1"):
+            ArcEdge(1, 2, Arc(-2, 4, 1), Arc(-1, 5, 1))
+
+
+def random_drawing(rng):
+    # 1..10 edges of random arcs, doubled centres in [-8, 8] and doubled
+    # radii in [1, 8]: shared diameter ends, interleavings and shared
+    # circles are all common at this size
+    edges = tuple(
+        ArcEdge(k, k + 1, Arc(rng.randint(-8, 8), rng.randint(1, 8), 1),
+                Arc(rng.randint(-8, 8), rng.randint(1, 8), -1))
+        for k in range(rng.randint(1, 10))
+    )
+    return ArcDrawing(len(edges) + 1, (), edges, ())
+
+
+class TestSimplicityCensus:
+    """verify_simplicity against the pairwise circle algebra of the oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_construction_matches_the_pairwise_oracle(self, n):
+        d = construct_kn_arc_drawing(n)
+        assert verify_simplicity(d).to_obj() == oracles.simplicity_census(d.edges)
+
+    def test_random_drawings_match_the_pairwise_oracle(self):
+        rng = random.Random(22)
+        outcomes = {"ok": 0, "violations": 0, "shared circle": 0}
+        for _ in range(2_000):
+            d = random_drawing(rng)
+            try:
+                want = oracles.simplicity_census(d.edges)
+            except ValueError:
+                with pytest.raises(GeometryError, match="two edge arcs share a full circle"):
+                    verify_simplicity(d)
+                outcomes["shared circle"] += 1
+                continue
+            assert verify_simplicity(d).to_obj() == want
+            outcomes["ok" if want["ok"] else "violations"] += 1
+        assert min(outcomes.values()) >= 300, outcomes
+
+    def test_counts_each_kind_of_meeting(self):
+        # (1,2) and (3,4): upper spans (-4, 4) and (-2, 6) interleave,
+        # lower spans (-6, 2) and (-2, 4) interleave, and the axis point
+        # x = 2 (doubled 4) ends the first upper and the second lower arc;
+        # (5,6) only touches both at that point
+        e1 = ArcEdge(1, 2, Arc(0, 4, 1), Arc(-2, 4, -1))
+        e2 = ArcEdge(3, 4, Arc(2, 4, 1), Arc(1, 3, -1))
+        e3 = ArcEdge(5, 6, Arc(2, 2, 1), Arc(40, 2, -1))
+        rep = verify_simplicity(ArcDrawing(0, (), (e1, e2, e3), ()))
+        assert oracles.simplicity_census((e1, e2, e3)) == rep.to_obj()
+        assert rep.violating_pairs == (((1, 2), (3, 4), 3),)
+        assert rep.max_pairwise_intersections == 3
 
 
 class TestVerifiedConstructor:
