@@ -114,11 +114,14 @@ def _build_instance(
             if key not in taken and key not in covers:
                 covers[key] = 1 << s | overlaps[s]
                 break
-    cands = dict(sorted(
-        (Point(Fraction(x, d * den), Fraction(y, d * den)), mask)
-        for (x, y, d), mask in covers.items()
-    ))
-    return BlockingInstance(tuple(vertices), segs, tuple(cands), tuple(cands.values()))
+    # candidates in Point order, (x, y), sorted by integer keys: two
+    # distinct X / d, X' / d' with d, d' < 2^b differ by more than 2^-2b, so
+    # floor(2^2b X / d) orders them as the fractions do (scaling by the lcm
+    # of the d's would too, but that reaches 10^5 bits on 30 random points)
+    shift = 2 * max((d for _, _, d in covers), default=1).bit_length()
+    keys = sorted(covers, key=lambda t: ((t[0] << shift) // t[2], (t[1] << shift) // t[2]))
+    cands = tuple(Point(Fraction(x, d * den), Fraction(y, d * den)) for x, y, d in keys)
+    return BlockingInstance(tuple(vertices), segs, cands, tuple(covers[t] for t in keys))
 
 
 def all_pairs_instance(ps: PointSet) -> BlockingInstance:

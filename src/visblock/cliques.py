@@ -31,6 +31,9 @@ def _bits(mask: int):
         mask ^= low
 
 
+_MEMO_CAP = 1 << 15  # masks in k_colourable's memo: 2.3 MiB full of 45-bit masks
+
+
 def _clique_count(mask: int, adj: Sequence[int]) -> int:
     """Cliques in the greedy clique partition of mask, lowest index first;
     an independent set holds at most that many vertices of mask."""
@@ -140,6 +143,18 @@ def k_colourable(
     # yet tried, colours in use before it, the free neighbours it saturated)
     stack: list[tuple[int, int, int, int, int]] = []
     used = 0
+    # the search meets few distinct masks many times over; the memo is
+    # cleared when full, so its memory does not grow with the run time
+    memo: dict[int, int] = {}
+
+    def capacity(mask: int) -> int:
+        count = memo.get(mask)
+        if count is None:
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            count = memo[mask] = _clique_count(mask, adj)
+        return count
+
     while True:  # one pass per search node
         if deadline is not None and time.monotonic() > deadline:
             return None, True
@@ -151,11 +166,11 @@ def k_colourable(
         # for all of them; it cannot fire while k - used >= need
         room = need
         if k - used < need:
-            room = (k - used) * _clique_count(fmask, adj)
+            room = (k - used) * capacity(fmask)
             for c in range(used):
                 if room >= need:
                     break
-                room += _clique_count(fmask & ~sat[c], adj)
+                room += capacity(fmask & ~sat[c])
         v = max(free, key=rank.__getitem__)
         i = free.index(v)
         del free[i]

@@ -20,6 +20,8 @@ Rational = Union[int, str, Fraction]
 
 
 def _frac(v: Rational) -> Fraction:
+    if type(v) is Fraction:  # already exact and reduced
+        return v
     try:
         return Fraction(v)
     except ZeroDivisionError:
@@ -234,15 +236,20 @@ def lines_of(ps: PointSet) -> tuple[LineRecord, ...]:
     n = len(xy)
     if n < 2:
         raise GeometryError("need at least 2 points for line structure")
-    # Fan out from each i over j > i by primitive sign-fixed direction; a
-    # fan is a whole line the first time its (direction, offset) key shows,
-    # and then i is its smallest member. Records come out sorted: by i,
-    # then by the first j of each fan.
+    # Fan out from each i over j > i by primitive sign-fixed direction,
+    # skipping each j that shares a recorded line of 3+ points with i. The
+    # line through i and an unskipped j has no member below i, as a line of
+    # 3+ points is recorded at its lowest member, so every fan is a new
+    # whole line. Records come out sorted: by i, then by the first j of
+    # each fan.
     records = []
-    seen: set[tuple[int, int, int]] = set()
+    shared = [0] * n  # shared[i]: the points on a recorded line of 3+ with i
     for i, (xi, yi) in enumerate(xy):
         fan: dict[tuple[int, int], list[int]] = {}
+        skip = shared[i]
         for j in range(i + 1, n):
+            if skip >> j & 1:
+                continue
             xj, yj = xy[j]
             dx, dy = xj - xi, yj - yi
             g = gcd(dx, dy)
@@ -255,11 +262,12 @@ def lines_of(ps: PointSet) -> tuple[LineRecord, ...]:
                 fan[dx, dy] = [i, j]
             else:
                 members.append(j)
-        for (dx, dy), members in fan.items():
-            key = (dx, dy, dy * xi - dx * yi)
-            if key not in seen:
-                seen.add(key)
-                records.append(LineRecord(tuple(members), (dx, dy)))
+        for direction, members in fan.items():
+            if len(members) > 2:
+                line = sum(1 << k for k in members)
+                for k in members:
+                    shared[k] |= line
+            records.append(LineRecord(tuple(members), direction))
     return tuple(records)
 
 
@@ -271,7 +279,7 @@ def sorted_along_line(ps: PointSet, rec: LineRecord) -> list[int]:
 
 
 def max_collinear(ps: PointSet) -> int:
-    return max(len(r) for r in ps.lines)
+    return max(len(r.member_indices) for r in ps.lines)
 
 
 def is_general_position(ps: PointSet) -> bool:

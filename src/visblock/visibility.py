@@ -47,7 +47,7 @@ class VisibilityGraph:
         return bool((self.adj[i] >> j) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in combinations(range(self.n), 2) if self.has_edge(i, j)]
+        return [(i, j) for i, a in enumerate(self.adj) for j in _bits(a >> i << i)]
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -62,14 +62,14 @@ def visibility_graph(ps: PointSet) -> VisibilityGraph:
     full = (1 << n) - 1
     adj = [full & ~(1 << i) for i in range(n)]
     for rec in ps.lines:
-        if len(rec) < 3:
+        if len(rec.member_indices) < 3:
             continue
         order = sorted_along_line(ps, rec)
-        for a, b in combinations(range(len(order)), 2):
-            if b - a > 1:
-                i, j = order[a], order[b]
-                adj[i] &= ~(1 << j)
-                adj[j] &= ~(1 << i)
+        bits = [0, *(1 << i for i in order), 0]
+        line = sum(bits)
+        for a, i in enumerate(order, 1):
+            # on its own line, i sees only the members next to it
+            adj[i] &= bits[a - 1] | bits[a + 1] | ~line
     return VisibilityGraph(tuple(adj), ps)
 
 
@@ -80,15 +80,22 @@ def diameter(g: VisibilityGraph) -> int:
     full = (1 << n) - 1
     worst = 0
     for s in range(n):
-        # bitset BFS: each level is the union of the frontier's neighbour
-        # masks minus what is already seen; d counts the non-empty levels
+        # bitset BFS, d counting the non-empty levels. A level is the unseen
+        # vertices next to the frontier: the union of the frontier's
+        # neighbour masks (top-down), or, when fewer vertices are unseen
+        # than in the frontier, the unseen ones with a neighbour in it
+        # (bottom-up; Beamer, Asanovic & Patterson, SC 2012)
         seen = frontier = 1 << s
         d = 0
         while seen != full:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= adj[v]
-            frontier = reach & ~seen
+            unseen = full ^ seen
+            if unseen.bit_count() < frontier.bit_count():
+                frontier = sum(1 << v for v in _bits(unseen) if adj[v] & frontier)
+            else:
+                reach = 0
+                for v in _bits(frontier):
+                    reach |= adj[v]
+                frontier = reach & unseen
             if not frontier:
                 missing = [v for v in range(n) if not (seen >> v) & 1]
                 raise DisconnectedVisibility(

@@ -202,8 +202,9 @@ class TestScanOracle:
         assert calls["segment_intersection"] == 7140
 
     def test_few_fractions_on_the_4x4_grid(self):
-        # a deterministic work counter: the integer kernel builds Fractions
-        # only for the 423 candidate Points (133,554 in Fraction geometry)
+        # a deterministic work counter: the integer kernel builds two
+        # Fractions for each of the 423 candidate Points and no others
+        # (133,554 in Fraction geometry)
         ps = grid_set(4, 4)
         prof = cProfile.Profile()
         prof.enable()
@@ -215,7 +216,7 @@ class TestScanOracle:
             if name == "__new__" and path.endswith("fractions.py")
         )
         assert len(inst.candidates) == 423
-        assert 0 < calls <= 4 * len(inst.candidates)
+        assert 0 < calls <= 2 * len(inst.candidates)
 
 
 class TestMinBlockingSet:

@@ -1017,13 +1017,16 @@ class TestMainEntry:
         assert obj["mono_line_two_colourings"] is None
 
 
-# SHA-256 of every results/ and inputs/ file of two runs, frozen from a
-# release whose JSON shapes are known good: renaming, dropping or reshaping
-# any field of a written record changes a digest here
+# SHA-256 of every results/ and inputs/ file of some runs, with the exit
+# code of each, frozen from a release whose JSON shapes and values are known
+# good: renaming, dropping or reshaping any field of a written record, or a
+# speed-up that moves any byte, changes a digest here. The grid and n-gon
+# runs take the search, line, midpoint and writer paths of large inputs.
 FROZEN_DIGESTS = {
     "convex-parabola-7": (
         {"kind": "convex_parabola", "params": {"n": 7}},
-        ["visgraph", "block", "midpoints", "crossing", "drawing", "ramsey"],
+        list(cli.TASKS),
+        EXIT_OK,
         {
             "inputs/points.json": "d97ba59bc2523e19c6dc2c4cfe86b18d4de37c3383fcbb83a39b0244a51a9a35",
             "results/block.json": "e36a42c4dbd19b7969f35c2fb65b2b6a37e8349a82c24de7ae79a9f4601b89d9",
@@ -1037,6 +1040,7 @@ FROZEN_DIGESTS = {
     "convex-parabola-20-drawing": (
         {"kind": "convex_parabola", "params": {"n": 20}},
         ["drawing"],
+        EXIT_OK,
         {
             "inputs/points.json": "b00212987692c23362c2247a2fb0d3f50b9acef6ebaff77f8bffe8169c88e193",
             "results/drawing.json": "8092a95b260794386b548e671100eb3a0eee82f0b082c64ce47a321ce6709ef7",
@@ -1045,10 +1049,52 @@ FROZEN_DIGESTS = {
     "knn-parabola-3": (
         {"kind": "knn_parabola", "params": {"n": 3}},
         ["block", "drawing"],
+        EXIT_OK,
         {
             "inputs/drawing.json": "755bac5d98ea1d476966a62ee71219728e30905344c9883e7d37ee8d2ec7c683",
             "results/block.json": "7402f6c2f197407d0f14db2fde1896295ea835115ddea1d11b728a16c8ac432a",
             "results/drawing.json": "c5b51a8d59910eb2278aa1cb8e50d88b3f15e04188771938fbf378a2c15a4493",
+        },
+    ),
+    "grid-16x16": (
+        {"kind": "grid", "params": {"w": 16, "h": 16}},
+        ["visgraph", "midpoints"],
+        EXIT_OK,
+        {
+            "inputs/points.json": "fb169ad3ee025552e5e5629a837bcca95eb8770c70c0b54b964aa02753d91e25",
+            "results/midpoints.json": "5eac387df0ca01910f2007438d904aa8228a5c6b8ea176ea903597aecc054a6a",
+            "results/visgraph.json": "d7e6af6456b2289128e5e27209b9c192a0a1d04095b036c4b351258dd14bc644",
+        },
+    ),
+    "ngon-10": (
+        {"kind": "regular_ngon", "params": {"n": 10}},
+        ["crossing"],
+        EXIT_OK,
+        {
+            "inputs/points.json": "b47b0c9943d731b280bcaa5fc7bf4ad7eb398c2b4cf8e041e7b5ae6ec1c77dde",
+            "results/crossing.json": "40d31833d164de5461255dc0d8d8766cc3a975729fc21b934b9dfd5aa0326044",
+        },
+    ),
+    "grid-3x4": (  # the crossing task rejects collinear points: no crossing.json
+        {"kind": "grid", "params": {"w": 3, "h": 4}},
+        list(cli.TASKS),
+        EXIT_INPUT,
+        {
+            "inputs/points.json": "75f7f3d1470dfe3d583420b3ea1133ba5549b95d05c3d9838eaf3f53e5c751bd",
+            "results/block.json": "ab6263cb5e06455f9b0a1fd207c2a6856fe1db0e7aee6cf1f317061eab0cb741",
+            "results/drawing.json": "4bb4134a15424132942672fe31aadc63732976dd3488d6d1384559892bd9fb0f",
+            "results/midpoints.json": "19d1a2b657bd10971888c57cb9d8adc30c11d962827af7a059f7e01f08f00b3a",
+            "results/ramsey.json": "5640a930bde78ce268878f511faa152ddc3dc67cda89da2d8414ed8abfc0dbf1",
+            "results/visgraph.json": "88fa6ae3050d766fc81e4577a9f29eb78080c6156e6a1da77b179bf082183ff7",
+        },
+    ),
+    "random-20-drawing": (
+        {"kind": "random_general_position", "params": {"n": 20, "seed": 2023}},
+        ["drawing"],
+        EXIT_OK,
+        {
+            "inputs/points.json": "08bf9bbeb8e9ac22fcfe83c4ad8d7c8e5a1b2a7ef0c838e98fd7b08f9ca5bc40",
+            "results/drawing.json": "8092a95b260794386b548e671100eb3a0eee82f0b082c64ce47a321ce6709ef7",
         },
     ),
 }
@@ -1057,9 +1103,9 @@ FROZEN_DIGESTS = {
 class TestFrozenOutputs:
     @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
     def test_run_files_match_frozen_digests(self, tmp_path, capsys, name):
-        generator, tasks, want = FROZEN_DIGESTS[name]
+        generator, tasks, code, want = FROZEN_DIGESTS[name]
         cfg = write_config(tmp_path, generator, tasks)
-        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert main(["run", "--config", str(cfg)]) == code
         run_dir = Path(capsys.readouterr().out.strip())
         got = {
             f"{sub}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
@@ -1067,3 +1113,63 @@ class TestFrozenOutputs:
             for f in sorted((run_dir / sub).iterdir())
         }
         assert got == want
+
+
+def json_dumps(obj):
+    """The writer's reference: json's own indented, sorted-key text."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestDumps:
+    """cli._dumps must write the bytes of json.dumps(sort_keys, indent=2)."""
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
+    def test_every_object_a_run_writes(self, tmp_path, monkeypatch, name):
+        generator, tasks, _, _ = FROZEN_DIGESTS[name]
+        written = []
+        dumps = cli._dumps
+
+        def spy(obj):
+            written.append(obj)
+            return dumps(obj)
+
+        monkeypatch.setattr(cli, "_dumps", spy)
+        run(ExperimentConfig.from_obj({
+            "generator": generator, "tasks": tasks, "output_dir": str(tmp_path),
+        }))
+        assert len(written) == len(list(tmp_path.rglob("*.json")))
+        for obj in written:
+            assert dumps(obj) == json_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), "", 0, None, True, False,
+        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
+        [[1, [2, [3, []]]], {"x": (4, 5)}],
+        ("tuple", ("nested", 1)),
+        {"naïve": "Ωμέγα ✓ \u0000 \"quoted\" \\ \n\t", "emoji": "\U0001F600"},
+        [-0.0, 0.0, 1e-7, 1e22, 1.5, -2.25, 0.1 + 0.2, 1e308 * 10, -1e308 * 10],
+        [float("nan"), float("inf"), float("-inf")],
+        [True, 1, False, 0, None, 1.0, [True, 2]],
+        {2: "two", 10: "ten", -1: "minus"},
+        {1.5: "x", 2.0: "y", float("inf"): "z"},
+        {True: 1, False: 0},
+        {None: "null key"},
+        {"b": 1, "a": {"d": [1, 2], "c": None}},
+        [10**30, -(10**30)],
+    ])
+    def test_edge_cases(self, obj):
+        assert cli._dumps(obj) == json_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {1, 2},
+        [object()],
+        {"k": Path("x")},
+        {(1, 2): "tuple key"},
+        {1: "int", "a": "str"},  # keys that do not sort
+        {True: 1, None: 2},
+    ])
+    def test_type_errors_as_json(self, obj):
+        with pytest.raises(TypeError):
+            json_dumps(obj)
+        with pytest.raises(TypeError):
+            cli._dumps(obj)

@@ -1,4 +1,5 @@
 import random
+import sys
 import types
 from functools import cache
 from itertools import combinations
@@ -179,6 +180,41 @@ class TestKColourable:
             colours, budget_hit = k_colourable(m, comp, k, deadline=float("inf"))
             assert (colours is not None, budget_hit) == (k == 22, False)
             assert reads[0] == nodes
+
+    def test_capacity_counts_memoised(self, monkeypatch):
+        # a deterministic work counter: the 2,221 nodes at k = 22 ask the
+        # capacity bound 49,290 times about 742 distinct masks
+        m, comp = ngon10_complement()
+        asked = []
+
+        def clique_count(mask, adj):
+            asked.append(mask)
+            return count(mask, adj)
+
+        count = cliques._clique_count
+        want = k_colourable(m, comp, 22)  # the oracle's, by the test above
+        monkeypatch.setattr(cliques, "_clique_count", clique_count)
+        assert k_colourable(m, comp, 22) == want
+        assert 0 < len(asked) <= 1_000
+        assert len(asked) == len(set(asked))
+
+    def test_capacity_memo_is_capped(self, monkeypatch):
+        # a full memo is cleared before it takes one more mask: it never
+        # holds more than _MEMO_CAP masks, and clearing changes no answer
+        m, comp = ngon10_complement()
+        held = []  # the memo's size whenever it misses
+
+        def clique_count(mask, adj):
+            held.append(len(sys._getframe(1).f_locals["memo"]))
+            return count(mask, adj)
+
+        count = cliques._clique_count
+        want = k_colourable(m, comp, 22)
+        monkeypatch.setattr(cliques, "_clique_count", clique_count)
+        monkeypatch.setattr(cliques, "_MEMO_CAP", 16)
+        assert k_colourable(m, comp, 22) == want
+        assert max(held) == 15  # 16 once the missing mask goes in
+        assert held.count(0) > 1  # cleared along the way
 
     def test_budget_hit(self):
         adj = adjacency(6, list(combinations(range(6), 2)))

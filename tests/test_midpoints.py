@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from visblock.cli import task_midpoints
 from visblock.errors import GeometryError
 from visblock.generators import GeneratorSpec, generate
 from visblock.geometry import Point, PointSet, is_general_position, max_collinear
@@ -80,6 +81,35 @@ class TestSumSet:
                 elif _is_line_ap(sub):
                     pytest.fail(f"line AP {sub} should hit the bound")
         assert checked_eq > 0
+
+
+class TestTaskCounts:
+    """task_midpoints counts sums on the integer view; its counts and its
+    check must be those of the Point sets."""
+
+    @staticmethod
+    def assert_counts_match(ps):
+        result = task_midpoints(ps, None).result
+        mids = midpoint_set(ps)
+        assert result["midpoints"] == len(mids)
+        assert result["sumset"] == len(sum_set(ps))
+        avoid = mids.isdisjoint(set(ps)) if is_general_position(ps) else None
+        assert result["checks"]["midpoints_avoid_set"] is avoid
+
+    @given(small_point_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_small_sets(self, ps):
+        self.assert_counts_match(ps)
+
+    @pytest.mark.parametrize("coords", [
+        [(x, 0) for x in range(7)],
+        [(x, 3 * x) for x in (4, 0, 1, 9)],
+        [(x, y) for x in range(4) for y in range(5)],
+        [(x, x * x) for x in range(-4, 5)],
+        [(Fraction(1, 3), 0), (0, Fraction(1, 2)), (1, 1), (Fraction(-2, 5), 3)],
+    ])
+    def test_collinear_and_general_position_sets(self, coords):
+        self.assert_counts_match(PointSet.build(coords))
 
 
 def _is_line_ap(pts) -> bool:

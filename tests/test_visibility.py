@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visblock.errors import DisconnectedVisibility, GeometryError
+from visblock.generators import grid_set
 from visblock.geometry import PointSet
 from visblock.visibility import (
     Colouring,
@@ -45,10 +46,16 @@ class TestVisibilityGraph:
         g = visibility_graph(GRID33)
         assert g.edge_count() == 28
 
+    @staticmethod
+    def assert_edges_match_oracle_in_order(ps):
+        want = oracles.brute_visibility_edges([(p.x, p.y) for p in ps])
+        assert visibility_graph(ps).edges() == sorted(want)
+
     def test_grid33_matches_oracle(self):
-        g = visibility_graph(GRID33)
-        want = oracles.brute_visibility_edges([(p.x, p.y) for p in GRID33])
-        assert set(g.edges()) == want
+        self.assert_edges_match_oracle_in_order(GRID33)
+
+    def test_grid66_matches_oracle(self):
+        self.assert_edges_match_oracle_in_order(grid_set(6, 6))
 
     def test_too_few(self):
         with pytest.raises(GeometryError):
@@ -61,7 +68,7 @@ class TestVisibilityGraph:
     def test_matches_oracle(self, coords):
         ps = PointSet.build(coords)
         g = visibility_graph(ps)
-        assert set(g.edges()) == oracles.brute_visibility_edges(coords)
+        assert g.edges() == sorted(oracles.brute_visibility_edges(coords))
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=5),
                               st.integers(min_value=0, max_value=5)),
@@ -101,6 +108,33 @@ class TestDiameter:
         g = VisibilityGraph((0b010, 0b001, 0), pset((0, 0), (1, 0), (2, 0)))
         with pytest.raises(DisconnectedVisibility, match=r"\[2\] unreachable from 0"):
             diameter(g)
+
+    @pytest.mark.parametrize("coords", [
+        [(x, 0) for x in range(9)],
+        [(x, 2 * x) for x in (5, 0, 3, 8, 1)],
+        [(x, 0) for x in range(7)] + [(0, 1), (6, 1), (3, -2)],
+        [(x, x) for x in range(5)] + [(x, 4 - x) for x in (0, 1, 3, 4)],
+        [(x, 0) for x in range(5)] + [(0, y) for y in range(1, 5)],
+        [(x, y) for x in range(4) for y in range(3)],
+        [(x, y) for x in range(6) for y in range(2)],
+    ])
+    def test_matches_oracle_on_collinear_sets(self, coords):
+        # the searches of all but the two single lines meet fewer unseen
+        # vertices than frontier vertices (8 to 12 times a set), and then
+        # expand bottom-up
+        g = visibility_graph(PointSet.build(coords))
+        assert diameter(g) == oracles.brute_diameter(g.n, g.edges())
+
+    def test_bottom_up_level_leaves_far_vertices_unseen(self):
+        # x - h - five middle vertices - z - w: from x, h, z and w a wide
+        # level meets two unseen vertices, of which only one is next to it
+        edges = [(0, 1), (7, 8)] + [(e, m) for m in range(2, 7) for e in (1, 7)]
+        adj = [0] * 9
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        g = VisibilityGraph(tuple(adj), pset(*[(x, x * x) for x in range(9)]))
+        assert diameter(g) == oracles.brute_diameter(9, edges) == 4
 
     def test_matches_brute_force_on_random_connected_graphs(self):
         rng = random.Random(0)
