@@ -22,7 +22,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Union
 
@@ -44,7 +43,7 @@ from .drawings import construct_kn_arc_drawing, verify_drawing_blocking, verify_
 from .errors import GeometryError, _json_int
 from .generators import KINDS, GeneratorSpec, _read_json, generate
 from .geometry import Point, PointSet, Record, is_general_position, max_collinear
-from .midpoints import pair_sums
+from .midpoints import _pair_sums
 from .visibility import (
     Colouring,
     big_line_big_clique_check,
@@ -78,70 +77,7 @@ MONO_LINE_CAP = 12  # 2^(n-1) colourings checked exhaustively up to here
 
 
 def _dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) and a newline. json itself
-    writes any indented text on its slow generator path; this writes the
-    same bytes in one recursive pass."""
-    return _json_text(obj, "\n") + "\n"
-
-
-def _float_text(f: float) -> str:
-    # json's own spelling, NaN and the infinities included
-    if f != f:
-        return "NaN"
-    if f == math.inf:
-        return "Infinity"
-    if f == -math.inf:
-        return "-Infinity"
-    return float.__repr__(f)
-
-
-def _scalar_text(o) -> str:
-    # json's text for a value that is no container
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    # json's conversion of a dict key to a string
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _scalar_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(o, newline: str) -> str:
-    # newline: a line break and the indent of the line o starts on
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = newline + "  "
-        if all(type(x) is int for x in o):  # edge lists are mostly these
-            items = map(int.__repr__, o)
-        else:
-            items = (_json_text(x, inner) for x in o)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = newline + "  "
-        items = (
-            encode_basestring_ascii(_key_text(k)) + ": " + _json_text(v, inner)
-            for k, v in sorted(o.items())
-        )
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return _scalar_text(o)
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -244,7 +180,7 @@ def task_midpoints(obj, budget_ms: Optional[int]) -> TaskOutcome:
         raise GeometryError("midpoint analysis needs at least two points")
     # counted on the integer view: a midpoint (p + q) / 2 is a point r of
     # the set exactly when p + q = 2r
-    _, pairs, doubles = pair_sums(ps)
+    _, pairs, doubles = _pair_sums(ps)
     m, s = len(pairs), len(pairs | doubles)
     failed = not (m <= s <= m + n)
     checks: dict = {"sandwich": m <= s <= m + n}

@@ -13,22 +13,23 @@ from .errors import GeometryError
 from .geometry import Point, PointSet, _unscaled
 
 
-def pair_sums(ps: PointSet) -> tuple[int, set[tuple[int, int]], set[tuple[int, int]]]:
+def _pair_sums(ps: PointSet) -> tuple[int, set[tuple[int, int]], set[tuple[int, int]]]:
     """(L, the sums p + q of distinct points, the doubled points 2p) on the
-    integer view of scale L: the midpoints are the first set over 2L, and
-    P + P = {p + q : p != q} u {2p} is the union of both over L."""
+    integer view of scale L: P + P = {p + q : p != q} u {2p} is the union
+    of both over L."""
     den, xy = ps.integer_view
     pairs = {(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in combinations(xy, 2)}
     return den, pairs, {(2 * x, 2 * y) for x, y in xy}
 
 
 def midpoint_set(ps: PointSet) -> frozenset[Point]:
-    if len(ps) < 2:
+    den, xy = ps.integer_view
+    if len(xy) < 2:
         raise GeometryError("midpoints need at least two points")
-    den, pairs, _ = pair_sums(ps)
-    return frozenset(_unscaled(pairs, 2 * den))
+    sums = {(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in combinations(xy, 2)}
+    return frozenset(_unscaled(sums, 2 * den))
 
 
 def sum_set(ps: PointSet) -> frozenset[Point]:
-    den, pairs, doubles = pair_sums(ps)
+    den, pairs, doubles = _pair_sums(ps)
     return frozenset(_unscaled(pairs | doubles, den))

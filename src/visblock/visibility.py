@@ -80,22 +80,15 @@ def diameter(g: VisibilityGraph) -> int:
     full = (1 << n) - 1
     worst = 0
     for s in range(n):
-        # bitset BFS, d counting the non-empty levels. A level is the unseen
-        # vertices next to the frontier: the union of the frontier's
-        # neighbour masks (top-down), or, when fewer vertices are unseen
-        # than in the frontier, the unseen ones with a neighbour in it
-        # (bottom-up; Beamer, Asanovic & Patterson, SC 2012)
+        # bitset BFS: each level is the union of the frontier's neighbour
+        # masks minus what is already seen; d counts the non-empty levels
         seen = frontier = 1 << s
         d = 0
         while seen != full:
-            unseen = full ^ seen
-            if unseen.bit_count() < frontier.bit_count():
-                frontier = sum(1 << v for v in _bits(unseen) if adj[v] & frontier)
-            else:
-                reach = 0
-                for v in _bits(frontier):
-                    reach |= adj[v]
-                frontier = reach & unseen
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~seen
             if not frontier:
                 missing = [v for v in range(n) if not (seen >> v) & 1]
                 raise DisconnectedVisibility(

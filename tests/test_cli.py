@@ -1021,7 +1021,7 @@ class TestMainEntry:
 # code of each, frozen from a release whose JSON shapes and values are known
 # good: renaming, dropping or reshaping any field of a written record, or a
 # speed-up that moves any byte, changes a digest here. The grid and n-gon
-# runs take the search, line, midpoint and writer paths of large inputs.
+# runs take the search, line and midpoint paths of large inputs.
 FROZEN_DIGESTS = {
     "convex-parabola-7": (
         {"kind": "convex_parabola", "params": {"n": 7}},
@@ -1114,62 +1114,3 @@ class TestFrozenOutputs:
         }
         assert got == want
 
-
-def json_dumps(obj):
-    """The writer's reference: json's own indented, sorted-key text."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-class TestDumps:
-    """cli._dumps must write the bytes of json.dumps(sort_keys, indent=2)."""
-
-    @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
-    def test_every_object_a_run_writes(self, tmp_path, monkeypatch, name):
-        generator, tasks, _, _ = FROZEN_DIGESTS[name]
-        written = []
-        dumps = cli._dumps
-
-        def spy(obj):
-            written.append(obj)
-            return dumps(obj)
-
-        monkeypatch.setattr(cli, "_dumps", spy)
-        run(ExperimentConfig.from_obj({
-            "generator": generator, "tasks": tasks, "output_dir": str(tmp_path),
-        }))
-        assert len(written) == len(list(tmp_path.rglob("*.json")))
-        for obj in written:
-            assert dumps(obj) == json_dumps(obj)
-
-    @pytest.mark.parametrize("obj", [
-        {}, [], (), "", 0, None, True, False,
-        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
-        [[1, [2, [3, []]]], {"x": (4, 5)}],
-        ("tuple", ("nested", 1)),
-        {"naïve": "Ωμέγα ✓ \u0000 \"quoted\" \\ \n\t", "emoji": "\U0001F600"},
-        [-0.0, 0.0, 1e-7, 1e22, 1.5, -2.25, 0.1 + 0.2, 1e308 * 10, -1e308 * 10],
-        [float("nan"), float("inf"), float("-inf")],
-        [True, 1, False, 0, None, 1.0, [True, 2]],
-        {2: "two", 10: "ten", -1: "minus"},
-        {1.5: "x", 2.0: "y", float("inf"): "z"},
-        {True: 1, False: 0},
-        {None: "null key"},
-        {"b": 1, "a": {"d": [1, 2], "c": None}},
-        [10**30, -(10**30)],
-    ])
-    def test_edge_cases(self, obj):
-        assert cli._dumps(obj) == json_dumps(obj)
-
-    @pytest.mark.parametrize("obj", [
-        {1, 2},
-        [object()],
-        {"k": Path("x")},
-        {(1, 2): "tuple key"},
-        {1: "int", "a": "str"},  # keys that do not sort
-        {True: 1, None: 2},
-    ])
-    def test_type_errors_as_json(self, obj):
-        with pytest.raises(TypeError):
-            json_dumps(obj)
-        with pytest.raises(TypeError):
-            cli._dumps(obj)

@@ -1,5 +1,4 @@
 import random
-import sys
 import types
 from functools import cache
 from itertools import combinations
@@ -199,13 +198,14 @@ class TestKColourable:
         assert len(asked) == len(set(asked))
 
     def test_capacity_memo_is_capped(self, monkeypatch):
-        # a full memo is cleared before it takes one more mask: it never
-        # holds more than _MEMO_CAP masks, and clearing changes no answer
+        # with the cap at 16 the memo is cleared at every 16th miss, so the
+        # misses come in runs of 16 distinct masks; runs of 17 would hold a
+        # repeat here, so a memo cleared later, or never, fails
         m, comp = ngon10_complement()
-        held = []  # the memo's size whenever it misses
+        asked = []
 
         def clique_count(mask, adj):
-            held.append(len(sys._getframe(1).f_locals["memo"]))
+            asked.append(mask)
             return count(mask, adj)
 
         count = cliques._clique_count
@@ -213,8 +213,12 @@ class TestKColourable:
         monkeypatch.setattr(cliques, "_clique_count", clique_count)
         monkeypatch.setattr(cliques, "_MEMO_CAP", 16)
         assert k_colourable(m, comp, 22) == want
-        assert max(held) == 15  # 16 once the missing mask goes in
-        assert held.count(0) > 1  # cleared along the way
+
+        def runs(size):
+            return [asked[i:i + size] for i in range(0, len(asked), size)]
+
+        assert all(len(set(run)) == len(run) for run in runs(16))
+        assert any(len(set(run)) < len(run) for run in runs(17))
 
     def test_budget_hit(self):
         adj = adjacency(6, list(combinations(range(6), 2)))

@@ -119,22 +119,8 @@ class TestDiameter:
         [(x, y) for x in range(6) for y in range(2)],
     ])
     def test_matches_oracle_on_collinear_sets(self, coords):
-        # the searches of all but the two single lines meet fewer unseen
-        # vertices than frontier vertices (8 to 12 times a set), and then
-        # expand bottom-up
         g = visibility_graph(PointSet.build(coords))
         assert diameter(g) == oracles.brute_diameter(g.n, g.edges())
-
-    def test_bottom_up_level_leaves_far_vertices_unseen(self):
-        # x - h - five middle vertices - z - w: from x, h, z and w a wide
-        # level meets two unseen vertices, of which only one is next to it
-        edges = [(0, 1), (7, 8)] + [(e, m) for m in range(2, 7) for e in (1, 7)]
-        adj = [0] * 9
-        for a, b in edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        g = VisibilityGraph(tuple(adj), pset(*[(x, x * x) for x in range(9)]))
-        assert diameter(g) == oracles.brute_diameter(9, edges) == 4
 
     def test_matches_brute_force_on_random_connected_graphs(self):
         rng = random.Random(0)
