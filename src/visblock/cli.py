@@ -45,12 +45,10 @@ from .generators import KINDS, GeneratorSpec, _read_json, generate
 from .geometry import Point, PointSet, Record, is_general_position, max_collinear
 from .midpoints import _pair_sums
 from .visibility import (
-    Colouring,
     big_line_big_clique_check,
     chromatic_number,
     clique_number,
     diameter,
-    monochromatic_line_check,
     proposition1_check,
     visibility_graph,
 )
@@ -78,10 +76,6 @@ MONO_LINE_CAP = 12  # 2^(n-1) colourings checked exhaustively up to here
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _worst(statuses) -> str:
@@ -131,7 +125,7 @@ def task_visgraph(obj, budget_ms: Optional[int]) -> TaskOutcome:
     result = {
         "n": n,
         "edge_count": g.edge_count(),
-        "edges": [list(e) for e in g.edges()],
+        "edges": g.edges(),
         "diameter": dia,
         "clique": om.to_obj(),
         "chromatic": ch.to_obj(),
@@ -242,7 +236,7 @@ def task_ramsey(obj, budget_ms: Optional[int]) -> TaskOutcome:
     g = visibility_graph(ps)
     om = clique_number(g, budget_ms)
     if n >= 3:
-        verdict = big_line_big_clique_check(g, 3, 3, budget_ms, om)
+        verdict = big_line_big_clique_check(g, 3, 3, om)
         result["line_or_clique"] = verdict.to_obj()
         failed |= verdict.kind == "neither"
         budget_hit = verdict.kind == "unknown"
@@ -254,14 +248,13 @@ def task_ramsey(obj, budget_ms: Optional[int]) -> TaskOutcome:
     else:
         budget_hit = True
     if n >= 2 and max_collinear(ps) < n and n <= MONO_LINE_CAP:
-        missing = 0
-        checked = 0
-        for bits in range(1 << (n - 1)):  # colour of point 0 fixed by symmetry
-            colours = tuple(1 + (bits >> i & 1) for i in range(n - 1))
-            col = Colouring(2, (1,) + colours)
-            checked += 1
-            if monochromatic_line_check(ps, col) is None:
-                missing += 1
+        # c holds the points of colour 2, point 0 keeping colour 1 by
+        # symmetry; a line is monochromatic when c meets none or all of it
+        lines = [sum(1 << i for i in rec.member_indices) for rec in ps.lines]
+        checked = 1 << (n - 1)
+        missing = sum(
+            all(0 < line & c < line for line in lines) for c in range(0, 2 * checked, 2)
+        )
         result["mono_line_two_colourings"] = {
             "checked": checked,
             "missing": missing,
@@ -365,6 +358,13 @@ def run(config: ExperimentConfig) -> Path:
         "cross_checks": {},
     }
     outcomes: dict[str, TaskOutcome] = {}
+    hashes: dict[str, str] = {}
+
+    def artifact(rel: str, obj) -> None:
+        text = _dumps(obj)  # ASCII: its bytes are the file's
+        _write(run_dir / rel, text)
+        hashes[rel] = hashlib.sha256(text.encode()).hexdigest()
+
     try:
         _write(run_dir / "config.json", _dumps(config.to_obj()))
         try:
@@ -374,7 +374,7 @@ def run(config: ExperimentConfig) -> Path:
             subject = None
         else:
             manifest["generation"] = {"status": "ok"}
-            _write(run_dir / "inputs" / _input_name(subject), _dumps(subject.to_obj()))
+            artifact(f"inputs/{_input_name(subject)}", subject.to_obj())
         for task in config.tasks:
             entry: dict = {"budget_ms": config.budgets_ms.get(task)}
             if subject is None:
@@ -389,14 +389,10 @@ def run(config: ExperimentConfig) -> Path:
             else:
                 outcomes[task] = outcome
                 entry["status"] = outcome.status
-                _write(run_dir / "results" / f"{task}.json", _dumps(outcome.result))
+                artifact(f"results/{task}.json", outcome.result)
             entry["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
             manifest["tasks"][task] = entry
         _cross_checks(subject, outcomes, manifest)
-        hashes = {}
-        for sub in ("inputs", "results"):
-            for f in sorted((run_dir / sub).glob("*.json")):
-                hashes[f"{sub}/{f.name}"] = _sha256(f)
         manifest["artifact_hashes"] = hashes
         _write(run_dir / "manifest.json", _dumps(manifest))
     finally:
@@ -531,16 +527,12 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
     _make_dir(out_dir)
     written: dict[str, Path] = {}
     rows.sort(key=lambda r: r["n"])
-    summary = out_dir / "summary.csv"
-    with _writing(summary), open(summary, "w") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in rows:
-            cells = []
-            for col in REPORT_COLUMNS:
-                v = row.get(col, "")
-                cells.append(f"{v:.4f}" if isinstance(v, float) else str(v))
-            fh.write(",".join(cells) + "\n")
-    written["summary"] = summary
+    lines = [",".join(REPORT_COLUMNS)]
+    for row in rows:
+        cells = (row.get(col, "") for col in REPORT_COLUMNS)
+        lines.append(",".join(f"{v:.4f}" if isinstance(v, float) else str(v) for v in cells))
+    written["summary"] = out_dir / "summary.csv"
+    _write(written["summary"], "\n".join(lines) + "\n")
     for col in ("b", "m", "t"):
         pts = [(row["n"], row[col]) for row in rows if col in row]
         if not pts:
@@ -551,10 +543,7 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
     if drawing_rows:
         drawing_rows.sort()
         p = out_dir / "drawing_table.csv"
-        with _writing(p), open(p, "w") as fh:
-            fh.write("n,blockers,verified\n")
-            for n, blockers, ok in drawing_rows:
-                fh.write(f"{n},{blockers},{ok}\n")
+        _write(p, "n,blockers,verified\n" + "".join(f"{n},{b},{ok}\n" for n, b, ok in drawing_rows))
         written["drawing_table"] = p
     return written
 

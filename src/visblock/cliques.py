@@ -3,15 +3,15 @@ cover over bitmasks.
 
 Shared search engine: visibility statistics and crossing-family covers
 reduce to cliques and colourings, blocking sets to min_cover, whose nodes
-are bounded by matchings. The clique search and the colouring search,
-DSATUR (Brelaz, 1979), run on explicit stacks, so their depth is not
-bounded by the recursion limit; the greedy colouring is the first leaf of
-the colouring search at k = n. That search backs up when the k colours
-lack room for the free vertices, a colour holding at most one vertex of
-each clique of a greedy clique partition of the free vertices it may
-take. Graphs are given as lists of neighbour bitmasks; vertex v
-must not appear in its own mask. All tie-breaking is by lowest index, so
-results are deterministic.
+are bounded by matchings. The clique search, the colouring search,
+DSATUR (Brelaz, 1979), and the cover search run on explicit stacks, so
+their depth is not bounded by the recursion limit; the greedy colouring is
+the first leaf of the colouring search at k = n. That search backs up when
+the k colours lack room for the free vertices, a colour holding at most
+one vertex of each clique of a greedy clique partition of the free
+vertices it may take. Graphs are given as lists of neighbour bitmasks;
+vertex v must not appear in its own mask. All tie-breaking is by lowest
+index, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -453,36 +453,39 @@ def min_cover(
     best = greedy
     best_size = len(greedy)
     frontier_min: Optional[int] = None
-    chosen: list[int] = []
+    # one frame per open node: (its uncovered set, its matching, the masks
+    # covering its first uncovered element, the place of the next to try);
+    # the masks chosen so far are those just before the places
+    frames: list[tuple[int, list[int], list[int], int]] = []
 
-    def rec(uncov: int, mate: list[int]) -> None:
+    def visit(uncov: int, mate: list[int]) -> None:
         nonlocal best, best_size, frontier_min
+        depth = len(frames)
         if uncov == 0:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best = chosen.copy()
+            if depth < best_size:
+                best_size = depth
+                best = [cands[i - 1] for _, _, cands, i in frames]
             return
         lb = lower_bound(uncov)
-        if len(chosen) + lb >= best_size:
+        if depth + lb >= best_size:
             return
         mate = matching_in(uncov, mate)
         lb = max(lb, _matching_bound(uncov, (m - mate.count(-1)) // 2, big))
-        if len(chosen) + lb >= best_size:
+        if depth + lb >= best_size:
             return
         if deadline is not None and time.monotonic() > deadline:
-            bound = len(chosen) + lb
-            frontier_min = bound if frontier_min is None else min(frontier_min, bound)
+            frontier_min = depth + lb if frontier_min is None else min(frontier_min, depth + lb)
             return
         s = next(s for s in lb_order if (uncov >> s) & 1)
-        for c in cands_of[s]:
-            chosen.append(c)
-            rec(uncov & ~cover_masks[c], mate)
-            chosen.pop()
-            if best_size == root_lb:
-                return
+        frames.append((uncov, mate, cands_of[s], 0))  # the node stays open
 
     if best_size > root_lb:
-        rec(all_mask, mate)
+        visit(all_mask, mate)
+    while frames and best_size > root_lb:  # a cover of root_lb masks ends the search
+        uncov, mate, cands, i = frames.pop()
+        if i < len(cands):  # else every child is done: back up to the parent
+            frames.append((uncov, mate, cands, i + 1))
+            visit(uncov & ~cover_masks[cands[i]], mate)
     if frontier_min is not None:
         return best, False, max(min(frontier_min, best_size), root_lb)
     return best, True, best_size

@@ -43,9 +43,6 @@ class VisibilityGraph:
     def n(self) -> int:
         return len(self.adj)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, a in enumerate(self.adj) for j in _bits(a >> i << i)]
 
@@ -173,24 +170,19 @@ class BigLineBigCliqueVerdict(Record):
 
 
 def big_line_big_clique_check(
-    g: VisibilityGraph,
-    k: int,
-    ell: int,
-    budget_ms: Optional[int] = None,
-    clique: Optional[CliqueResult] = None,
+    g: VisibilityGraph, k: int, ell: int, clique: CliqueResult
 ) -> BigLineBigCliqueVerdict:
-    """Find ell collinear points or k pairwise visible ones of g.source; lines
-    win ties. The verdict is "unknown" if the clique search runs out of budget.
-    A clique result the caller already has for g replaces the search."""
+    """Find ell collinear points of g.source or, from clique, the result of
+    clique_number(g), k pairwise visible ones; lines win ties. The verdict is
+    "unknown" if that clique search ran out of budget."""
     if k < 2 or ell < 3:
         raise GeometryError("need k >= 2 and ell >= 3")
     for rec in g.source.lines:
         if len(rec) >= ell:
             return BigLineBigCliqueVerdict("line", line=rec)
-    om = clique if clique is not None else clique_number(g, budget_ms)
-    if om.omega >= k:
-        return BigLineBigCliqueVerdict("clique", clique=om.witness[:k])
-    if not om.exact:
+    if clique.omega >= k:
+        return BigLineBigCliqueVerdict("clique", clique=clique.witness[:k])
+    if not clique.exact:
         return BigLineBigCliqueVerdict(
             "unknown", message="clique search budget exhausted before a verdict"
         )
@@ -222,11 +214,7 @@ def proposition1_check(g: VisibilityGraph, col: Colouring) -> Prop1Report:
     n = len(ps)
     if len(col.colours) != n:
         raise GeometryError(f"colouring has {len(col.colours)} entries for {n} points")
-    violations = tuple(
-        (i, j)
-        for i, j in combinations(range(n), 2)
-        if col.colours[i] == col.colours[j] and g.has_edge(i, j)
-    )
+    violations = tuple((i, j) for i, j in g.edges() if col.colours[i] == col.colours[j])
     mc = max_collinear(ps)
     classes = col.classes()
     largest_colour = min(classes, key=lambda c: (-len(classes[c]), c))
@@ -235,7 +223,7 @@ def proposition1_check(g: VisibilityGraph, col: Colouring) -> Prop1Report:
     s_lower = ceil(n / col.k)
     if violations:
         return Prop1Report(False, violations, mc, largest_colour, largest, s, s_lower, None, None)
-    others = [ps[i] for i in range(n) if i not in set(largest)]
+    others = [ps[i] for i in range(n) if col.colours[i] != largest_colour]
     pairs = list(combinations(largest, 2))
     owners = _first_blockers(ps.points, pairs, others)
     uncovered = next((pair for pair, owner in zip(pairs, owners) if owner is None), None)

@@ -1,20 +1,23 @@
 """Independent brute-force oracles used to cross-check the package.
 
 Everything here is deliberately naive: direct definitions, exhaustive
-enumeration, no shared code with the implementation under test. One
-exception: the circle-graph oracle colours the interleaving complement
+enumeration, no shared code with the implementation under test. Two
+exceptions: the circle-graph oracle colours the interleaving complement
 with the package's own `chromatic_number`, because what it checks is the
 geometry of the crossing graph (on convex points, crossing is
 interleaving on the cycle), not the colouring search, and equal graphs
-then give equal classes.
+then give equal classes; and the recursive cover search bounds its nodes
+with the package's matchings, because what it checks is the order of the
+nodes and of the deadline reads, not the bounds.
 """
 
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
 from math import gcd
 
-from visblock.cliques import chromatic_number
+from visblock.cliques import _matching_bound, _maximise, chromatic_number, max_matching
 from visblock.crossing import CrossingFamilyPartition
 
 
@@ -284,6 +287,78 @@ def recursive_max_clique(n, adj):
     if n:
         expand((1 << n) - 1)
     return len(best), best, nodes
+
+
+def recursive_min_cover(cover_masks, m, deadline=None, clock=time.monotonic):
+    """The branch and bound of cliques.min_cover as plain recursion: the
+    reference for the nodes it visits and the points where it reads the
+    clock. A node is pruned by the independent-elements bound, then by the
+    matching bound, then cut by the deadline; else it branches on the masks
+    covering its first uncovered element (fewest masks, then lowest index),
+    and the search ends at a cover of the root bound. Returns (chosen,
+    optimal, lower) as min_cover does."""
+    cands_of = [[c for c, cm in enumerate(cover_masks) if cm >> s & 1] for s in range(m)]
+    order = sorted(range(m), key=lambda s: (len(cands_of[s]), s))
+    share = [0] * m
+    for cm in cover_masks:
+        for s in _bits(cm):
+            share[s] |= cm & ~(1 << s)
+    big = [cm for cm in cover_masks if cm.bit_count() >= 3]
+
+    def independent(uncov):
+        near = lb = 0
+        for s in order:
+            if uncov >> s & 1 and not near >> s & 1:
+                lb += 1
+                near |= share[s]
+        return lb
+
+    def matching_bound(uncov, warm):
+        adj = [share[s] & uncov if uncov >> s & 1 else 0 for s in range(m)]
+        mate = [t if t >= 0 and adj[s] >> t & 1 else -1 for s, t in enumerate(warm)]
+        _maximise(m, adj, mate)
+        return _matching_bound(uncov, (m - mate.count(-1)) // 2, big), mate
+
+    full = (1 << m) - 1
+    root_mate, _ = max_matching(m, share)
+    root_lb = max(independent(full), _matching_bound(full, (m - root_mate.count(-1)) // 2, big))
+    best, uncov = [], full
+    while uncov:  # greedy: most new coverage, lowest index on ties
+        c = max(range(len(cover_masks)), key=lambda c: ((cover_masks[c] & uncov).bit_count(), -c))
+        best.append(c)
+        uncov &= ~cover_masks[c]
+    frontier = []
+    chosen = []
+
+    def rec(uncov, warm):
+        nonlocal best
+        if uncov == 0:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        lb = independent(uncov)
+        if len(chosen) + lb >= len(best):
+            return
+        bound, mate = matching_bound(uncov, warm)
+        lb = max(lb, bound)
+        if len(chosen) + lb >= len(best):
+            return
+        if deadline is not None and clock() > deadline:
+            frontier.append(len(chosen) + lb)
+            return
+        s = next(s for s in order if uncov >> s & 1)
+        for c in cands_of[s]:
+            chosen.append(c)
+            rec(uncov & ~cover_masks[c], mate)
+            chosen.pop()
+            if len(best) == root_lb:
+                return
+
+    if len(best) > root_lb:
+        rec(full, root_mate)
+    if frontier:
+        return best, False, max(min(min(frontier), len(best)), root_lb)
+    return best, True, len(best)
 
 
 def convex_cyclic_order(points):

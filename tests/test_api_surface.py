@@ -7,7 +7,8 @@ being exported in `visblock.__all__` is not enough. A private one must be
 used by other package code. Every name a package or test module imports must
 be referenced in that module. Every per-layer metric of the benchmark
 must name a public function the package still defines, and every count
-the benchmark's tracer reads off a result must still be there.
+the benchmark's tracer reads off a result must still be there. No function
+of the search engine calls itself: its searches run on explicit stacks.
 """
 
 import ast
@@ -70,6 +71,20 @@ def test_every_public_name_is_reached_outside_its_unit_tests():
 def test_every_private_name_is_used_by_package_code():
     unused = [f"{m}.{name}" for m, name in _unreferenced(private=True)]
     assert not unused, f"private names no package code references: {unused}"
+
+
+def test_no_search_in_cliques_recurses():
+    # a recursive search fails at the recursion limit, not at its budget
+    tree = ast.parse((PACKAGE / "cliques.py").read_text())
+    recursive = sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == fn.name
+    )
+    assert not recursive, f"functions in cliques.py that call themselves: {recursive}"
 
 
 def test_every_exported_name_resolves():

@@ -29,6 +29,7 @@ from visblock.generators import (
     grid_set,
     random_general_position_set,
 )
+from visblock.visibility import Colouring, monochromatic_line_check
 
 
 GRID_2X2 = {"kind": "grid", "params": {"w": 2, "h": 2}}
@@ -353,13 +354,18 @@ class TestRunHarness:
         assert manifest["tasks"]["visgraph"]["status"] == "budget_exhausted"
         assert exit_code_from_manifest(manifest) == EXIT_BUDGET
 
-    def test_manifest_hashes_match_files(self, tmp_path):
-        cfg = ExperimentConfig(
-            GeneratorSpec("convex_parabola", {"n": 4}), ("midpoints",),
-            output_dir=str(tmp_path),
-        )
-        run_dir = run(cfg)
+    @pytest.mark.parametrize("generator, tasks", [
+        (GeneratorSpec("convex_parabola", {"n": 4}), ("midpoints",)),
+        (GeneratorSpec("convex_parabola", {"n": 5}), cli.TASKS),
+        (GeneratorSpec("grid", {"w": 3, "h": 3}), cli.TASKS),  # crossing fails: no file
+        (GeneratorSpec("knn_parabola", {"n": 2}), ("block", "drawing")),
+    ])
+    def test_manifest_hashes_match_files(self, tmp_path, generator, tasks):
+        run_dir = run(ExperimentConfig(generator, tasks, output_dir=str(tmp_path)))
         manifest = json.loads((run_dir / "manifest.json").read_text())
+        files = [f"{sub}/{f.name}" for sub in ("inputs", "results")
+                 for f in sorted((run_dir / sub).iterdir())]
+        assert sorted(manifest["artifact_hashes"]) == files
         for rel, digest in manifest["artifact_hashes"].items():
             assert hashlib.sha256((run_dir / rel).read_bytes()).hexdigest() == digest
 
@@ -1015,6 +1021,26 @@ class TestMainEntry:
         obj = json.loads(capsys.readouterr().out)
         assert obj["line_or_clique"]["kind"] == "line"
         assert obj["mono_line_two_colourings"] is None
+
+
+class TestRamseyCensus:
+    @pytest.mark.parametrize("w, h, missing", [(3, 3, 16), (3, 4, 88)])
+    def test_counts_colourings_without_a_monochromatic_line(self, w, h, missing):
+        # every real set has a monochromatic line in each 2-colouring, so the
+        # census is only tested by hiding the lines of two points: then some
+        # colourings have none, and the task must count what the line check
+        # finds, point 0 keeping colour 1
+        ps = grid_set(w, h)
+        ps.__dict__["lines"] = tuple(rec for rec in ps.lines if len(rec) >= 3)
+        n = len(ps)
+        want = sum(
+            monochromatic_line_check(ps, Colouring(2, (1, *(1 + (c >> i & 1) for i in range(1, n)))))
+            is None
+            for c in range(0, 1 << n, 2)
+        )
+        assert want == missing
+        census = cli.task_ramsey(ps, None).result["mono_line_two_colourings"]
+        assert census == {"checked": 1 << n - 1, "missing": missing, "all_present": False}
 
 
 # SHA-256 of every results/ and inputs/ file of some runs, with the exit

@@ -1,4 +1,5 @@
 import random
+import sys
 import types
 from functools import cache
 from itertools import combinations
@@ -6,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from visblock import cliques
+from visblock.blocking import candidate_blockers
 from visblock.cliques import (
     chromatic_number,
     greedy_colouring,
@@ -15,7 +17,12 @@ from visblock.cliques import (
     min_cover,
 )
 from visblock.crossing import crossing_graph
-from visblock.generators import regular_ngon_set
+from visblock.generators import (
+    convex_parabola_set,
+    grid_set,
+    random_general_position_set,
+    regular_ngon_set,
+)
 
 import oracles
 
@@ -309,3 +316,76 @@ class TestMinCover:
     def test_deadline_in_the_past_keeps_the_bounds(self):
         optimal = [self.check(m, masks, deadline=0.0) for m, masks in random_set_systems(5, 300, 12)]
         assert optimal.count(False) >= 100  # the search is cut, not skipped
+
+    def test_matches_the_recursive_reference(self, monkeypatch):
+        # under a clock that advances once per read, min_cover must read it
+        # as often as the recursion, so cut at the same node, grow as many
+        # matchings, one per node past the first bound, and return what the
+        # recursion returns
+        matchings = [0]
+        maximise = cliques._maximise
+
+        def counted(*args):
+            matchings[0] += 1
+            maximise(*args)
+
+        monkeypatch.setattr(cliques, "_maximise", counted)
+        monkeypatch.setattr(oracles, "_maximise", counted)
+        systems = list(random_set_systems(6, 300, 16))
+        sources = [random_general_position_set(n, None, s) for n in (6, 7) for s in range(4)]
+        sources += [convex_parabola_set(n) for n in (5, 6, 7)] + [grid_set(3, 3), regular_ngon_set(6)]
+        systems += [(inst.m, inst.masks) for inst in map(candidate_blockers, sources)]
+        cut = 0
+        for m, masks in systems:
+            for deadline in (None, 2.5, 7.5, float("inf")):
+                ticks = [0]
+
+                def tick():
+                    ticks[0] += 1
+                    return ticks[0]
+
+                matchings[0] = 0
+                want = oracles.recursive_min_cover(masks, m, deadline, tick)
+                want_matchings, matchings[0] = matchings[0], 0
+                reads = counting_clock(monkeypatch)
+                assert min_cover(masks, m, deadline) == want
+                assert (reads[0], matchings[0]) == (ticks[0], want_matchings)
+                cut += not want[1]
+        assert cut >= 80
+
+    @staticmethod
+    def traps(copies):
+        """(m, masks): copies of six elements a..f with masks {b,c}, {a,b},
+        {c,d}, {d,e}, {e,f}; greedy takes four masks a copy, the optimum three."""
+        masks = []
+        for k in range(copies):
+            a, b, c, d, e, f = (1 << 6 * k + s for s in range(6))
+            masks += [b | c, a | b, c | d, d | e, e | f]
+        return 6 * copies, masks
+
+    def test_cover_deeper_than_the_recursion_limit(self):
+        # the search goes 180 masks deep; the limit sits 120 frames above this one
+        m, masks = self.traps(60)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 120)
+        try:
+            chosen, optimal, lower = min_cover(masks, m)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (len(chosen), optimal, lower) == (180, True, 180)
+        assert sorted(chosen) == [c for c in range(len(masks)) if c % 5 in (1, 2, 4)]
+
+    def test_deep_cover_cut_by_the_deadline(self, monkeypatch):
+        # cut 50 reads in, the search still returns the greedy cover and a
+        # bound no larger than the optimum
+        m, masks = self.traps(60)
+        counting_clock(monkeypatch)
+        chosen, optimal, lower = min_cover(masks, m, deadline=50.5)
+        union = 0
+        for c in chosen:
+            union |= masks[c]
+        assert union == (1 << m) - 1
+        assert not optimal and lower == 180 < len(chosen) == 240
