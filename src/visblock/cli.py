@@ -108,7 +108,7 @@ def task_visgraph(obj, budget_ms: Optional[int]) -> TaskOutcome:
     g = visibility_graph(ps)
     dia = diameter(g)
     om = clique_number(g, budget_ms)
-    ch = chromatic_number(g, budget_ms, om.omega if om.exact else None)
+    ch = chromatic_number(g, om, budget_ms)
     n = len(ps)
     checks: dict = {}
     failed = False
@@ -240,7 +240,7 @@ def task_ramsey(obj, budget_ms: Optional[int]) -> TaskOutcome:
         result["line_or_clique"] = verdict.to_obj()
         failed |= verdict.kind == "neither"
         budget_hit = verdict.kind == "unknown"
-    ch = chromatic_number(g, budget_ms, om.omega if om.exact else None)
+    ch = chromatic_number(g, om, budget_ms)
     if ch.exact:
         rep = proposition1_check(g, ch.colouring)
         result["largest_class_certificate"] = rep.to_obj()
@@ -403,9 +403,9 @@ def run(config: ExperimentConfig) -> Path:
 
 
 def _error_entry(what: str, exc: Exception) -> dict:
-    """Manifest status of a failed step. A GeometryError is bad input; any
-    other exception is a bug, logged with its traceback, and the run goes on
-    so the manifest is still written."""
+    """Log a failed step and return its manifest status. A GeometryError is
+    bad input; any other exception is a bug, logged with its traceback, and
+    the run goes on so the manifest is still written."""
     if isinstance(exc, GeometryError):
         log.error("%s failed: %s", what, exc)
     else:
@@ -431,8 +431,8 @@ def _cross_checks(subject, outcomes: dict[str, TaskOutcome], manifest: dict) -> 
             blockers = [Point.from_obj(p) for p in block.result["blocking"]["blockers"]]
             witness = cover_from_blockers(subject, blockers)
             ok = ok and witness.size <= b
-        except GeometryError as exc:
-            log.error("blocker-induced cover failed: %s", exc)
+        except Exception as exc:  # a crash fails the check, and the manifest is still written
+            _error_entry("blocker-induced cover", exc)
             ok = False
         manifest["cross_checks"]["partition_at_most_blocking"] = ok
         if not ok:
@@ -520,8 +520,11 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
             if "partition_size" not in crs:
                 raise GeometryError(f"run {r['dir']}: crossing result missing size")
             row["t"] = _typed(r, "crossing result 'partition_size'", crs["partition_size"], int)
-        row["n2_over_14"] = n * n / 14
-        row["n_ln_n"] = n * math.log(n) if n >= 1 else 0.0
+        try:
+            row["n2_over_14"] = n * n / 14
+            row["n_ln_n"] = n * math.log(n) if n >= 1 else 0.0
+        except OverflowError:
+            raise GeometryError(f"run {r['dir']}: n is too large for a float") from None
         rows.append(row)
     out_dir = Path(out_dir)
     _make_dir(out_dir)

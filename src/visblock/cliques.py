@@ -202,34 +202,29 @@ def k_colourable(
 
 
 def chromatic_number(
-    n: int, adj: Sequence[int], deadline: Optional[float] = None, omega: Optional[int] = None
-) -> tuple[int, list[int], bool, int, int]:
+    n: int, adj: Sequence[int], lower: int, deadline: Optional[float] = None
+) -> tuple[list[int], bool, int, int]:
     """Exact chromatic number when the budget allows.
 
-    Returns (k, colouring, exact, lower, upper). When exact, lower == upper
-    == k and the colouring uses k colours; otherwise the colouring is the
-    greedy upper-bound witness. The search starts from the clique number:
-    omega when the caller knows it exactly, else a max_clique search.
+    lower is the size of a clique the caller holds, found by an exact
+    search or not. Returns (colouring, exact, lower, upper). When exact,
+    lower == upper and the colouring uses that many colours; otherwise the
+    colouring is the greedy upper-bound witness. The search fails at each
+    k below the chromatic number and meets the same first leaf at it, so
+    without a deadline the result does not depend on lower.
     """
     if n == 0:
-        return 0, [], True, 0, 0
-    if omega is None:
-        lower, _, clique_exact = max_clique(n, adj, deadline)
-    else:
-        lower, clique_exact = omega, True
+        return [], True, 0, 0
     greedy = greedy_colouring(n, adj)
     upper = max(greedy)
-    if not clique_exact:
-        return upper, greedy, False, lower, upper
-    best_colouring = greedy
     while lower < upper:
         result, budget_hit = k_colourable(n, adj, lower, deadline)
         if budget_hit:
-            return upper, best_colouring, False, lower, upper
+            return greedy, False, lower, upper
         if result is not None:
-            return lower, result, True, lower, lower
+            return result, True, lower, lower
         lower += 1
-    return upper, best_colouring, True, upper, upper
+    return greedy, True, upper, upper
 
 
 def _alternating_forest(

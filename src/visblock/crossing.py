@@ -121,8 +121,8 @@ def crossing_family_partition(source: Union[PointSet, CrossingGraph],
     # general position every maximal one is a triangulation, 3n - 3 - h
     # segments with h hull points
     n = len(g.source)
-    omega = 3 * n - 3 - convex_hull_size(g.source) if n >= 3 else g.m
-    _, colouring, exact, _, _ = chromatic_number(g.m, comp, _deadline(budget_ms), omega)
+    lower = 3 * n - 3 - convex_hull_size(g.source) if n >= 3 else g.m
+    colouring, exact, _, _ = chromatic_number(g.m, comp, lower, _deadline(budget_ms))
     buckets: dict[int, list[int]] = {}
     for s, c in enumerate(colouring):
         buckets.setdefault(c, []).append(s)

@@ -290,8 +290,6 @@ def _hull_vertices(xy: Sequence[tuple[int, int]]) -> list[int]:
     # monotone chain on an integer view, strict turns only: indices of the
     # corners of the hull, ccw
     srt = sorted(range(len(xy)), key=xy.__getitem__)
-    if len(srt) < 3:
-        return srt
     lower: list[int] = []
     for i in srt:
         while len(lower) >= 2 and orientation(xy[lower[-2]], xy[lower[-1]], xy[i]) <= 0:

@@ -141,14 +141,14 @@ class ChromaticResult(Record):
 
 
 def chromatic_number(
-    g: VisibilityGraph, budget_ms: Optional[int] = None, omega: Optional[int] = None
+    g: VisibilityGraph, clique: CliqueResult, budget_ms: Optional[int] = None
 ) -> ChromaticResult:
-    """Exact chromatic number when the budget allows; omega, the exact
-    clique number if the caller has it, spares a second clique search."""
-    k, colours, exact, lower, upper = cliques.chromatic_number(
-        g.n, g.adj, _deadline(budget_ms), omega
+    """Exact chromatic number when the budget allows. clique, the result of
+    clique_number(g), bounds it from below, even when its search was cut."""
+    colours, exact, lower, upper = cliques.chromatic_number(
+        g.n, g.adj, clique.omega, _deadline(budget_ms)
     )
-    return ChromaticResult(k, Colouring(max(colours), tuple(colours)), exact, lower, upper)
+    return ChromaticResult(upper, Colouring(max(colours), tuple(colours)), exact, lower, upper)
 
 
 @dataclass(frozen=True)

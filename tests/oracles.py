@@ -3,12 +3,12 @@
 Everything here is deliberately naive: direct definitions, exhaustive
 enumeration, no shared code with the implementation under test. Two
 exceptions: the circle-graph oracle colours the interleaving complement
-with the package's own `chromatic_number`, because what it checks is the
-geometry of the crossing graph (on convex points, crossing is
-interleaving on the cycle), not the colouring search, and equal graphs
-then give equal classes; and the recursive cover search bounds its nodes
-with the package's matchings, because what it checks is the order of the
-nodes and of the deadline reads, not the bounds.
+with the package's own `max_clique` and `chromatic_number`, because what
+it checks is the geometry of the crossing graph (on convex points,
+crossing is interleaving on the cycle), not the colouring search, and
+equal graphs then give equal classes; and the recursive cover search
+bounds its nodes with the package's matchings, because what it checks is
+the order of the nodes and of the deadline reads, not the bounds.
 """
 
 import time
@@ -17,7 +17,13 @@ from functools import cmp_to_key
 from itertools import combinations, product
 from math import gcd
 
-from visblock.cliques import _matching_bound, _maximise, chromatic_number, max_matching
+from visblock.cliques import (
+    _matching_bound,
+    _maximise,
+    chromatic_number,
+    max_clique,
+    max_matching,
+)
 from visblock.crossing import CrossingFamilyPartition
 
 
@@ -390,7 +396,7 @@ def circle_graph_cover(n, chords):
         sum(1 << t for t in range(m) if t != s and not interleaves(chords[s], chords[t], n))
         for s in range(m)
     ]
-    _, colouring, exact, _, _ = chromatic_number(m, comp)
+    colouring, exact, _, _ = chromatic_number(m, comp, max_clique(m, comp)[0])
     classes = [[s for s in range(m) if colouring[s] == c] for c in sorted(set(colouring))]
     return CrossingFamilyPartition(tuple(map(tuple, classes)), exact)
 

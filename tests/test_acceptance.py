@@ -105,7 +105,8 @@ def exact_colourings(corpus):
         for label, ps in corpus.items():
             if len(ps) < 2 or max_collinear(ps) == len(ps):
                 continue
-            ch = chromatic_number(visibility_graph(ps))
+            g = visibility_graph(ps)
+            ch = chromatic_number(g, clique_number(g))
             assert ch.exact, label
             _COLOURING_CACHE[label] = (ps, ch)
     return _COLOURING_CACHE

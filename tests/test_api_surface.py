@@ -9,12 +9,14 @@ be referenced in that module. Every per-layer metric of the benchmark
 must name a public function the package still defines, and every count
 the benchmark's tracer reads off a result must still be there. No function
 of the search engine calls itself: its searches run on explicit stacks.
+The package imports nothing but the standard library and itself.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import visblock
@@ -107,6 +109,21 @@ def test_every_imported_name_is_used():
                     if name not in used and name not in exported:
                         unused.append(f"{path.parent.name}/{path.name}: {name}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_package_imports_only_the_standard_library():
+    allowed = sys.stdlib_module_names | {"visblock"}
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # level > 0: the package
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert not foreign, f"imports outside the standard library: {foreign}"
 
 
 def test_benchmark_layer_names_resolve():

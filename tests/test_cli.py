@@ -183,10 +183,14 @@ class TestRunHarness:
         assert manifest["cross_checks"]["partition_at_most_blocking"] is True
         assert len(builds) == 2  # task_crossing, then the blocker-induced cover
 
-    @pytest.mark.parametrize("task,searches", [("visgraph", 1), ("ramsey", 1), ("crossing", 0)])
-    def test_clique_searched_at_most_once(self, tmp_path, monkeypatch, task, searches):
-        # chromatic_number is handed the exact omega of clique_number, and
-        # the crossing partition the triangulation size 3n - 3 - h
+    @pytest.mark.parametrize("task,budget,searches", [
+        ("visgraph", None, 1), ("ramsey", None, 1), ("crossing", None, 0),
+        ("visgraph", 0, 1), ("ramsey", 0, 1),
+    ], ids=["visgraph-1", "ramsey-1", "crossing-0", "visgraph-budget0-1", "ramsey-budget0-1"])
+    def test_clique_searched_at_most_once(self, tmp_path, monkeypatch, task, budget, searches):
+        # chromatic_number starts from the clique of clique_number, cut by
+        # the budget or not, and the crossing partition from the
+        # triangulation size 3n - 3 - h
         calls = []
         search = cliques.max_clique
 
@@ -196,17 +200,26 @@ class TestRunHarness:
 
         monkeypatch.setattr(cliques, "max_clique", counted)
         cfg = ExperimentConfig(
-            GeneratorSpec("convex_parabola", {"n": 6}), (task,), output_dir=str(tmp_path),
+            GeneratorSpec("convex_parabola", {"n": 6}), (task,),
+            {} if budget is None else {task: budget}, str(tmp_path),
         )
         manifest = json.loads((run(cfg) / "manifest.json").read_text())
-        assert manifest["tasks"][task]["status"] == "ok"
+        want = "ok" if budget is None else "budget_exhausted"
+        assert manifest["tasks"][task]["status"] == want
         assert len(calls) == searches
 
-    @pytest.mark.parametrize("logged", [True, False], ids=["cover-raises", "cover-too-large"])
-    def test_failed_cross_check_fails_both_tasks(self, tmp_path, capsys, monkeypatch, logged):
+    @pytest.mark.parametrize("exc,logged", [
+        (GeometryError("segment (0, 1) is not blocked; cover impossible"),
+         "ERROR visblock: blocker-induced cover failed: segment (0, 1) is not blocked"),
+        (ZeroDivisionError("division by zero"),
+         "ERROR visblock: blocker-induced cover crashed\nTraceback"),
+        (None, None),
+    ], ids=["cover-raises", "cover-crashes", "cover-too-large"])
+    def test_failed_cross_check_fails_both_tasks(self, tmp_path, capsys, monkeypatch, exc,
+                                                 logged):
         def bad_cover(ps, blockers):
-            if logged:
-                raise GeometryError("segment (0, 1) is not blocked; cover impossible")
+            if exc is not None:
+                raise exc
             return crossing.CrossingFamilyPartition(tuple((s,) for s in range(len(blockers) + 1)),
                                                     False)
 
@@ -220,7 +233,10 @@ class TestRunHarness:
         assert manifest["tasks"]["block"]["status"] == "verification_failed"
         assert manifest["tasks"]["crossing"]["status"] == "verification_failed"
         log_text = (run_dir / "logs" / "run.log").read_text()
-        assert ("blocker-induced cover failed" in log_text) == logged
+        if logged is None:
+            assert "blocker-induced cover" not in log_text
+        else:
+            assert logged in log_text
 
     def test_knn_parabola_bundle(self, tmp_path):
         cfg = ExperimentConfig(
@@ -353,6 +369,26 @@ class TestRunHarness:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["tasks"]["visgraph"]["status"] == "budget_exhausted"
         assert exit_code_from_manifest(manifest) == EXIT_BUDGET
+
+    def test_cut_clique_search_bounds_the_colouring(self, tmp_path, monkeypatch):
+        # a clique search cut at size 2 still bounds chi from below; the
+        # colouring search climbs from there and proves chi = 4 on its own
+        monkeypatch.setattr(cliques, "max_clique", lambda n, adj, deadline=None: (2, [0, 1], False))
+        cfg = ExperimentConfig(
+            GeneratorSpec("grid", {"w": 3, "h": 3}), ("visgraph", "ramsey"),
+            output_dir=str(tmp_path),
+        )
+        run_dir = run(cfg)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        vis = read_result(run_dir, "visgraph")
+        assert vis["clique"] == {"omega": 2, "witness": [0, 1], "exact": False}
+        assert vis["chromatic"]["exact"] is True
+        assert vis["chromatic"]["lower"] == vis["chromatic"]["upper"] == vis["chromatic"]["chi"] == 4
+        assert vis["checks"]["clique_at_most_chromatic"] is None
+        assert manifest["tasks"]["visgraph"]["status"] == "budget_exhausted"
+        # ramsey needs no clique on a grid, which has a line of 3
+        assert "largest_class_certificate" in read_result(run_dir, "ramsey")
+        assert manifest["tasks"]["ramsey"]["status"] == "ok"
 
     @pytest.mark.parametrize("generator, tasks", [
         (GeneratorSpec("convex_parabola", {"n": 4}), ("midpoints",)),
@@ -500,6 +536,17 @@ class TestReport:
         assert table[1] == "4,5,True"
         assert table[2] == "5,7,True"
 
+    def test_drawing_only_run(self, tmp_path, capsys):
+        cfg = ExperimentConfig(
+            GeneratorSpec("grid", {"w": 2, "h": 2}), ("drawing",),
+            output_dir=str(tmp_path / "runs"),
+        )
+        out = tmp_path / "rpt"
+        assert main(["report", str(run(cfg)), "--output-dir", str(out)]) == EXIT_OK
+        assert capsys.readouterr() == (f"{out / 'drawing_table.csv'}\n{out / 'summary.csv'}\n", "")
+        assert (out / "summary.csv").read_text() == "n,bound_3n_3_t,b,m,t,n2_over_14,n_ln_n\n"
+        assert (out / "drawing_table.csv").read_text() == "n,blockers,verified\n4,5,True\n"
+
     def test_partial_rows_leave_blanks(self, tmp_path):
         cfg = ExperimentConfig(
             GeneratorSpec("convex_parabola", {"n": 4}), ("midpoints",),
@@ -537,8 +584,9 @@ class TestReport:
         ("block", {"n": True, "input": "point-set", "blocking": {"size": 5}},
          "block result 'n' must be an integer"),
         ("crossing", [4], "crossing result must be an object"),
+        ("midpoints", {"n": 10**400, "midpoints": 3}, "n is too large for a float"),
     ], ids=["drawing-blocking-list", "midpoints-n-string", "block-blocking-int",
-            "block-n-bool", "crossing-list"])
+            "block-n-bool", "crossing-list", "midpoints-n-huge"])
     def test_result_of_the_wrong_shape_rejected(self, tmp_path, capsys, task, result, complaint):
         (d,) = self.make_runs(tmp_path, sizes=(4,))
         for f in (d / "results").glob("*.json"):
@@ -680,6 +728,36 @@ class TestMainEntry:
         assert captured.err.startswith(f"error: cannot write {path}")
         assert path.is_dir() and not any(path.iterdir())
         assert logging.getLogger("visblock").level == level
+
+    def test_generate_from_file(self, tmp_path, capsys):
+        ps = grid_set(2, 2)
+        pts = write_points(tmp_path / "set.json", ps)
+        assert main(["generate", "--kind", "file", "--path", str(pts)]) == EXIT_OK
+        assert capsys.readouterr() == (json.dumps(ps.to_obj(), sort_keys=True, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("args, message", [
+        (["generate", "--kind", "progression", "--progression", "{bad"],
+         "--progression is not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (["run", "--config", "LIST"], "config must be a JSON object"),
+        (["visgraph", "--input", "NEITHER"], "input NEITHER holds neither a point set nor a "
+         "drawing bundle"),
+        (["midpoints", "--input", "ONE"], "midpoint analysis needs at least two points"),
+        (["block", "--input", "ONE"], "need at least 2 points"),
+        (["generate", "--kind", "random_general_position", "--n", "3", "--seed", "1",
+          "--bound", "1"], "coordinate bound too small"),
+        (["drawing", "--n", "1"], "arc drawing needs n >= 2"),
+    ], ids=["progression-not-json", "config-list", "input-neither", "midpoints-one-point",
+            "block-one-point", "bound-too-small", "drawing-n-1"])
+    def test_bad_input_message(self, tmp_path, capsys, args, message):
+        files = {"LIST": "[1, 2]", "NEITHER": '{"foo": 1}', "ONE": '{"points": [[0, 0]]}'}
+        for name, text in files.items():
+            path = tmp_path / f"{name.lower()}.json"
+            path.write_text(text)
+            args = [str(path) if a == name else a for a in args]
+            message = message.replace(name, str(path))
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_bad_input_path(self, tmp_path, capsys):
         rc = main(["block", "--input", str(tmp_path / "missing.json")])

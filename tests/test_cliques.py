@@ -251,19 +251,19 @@ class TestChromaticNumber:
         # whole cycle before it fails: far deeper than the recursion limit
         n = 1201
         adj = adjacency(n, [(v, (v + 1) % n) for v in range(n)])
-        k, colouring, exact, lower, upper = chromatic_number(n, adj)
-        assert (k, exact, lower, upper) == (3, True, 3, 3)
+        colouring, exact, lower, upper = chromatic_number(n, adj, 2)
+        assert (exact, lower, upper) == (True, 3, 3)
         assert max(colouring) == 3
         assert all(colouring[v] != colouring[(v + 1) % n] for v in range(n))
 
-    def test_given_clique_number_changes_nothing(self):
-        # a caller that knows omega exactly skips the clique search and gets
-        # the same colouring and bounds
+    def test_result_does_not_depend_on_the_lower_bound(self):
+        # every k below chi fails and the search at chi meets the same first
+        # leaf, so the trivial bound 1 gives what the clique number gives
         for n, edges in random_graphs(22, 300, 14):
             adj = adjacency(n, edges)
             omega, _, exact = max_clique(n, adj)
             assert exact
-            assert chromatic_number(n, adj, omega=omega) == chromatic_number(n, adj)
+            assert chromatic_number(n, adj, 1) == chromatic_number(n, adj, omega)
 
 
 def random_set_systems(seed, count, max_m):

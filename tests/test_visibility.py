@@ -167,16 +167,18 @@ class TestCliqueAndChromatic:
             assert (a, b) in g.edges()
 
     def test_triangle_chromatic(self):
-        r = chromatic_number(visibility_graph(TRIANGLE))
+        g = visibility_graph(TRIANGLE)
+        r = chromatic_number(g, clique_number(g))
         assert r.chi == 3 and r.exact
 
     def test_collinear_chromatic(self):
-        r = chromatic_number(visibility_graph(COLL3))
+        g = visibility_graph(COLL3)
+        r = chromatic_number(g, clique_number(g))
         assert r.chi == 2 and r.exact
 
     def test_grid33_chromatic(self):
         g = visibility_graph(GRID33)
-        r = chromatic_number(g)
+        r = chromatic_number(g, clique_number(g))
         want, _ = oracles.brute_chromatic(g.n, g.edges())
         assert r.exact and r.chi == want == 4
         # returned colouring is proper and uses chi colours
@@ -192,7 +194,7 @@ class TestCliqueAndChromatic:
         ps = PointSet.build(coords)
         g = visibility_graph(ps)
         cq = clique_number(g)
-        ch = chromatic_number(g)
+        ch = chromatic_number(g, cq)
         ow, _ = oracles.brute_max_clique(g.n, g.edges())
         cw, _ = oracles.brute_chromatic(g.n, g.edges())
         assert cq.exact and cq.omega == ow
@@ -287,7 +289,7 @@ class TestProposition1:
 
     def test_grid_chi_colouring(self):
         g = visibility_graph(GRID33)
-        r = chromatic_number(g)
+        r = chromatic_number(g, clique_number(g))
         rep = proposition1_check(g, r.colouring)
         assert rep.proper
         assert rep.s >= rep.s_lower
