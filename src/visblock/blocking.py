@@ -26,6 +26,7 @@ from .geometry import (
     segment_intersection,
     sorted_along_line,
 )
+from .midpoints import _pair_sums
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,8 @@ def min_blocking_set(
     Budget exhaustion returns the best feasible set found with optimal=False
     and the best proven lower bound.
     """
-    inst = candidate_blockers(source)
     deadline = _deadline(budget_ms)
+    inst = candidate_blockers(source)
     covered = reduce(or_, inst.masks, 0)
     missing = [s for s in range(inst.m) if not covered >> s & 1]
     if missing:
@@ -260,9 +261,8 @@ def midpoint_blocking_set(ps: PointSet) -> BlockingSet:
     """All pairwise midpoints; a valid blocking set in general position."""
     if not is_general_position(ps):
         raise NotGeneralPosition("midpoints can collide with the set when 3 points are collinear")
-    den, xy = ps.integer_view
     # doubled midpoints 2L*m; sorting them sorts the midpoints, as 2L > 0
-    sums = [(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in combinations(xy, 2)]
+    den, sums, _ = _pair_sums(ps)
     distinct = sorted(set(sums))
     index = {t: k for k, t in enumerate(distinct)}
     covers = tuple((s, index[t]) for s, t in enumerate(sums))

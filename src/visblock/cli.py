@@ -33,6 +33,7 @@ from .blocking import (
     min_blocking_set,
     triangulation_lower_bound,
 )
+from .cliques import _deadline
 from .crossing import (
     cover_from_blockers,
     crossing_family_partition,
@@ -104,11 +105,12 @@ def _as_pointset(obj) -> PointSet:
 
 
 def task_visgraph(obj, budget_ms: Optional[int]) -> TaskOutcome:
+    deadline = _deadline(budget_ms)
     ps = _as_pointset(obj)
     g = visibility_graph(ps)
     dia = diameter(g)
-    om = clique_number(g, budget_ms)
-    ch = chromatic_number(g, om, budget_ms)
+    om = clique_number(g, deadline)
+    ch = chromatic_number(g, om, deadline)
     n = len(ps)
     checks: dict = {}
     failed = False
@@ -175,12 +177,13 @@ def task_midpoints(obj, budget_ms: Optional[int]) -> TaskOutcome:
     # counted on the integer view: a midpoint (p + q) / 2 is a point r of
     # the set exactly when p + q = 2r
     _, pairs, doubles = _pair_sums(ps)
-    m, s = len(pairs), len(pairs | doubles)
+    sums = set(pairs)
+    m, s = len(sums), len(sums | doubles)
     failed = not (m <= s <= m + n)
     checks: dict = {"sandwich": m <= s <= m + n}
     result = {"n": n, "midpoints": m, "sumset": s, "checks": checks}
     if is_general_position(ps):
-        disjoint = pairs.isdisjoint(doubles)
+        disjoint = sums.isdisjoint(doubles)
         checks["midpoints_avoid_set"] = disjoint
         failed |= not disjoint
         if n >= 3:
@@ -228,19 +231,20 @@ def task_drawing(obj, budget_ms: Optional[int]) -> TaskOutcome:
 
 
 def task_ramsey(obj, budget_ms: Optional[int]) -> TaskOutcome:
+    deadline = _deadline(budget_ms)
     ps = _as_pointset(obj)
     n = len(ps)
     result: dict = {"n": n}
     failed = False
     budget_hit = False
     g = visibility_graph(ps)
-    om = clique_number(g, budget_ms)
+    om = clique_number(g, deadline)
     if n >= 3:
         verdict = big_line_big_clique_check(g, 3, 3, om)
         result["line_or_clique"] = verdict.to_obj()
         failed |= verdict.kind == "neither"
         budget_hit = verdict.kind == "unknown"
-    ch = chromatic_number(g, om, budget_ms)
+    ch = chromatic_number(g, om, deadline)
     if ch.exact:
         rep = proposition1_check(g, ch.colouring)
         result["largest_class_certificate"] = rep.to_obj()
@@ -280,6 +284,8 @@ def _check_budget(what: str, budget) -> None:
     # the one budget rule, for config entries and the --budget-ms flag alike
     if not _json_int(budget) or budget < 0:
         raise GeometryError(f"{what} must be a non-negative integer")
+    if budget > sys.float_info.max:  # a deadline is a float
+        raise GeometryError(f"{what} is too large for a float")
 
 
 @dataclass(frozen=True)
@@ -465,11 +471,15 @@ def _load_run(run_dir: Path) -> dict:
 
 
 def _typed(r: dict, what: str, value, kind: type):
-    """value, if it has the JSON type kind (a boolean is no integer); else
-    the run's results are malformed."""
-    if (_json_int(value) if kind is int else isinstance(value, kind)):
-        return value
-    raise GeometryError(f"run {r['dir']}: {what} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    """value, if it has the JSON type kind (a boolean is no integer) and is
+    no negative integer; else the run's results are malformed."""
+    if not (_json_int(value) if kind is int else isinstance(value, kind)):
+        raise GeometryError(
+            f"run {r['dir']}: {what} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}"
+        )
+    if kind is int and value < 0:
+        raise GeometryError(f"run {r['dir']}: {what} must not be negative, got {value}")
+    return value
 
 
 def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:

@@ -114,6 +114,7 @@ def crossing_family_partition(source: Union[PointSet, CrossingGraph],
     classes ordered by colour. On budget exhaustion the best greedy
     partition is returned, exact=False. A CrossingGraph is used as given;
     a PointSet gets its graph built."""
+    deadline = _deadline(budget_ms)
     g = source if isinstance(source, CrossingGraph) else crossing_graph(source)
     full = (1 << g.m) - 1
     comp = tuple(full ^ a ^ (1 << s) for s, a in enumerate(g.adj))
@@ -122,7 +123,7 @@ def crossing_family_partition(source: Union[PointSet, CrossingGraph],
     # segments with h hull points
     n = len(g.source)
     lower = 3 * n - 3 - convex_hull_size(g.source) if n >= 3 else g.m
-    colouring, exact, _, _ = chromatic_number(g.m, comp, lower, _deadline(budget_ms))
+    colouring, exact, _, _ = chromatic_number(g.m, comp, lower, deadline)
     buckets: dict[int, list[int]] = {}
     for s, c in enumerate(colouring):
         buckets.setdefault(c, []).append(s)

@@ -8,7 +8,7 @@ from math import ceil
 from typing import Optional
 
 from . import cliques
-from .cliques import _bits, _deadline
+from .cliques import _bits
 from .errors import DisconnectedVisibility, GeometryError
 from .geometry import (
     LineRecord,
@@ -105,8 +105,8 @@ class CliqueResult(Record):
     exact: bool
 
 
-def clique_number(g: VisibilityGraph, budget_ms: Optional[int] = None) -> CliqueResult:
-    size, witness, exact = cliques.max_clique(g.n, g.adj, _deadline(budget_ms))
+def clique_number(g: VisibilityGraph, deadline: Optional[float] = None) -> CliqueResult:
+    size, witness, exact = cliques.max_clique(g.n, g.adj, deadline)
     return CliqueResult(size, tuple(witness), exact)
 
 
@@ -141,13 +141,11 @@ class ChromaticResult(Record):
 
 
 def chromatic_number(
-    g: VisibilityGraph, clique: CliqueResult, budget_ms: Optional[int] = None
+    g: VisibilityGraph, clique: CliqueResult, deadline: Optional[float] = None
 ) -> ChromaticResult:
-    """Exact chromatic number when the budget allows. clique, the result of
-    clique_number(g), bounds it from below, even when its search was cut."""
-    colours, exact, lower, upper = cliques.chromatic_number(
-        g.n, g.adj, clique.omega, _deadline(budget_ms)
-    )
+    """Exact chromatic number unless the deadline cuts in. clique, the result
+    of clique_number(g), bounds it from below, even when its search was cut."""
+    colours, exact, lower, upper = cliques.chromatic_number(g.n, g.adj, clique.omega, deadline)
     return ChromaticResult(upper, Colouring(max(colours), tuple(colours)), exact, lower, upper)
 
 

@@ -9,7 +9,9 @@ be referenced in that module. Every per-layer metric of the benchmark
 must name a public function the package still defines, and every count
 the benchmark's tracer reads off a result must still be there. No function
 of the search engine calls itself: its searches run on explicit stacks.
-The package imports nothing but the standard library and itself.
+A budget turns into a deadline once, as the first statement of the
+function that takes it. The package imports nothing but the standard
+library and itself.
 """
 
 import ast
@@ -87,6 +89,35 @@ def test_no_search_in_cliques_recurses():
         and call.func.id == fn.name
     )
     assert not recursive, f"functions in cliques.py that call themselves: {recursive}"
+
+
+def test_a_budget_is_read_once_at_the_start():
+    # a budget starts when the call that takes it starts: each _deadline
+    # call is the first statement of its function (after a docstring), and
+    # the searches and the graph statistics below take that deadline
+    late, budgeted = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        first_calls = set()
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            first = fn.body[1 if ast.get_docstring(fn) is not None and len(fn.body) > 1 else 0]
+            value = getattr(first, "value", None)  # of an assignment, expression or return
+            if value is not None:
+                first_calls.update(id(node) for node in ast.walk(value))
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if (path.stem in ("cliques", "visibility") and fn.name != "_deadline"
+                    and "budget_ms" in [a.arg for a in args]):
+                budgeted.append(f"{path.stem}.{fn.name}")
+        late += [
+            f"{path.name}:{call.lineno}"
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "_deadline" and id(call) not in first_calls
+        ]
+    assert not late, f"_deadline calls that are not the first statement of their function: {late}"
+    assert not budgeted, f"functions below the tasks that take a budget, not a deadline: {budgeted}"
 
 
 def test_every_exported_name_resolves():

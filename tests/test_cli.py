@@ -1,14 +1,17 @@
 import hashlib
+import inspect
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from visblock import cli, cliques, crossing
+from visblock import blocking, cli, cliques, crossing
 from visblock.blocking import construct_knn_grid, construct_knn_parabola
 from visblock.cli import (
     EXIT_BUDGET,
@@ -29,6 +32,7 @@ from visblock.generators import (
     grid_set,
     random_general_position_set,
 )
+from visblock.geometry import PointSet
 from visblock.visibility import Colouring, monochromatic_line_check
 
 
@@ -585,8 +589,24 @@ class TestReport:
          "block result 'n' must be an integer"),
         ("crossing", [4], "crossing result must be an object"),
         ("midpoints", {"n": 10**400, "midpoints": 3}, "n is too large for a float"),
+        ("midpoints", {"n": -3, "midpoints": 2},
+         "midpoints result 'n' must not be negative, got -3"),
+        ("midpoints", {"n": 4, "midpoints": -1},
+         "midpoints result 'midpoints' must not be negative, got -1"),
+        ("block", {"n": 4, "input": "point-set", "blocking": {"size": -1}},
+         "block result 'blocking.size' must not be negative, got -1"),
+        ("block", {"n": 4, "input": "point-set", "blocking": {"size": 5},
+                   "lower_bound_triangulation": -7},
+         "block result 'lower_bound_triangulation' must not be negative, got -7"),
+        ("crossing", {"n": 4, "partition_size": -1},
+         "crossing result 'partition_size' must not be negative, got -1"),
+        ("drawing", {"n": 5, "blocker_count": -2, "blocking": {"ok": True},
+                     "simplicity": {"ok": True}},
+         "drawing result 'blocker_count' must not be negative, got -2"),
     ], ids=["drawing-blocking-list", "midpoints-n-string", "block-blocking-int",
-            "block-n-bool", "crossing-list", "midpoints-n-huge"])
+            "block-n-bool", "crossing-list", "midpoints-n-huge", "midpoints-n-negative",
+            "midpoints-count-negative", "block-size-negative", "block-bound-negative",
+            "crossing-size-negative", "drawing-blockers-negative"])
     def test_result_of_the_wrong_shape_rejected(self, tmp_path, capsys, task, result, complaint):
         (d,) = self.make_runs(tmp_path, sizes=(4,))
         for f in (d / "results").glob("*.json"):
@@ -596,6 +616,7 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"error: run {d}: {complaint}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "rpt").exists()
 
     @pytest.mark.parametrize("results, complaint", [
         ({"visgraph": {"n": 4}, "block": {"n": 5, "input": "point-set"}},
@@ -1070,6 +1091,27 @@ class TestMainEntry:
         assert out == ""
         assert err == "error: --budget-ms must be a non-negative integer\n"
 
+    @pytest.mark.parametrize("task", cli.TASKS)
+    def test_budget_flag_too_large_for_a_float(self, tmp_path, capsys, task):
+        pts = write_points(tmp_path / "points.json", random_general_position_set(6, None, 1))
+        assert main([task, "--input", str(pts), "--budget-ms", str(10**400)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --budget-ms is too large for a float\n"
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_run_budget_too_large_for_a_float(self, tmp_path, capsys, where):
+        budgets = {"visgraph": 10**400} if where == "config" else None
+        cfg = write_config(tmp_path, {"kind": "convex_parabola", "params": {"n": 4}},
+                           ["visgraph"], budgets)
+        flag = ["--budget-ms", str(10**400)] if where == "flag" else []
+        assert main(["run", "--config", str(cfg), *flag]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        what = "budget for 'visgraph'" if where == "config" else "--budget-ms"
+        assert err == f"error: {what} is too large for a float\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_ramsey_budget_exhausted_verdict(self, tmp_path, capsys):
         pts = write_points(tmp_path / "points.json", random_general_position_set(9, None, 3))
         assert main(["ramsey", "--input", str(pts), "--budget-ms", "0"]) == EXIT_BUDGET
@@ -1126,6 +1168,106 @@ class TestRamseyCensus:
 # good: renaming, dropping or reshaping any field of a written record, or a
 # speed-up that moves any byte, changes a digest here. The grid and n-gon
 # runs take the search, line and midpoint paths of large inputs.
+class Watch:
+    """A clock for cliques that moves one tick per reading, and a log of the
+    clique and colouring searches, each with the deadline it was given, the
+    readings it made and whether the deadline cut it."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.readings: list[int] = []
+        self.searches: list[tuple[str, object, list[int], bool]] = []
+        self.order: list[str] = []  # "clock" and "build", as they happen
+        monkeypatch.setattr(cliques, "time", types.SimpleNamespace(monotonic=self.monotonic))
+        for name in ("max_clique", "k_colourable"):
+            monkeypatch.setattr(cliques, name, self.search(getattr(cliques, name)))
+
+    def monotonic(self):
+        self.readings.append(len(self.readings) + 1)
+        self.order.append("clock")
+        return self.readings[-1]
+
+    def search(self, fn):
+        def call(*args):
+            deadline = inspect.signature(fn).bind(*args).arguments.get("deadline")
+            start = len(self.readings)
+            out = fn(*args)
+            # max_clique returns (size, witness, exact), k_colourable (colours, budget_hit)
+            cut = not out[2] if fn.__name__ == "max_clique" else out[1]
+            self.searches.append((fn.__name__, deadline, self.readings[start:], cut))
+            return out
+
+        return call
+
+    def builds(self, module, name):
+        fn = getattr(module, name)
+
+        def call(*args):
+            self.order.append("build")
+            return fn(*args)
+
+        self.monkeypatch.setattr(module, name, call)
+
+
+def grid_subset():
+    # 27 points of the 6x6 grid: the clique search takes 15 nodes, and the
+    # colouring search, as omega = 8 lies below the greedy colouring, 100
+    rng = random.Random(2)
+    return PointSet.build([(x, y) for x in range(6) for y in range(6) if rng.random() < 0.7])
+
+
+class TestOneDeadlinePerTask:
+    """A budget starts when the call that takes it starts, and every search
+    under it stops at that one deadline. Budgets are given in ticks of the
+    fake clock, one second each, so the deadline is the first reading plus
+    the budget."""
+
+    @pytest.mark.parametrize("task", ["visgraph", "ramsey"])
+    def test_both_searches_get_one_deadline(self, monkeypatch, task):
+        watch = Watch(monkeypatch)
+        watch.builds(cli, "visibility_graph")
+        outcome = cli.TASK_FNS[task](grid_subset(), 10**9)
+        assert watch.order[:2] == ["clock", "build"]
+        given = [(name, d) for name, d, _, _ in watch.searches if d is not None]
+        assert {name for name, _ in given} == {"max_clique", "k_colourable"}
+        assert {d for _, d in given} == {1 + 10**6}
+        assert not outcome.budget_exhausted
+
+    @pytest.mark.parametrize("task", ["visgraph", "ramsey"])
+    def test_cut_task_ends_at_its_deadline(self, monkeypatch, task):
+        for budget in range(120):
+            with monkeypatch.context() as mp:
+                watch = Watch(mp)
+                outcome = cli.TASK_FNS[task](grid_subset(), budget * 1000)
+            deadline = 1 + budget
+            for name, d, readings, cut in watch.searches:
+                if d is None:  # the greedy colouring, which reads no clock
+                    assert not readings
+                    continue
+                assert d == deadline
+                # no search opens a node past the deadline: a reading past it
+                # is the last of its search, and cuts it
+                assert [r for r in readings if r > deadline] == (readings[-1:] if cut else [])
+            # the first node due after the deadline reads the clock past it
+            # and is not opened; a colouring search after a cut clique
+            # search reads it once more
+            past = [r for r in watch.readings if r > deadline]
+            assert past == list(range(deadline + 1, deadline + 1 + len(past)))
+            assert len(past) <= 2
+            assert past or not outcome.budget_exhausted
+        assert outcome.status == "ok" and not past  # 119 ticks outlast both searches
+
+    @pytest.mark.parametrize("module, fn, build", [
+        (blocking, "min_blocking_set", "candidate_blockers"),
+        (crossing, "crossing_family_partition", "crossing_graph"),
+    ], ids=["block", "crossing"])
+    def test_deadline_taken_before_the_build(self, monkeypatch, module, fn, build):
+        watch = Watch(monkeypatch)
+        watch.builds(module, build)
+        getattr(module, fn)(convex_parabola_set(6), 10**9)
+        assert watch.order[0] == "clock" and "build" in watch.order
+
+
 FROZEN_DIGESTS = {
     "convex-parabola-7": (
         {"kind": "convex_parabola", "params": {"n": 7}},

@@ -223,7 +223,7 @@ class TestBigLineBigClique:
     def test_budget_exhausted_is_unknown(self):
         ps = pset(*[(i, i * i) for i in range(5)])
         g = visibility_graph(ps)
-        v = big_line_big_clique_check(g, 6, 3, clique_number(g, 0))
+        v = big_line_big_clique_check(g, 6, 3, clique_number(g, deadline=float("-inf")))
         assert v.to_obj() == {
             "kind": "unknown",
             "message": "clique search budget exhausted before a verdict",
