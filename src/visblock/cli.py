@@ -22,6 +22,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Union
 
@@ -76,7 +77,69 @@ MONO_LINE_CAP = 12  # 2^(n-1) colourings checked exhaustively up to here
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of json.dumps(obj, sort_keys=True, indent=2) and a newline,
+    byte for byte; every dict key must be a string. An indent sends
+    json.dumps to its pure-Python encoder; this writer joins the same parts
+    itself, and writes a pair of plain ints, an edge, with one format
+    string."""
+    parts: list[str] = []
+    _encode(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(obj, nl: str, parts: list[str]) -> None:
+    """Append the JSON text of obj to parts; nl is a newline and the indent
+    of the line obj starts on."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if math.isfinite(obj):
+            parts.append(float.__repr__(obj))
+        else:
+            parts.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        pair = f"[{inner}  %d,{inner}  %d{inner}]"
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            sep = "," + inner
+            # type, not isinstance: %d would print True as 1
+            if (type(item) in (list, tuple) and len(item) == 2
+                    and type(item[0]) is int and type(item[1]) is int):
+                parts.append(pair % (item[0], item[1]))
+            else:
+                _encode(item, inner, parts)
+        parts.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            parts.append(sep)
+            sep = "," + inner
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(encode_basestring_ascii(key))
+            parts.append(": ")
+            _encode(value, inner, parts)
+        parts.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _worst(statuses) -> str:
@@ -366,21 +429,21 @@ def run(config: ExperimentConfig) -> Path:
     outcomes: dict[str, TaskOutcome] = {}
     hashes: dict[str, str] = {}
 
-    def artifact(rel: str, obj) -> None:
-        text = _dumps(obj)  # ASCII: its bytes are the file's
-        _write(run_dir / rel, text)
+    def artifact(rel: str, text: str) -> None:
+        _write(run_dir / rel, text)  # ASCII: its bytes are the file's
         hashes[rel] = hashlib.sha256(text.encode()).hexdigest()
 
     try:
         _write(run_dir / "config.json", _dumps(config.to_obj()))
         try:
             subject = generate(config.generator)
+            text = _dumps(subject.to_obj())
         except Exception as exc:
             manifest["generation"] = _error_entry("generation", exc)
             subject = None
         else:
             manifest["generation"] = {"status": "ok"}
-            artifact(f"inputs/{_input_name(subject)}", subject.to_obj())
+            artifact(f"inputs/{_input_name(subject)}", text)
         for task in config.tasks:
             entry: dict = {"budget_ms": config.budgets_ms.get(task)}
             if subject is None:
@@ -390,12 +453,13 @@ def run(config: ExperimentConfig) -> Path:
             t0 = time.perf_counter()
             try:
                 outcome = TASK_FNS[task](subject, config.budgets_ms.get(task))
+                text = _dumps(outcome.result)  # a result it cannot encode fails the task
             except Exception as exc:
                 entry.update(_error_entry(f"task {task}", exc))
             else:
                 outcomes[task] = outcome
                 entry["status"] = outcome.status
-                artifact(f"results/{task}.json", outcome.result)
+                artifact(f"results/{task}.json", text)
             entry["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
             manifest["tasks"][task] = entry
         _cross_checks(subject, outcomes, manifest)

@@ -8,11 +8,15 @@ is why the 2n-3 points (-k, 0), k in [3, 2n-1], block every edge.
 
 All intersection counting is exact and runs on integers: an arc holds its
 doubled center and radius, and a point (X/L, Y/L) of a scaled view lies on
-it when (2X - cL)^2 + (2Y)^2 = (rL)^2 on the right side of the axis. Common
-points of edges are counted from the arcs' diameters alone: two circles
-centred on the axis cross off it exactly when their diameters strictly
-interleave, once in each half, and meet on it exactly at a shared diameter
-end.
+it when (2X - cL)^2 + (2Y)^2 = (rL)^2 on the right side of the axis. On
+the axis, Y = 0, that equation says 2X = (c - r)L or 2X = (c + r)L: an arc
+meets the axis only at the two ends of its diameter. So the blocking check
+indexes the vertices and blockers on the axis by 2X and looks up the four
+diameter ends of each edge there; only a point off the axis is tried on the
+circle equations. Common points of edges are counted from the arcs'
+diameters alone: two circles centred on the axis cross off it exactly when
+their diameters strictly interleave, once in each half, and meet on it
+exactly at a shared diameter end.
 """
 
 from __future__ import annotations
@@ -121,7 +125,8 @@ def verify_drawing_blocking(d: ArcDrawing) -> DrawingBlockCheck:
     and no vertex other than its own endpoints; blockers avoid vertices.
 
     Decided on one integer view of the vertices and blockers; a Point is
-    built only for a failure message."""
+    built only for a failure message; points on the axis are looked up at
+    the edges' diameter ends."""
     failures = []
     den, view = _scale(d.vertices + d.blockers)
     verts, blocks = view[: len(d.vertices)], view[len(d.vertices) :]
@@ -130,9 +135,10 @@ def verify_drawing_blocking(d: ArcDrawing) -> DrawingBlockCheck:
         if q in vset:
             failures.append(f"blocker {b.to_obj()} coincides with a vertex")
     bset = set(blocks)
+    block_index, vert_index = _axis_index(blocks), _axis_index(verts)
     for e in d.edges:
         pivot = (-(e.i + e.j) * den, 0)
-        hits = [k for k, (x, y) in enumerate(blocks) if e.holds(x, y, den)]
+        hits = _on_edge(e, den, blocks, block_index)
         if pivot not in bset:
             failures.append(f"edge ({e.i},{e.j}) has pivot outside the blocker set")
         if {blocks[k] for k in hits} != {pivot}:
@@ -141,10 +147,34 @@ def verify_drawing_blocking(d: ArcDrawing) -> DrawingBlockCheck:
                 f"expected exactly its pivot {e.pivot.to_obj()}"
             )
         ends = ((e.i * den, 0), (e.j * den, 0))
-        for v, (x, y) in zip(d.vertices, verts):
-            if (x, y) not in ends and e.holds(x, y, den):
-                failures.append(f"edge ({e.i},{e.j}) passes through vertex {v.to_obj()}")
+        for k in _on_edge(e, den, verts, vert_index):
+            if verts[k] not in ends:
+                v = d.vertices[k].to_obj()
+                failures.append(f"edge ({e.i},{e.j}) passes through vertex {v}")
     return DrawingBlockCheck(not failures, tuple(failures))
+
+
+def _axis_index(view) -> tuple[dict[int, list[int]], list[int]]:
+    """The indices of the points on the x-axis by doubled x, and the
+    indices of the points off it."""
+    axis: dict[int, list[int]] = {}
+    off = []
+    for k, (x, y) in enumerate(view):
+        if y:
+            off.append(k)
+        else:
+            axis.setdefault(2 * x, []).append(k)
+    return axis, off
+
+
+def _on_edge(e: ArcEdge, den: int, view, index) -> list[int]:
+    """The indices, in order, of the points of view on the edge e; index is
+    the _axis_index of view."""
+    axis, off = index
+    ends = {x * den for x in e.upper.span + e.lower.span}
+    hits = [k for x in ends for k in axis.get(x, ())]
+    hits += [k for k in off if e.holds(*view[k], den)]
+    return sorted(hits)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ the benchmark's tracer reads off a result must still be there. No function
 of the search engine calls itself: its searches run on explicit stacks.
 A budget turns into a deadline once, as the first statement of the
 function that takes it. The package imports nothing but the standard
-library and itself.
+library and itself, and no JSON write in it takes an indent, which would
+send it to the pure-Python encoder.
 """
 
 import ast
@@ -155,6 +156,41 @@ def test_package_imports_only_the_standard_library():
                 continue
             foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
     assert not foreign, f"imports outside the standard library: {foreign}"
+
+
+def _indented_json_writes(source: str) -> list[int]:
+    """The lines of json.dump and json.dumps calls in source that pass an
+    indent, or unpacked keywords that may hold one."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions.update(a.asname or a.name for a in node.names if a.name in ("dump", "dumps"))
+    lines = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        writes = (isinstance(f, ast.Name) and f.id in functions) or (
+            isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps")
+            and isinstance(f.value, ast.Name) and f.value.id in modules)
+        if writes and any(k.arg in ("indent", None) for k in call.keywords):
+            lines.append(call.lineno)
+    return lines
+
+
+def test_no_json_write_takes_an_indent():
+    # cli._dumps writes the indented text itself, at the C encoder's speed
+    found = [f"{p.name}:{line}" for p in sorted(PACKAGE.glob("*.py"))
+             for line in _indented_json_writes(p.read_text())]
+    assert not found, f"json.dump(s) calls with an indent: {found}"
+    assert _indented_json_writes(
+        "import json\nimport json as j\nfrom json import dumps as d\n"
+        "json.dumps(x, indent=2)\nj.dump(x, f, **kw)\nd(x, sort_keys=True, indent=1)\n"
+        "json.dumps(x, sort_keys=True)\njson.loads(s)\n"
+    ) == [4, 5, 6]
 
 
 def test_benchmark_layer_names_resolve():

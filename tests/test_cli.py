@@ -1,15 +1,21 @@
+import cProfile
+import enum
 import hashlib
 import inspect
 import json
 import logging
 import os
+import pstats
 import random
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visblock import blocking, cli, cliques, crossing
 from visblock.blocking import construct_knn_grid, construct_knn_parabola
@@ -311,6 +317,56 @@ class TestRunHarness:
         assert "Traceback" in (run_dir / "logs" / "run.log").read_text()
         summary = report([run_dir], tmp_path / "rpt")["summary"].read_text()
         assert len(summary.splitlines()) == 2
+
+    def test_result_it_cannot_encode_fails_only_its_task(self, tmp_path, capsys, monkeypatch):
+        block = cli.TASK_FNS["block"]
+
+        def unencodable(obj, budget_ms):
+            outcome = block(obj, budget_ms)
+            outcome.result["x"] = Fraction(1, 2)
+            return outcome
+
+        monkeypatch.setitem(cli.TASK_FNS, "block", unencodable)
+        cfg = write_config(tmp_path, {"kind": "convex_parabola", "params": {"n": 5}},
+                           ["block", "crossing", "midpoints"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        run_dir = Path(capsys.readouterr().out.strip())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        entry = manifest["tasks"]["block"]
+        assert (entry["status"], entry["error_type"]) == ("error", "TypeError")
+        assert manifest["tasks"]["crossing"]["status"] == "ok"
+        assert manifest["tasks"]["midpoints"]["status"] == "ok"
+        assert manifest["cross_checks"] == {}  # the failed block is left out
+        assert sorted(manifest["artifact_hashes"]) == [
+            "inputs/points.json", "results/crossing.json", "results/midpoints.json"]
+        assert not (run_dir / "results" / "block.json").exists()
+        assert "task block crashed\nTraceback" in (run_dir / "logs" / "run.log").read_text()
+
+    def test_input_it_cannot_encode_fails_generation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate",
+                            lambda spec: types.SimpleNamespace(to_obj=lambda: {"x": Fraction(1, 2)}))
+        cfg = write_config(tmp_path, GRID_2X2, ["visgraph"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        run_dir = Path(capsys.readouterr().out.strip())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["generation"]["error_type"] == "TypeError"
+        assert manifest["tasks"]["visgraph"]["status"] == "skipped"
+        assert manifest["artifact_hashes"] == {}
+        assert not any((run_dir / "inputs").iterdir())
+
+    def test_non_ascii_name_is_written_as_ascii(self, tmp_path, capsys):
+        pts = write_points(tmp_path / "é.json", PointSet.build([(0, 0), (1, 0), (0, 1)], "é"))
+        cfg = write_config(tmp_path, {"kind": "file", "params": {"path": str(pts)}},
+                           ["visgraph", "drawing"])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        run_dir = Path(capsys.readouterr().out.strip())
+        assert all(f.read_bytes().isascii() for f in run_dir.rglob("*.json"))
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert len(manifest["artifact_hashes"]) == 3
+        for rel, digest in manifest["artifact_hashes"].items():
+            assert hashlib.sha256((run_dir / rel).read_bytes()).hexdigest() == digest
+        assert json.loads((run_dir / "inputs" / "points.json").read_text())["name"] == "é"
+        assert "\\u00e9" in (run_dir / "inputs" / "points.json").read_text()
 
     def test_rerun_drops_stale_results(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(
@@ -1266,6 +1322,73 @@ class TestOneDeadlinePerTask:
         watch.builds(module, build)
         getattr(module, fn)(convex_parabola_set(6), 10**9)
         assert watch.order[0] == "clock" and "build" in watch.order
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+WRITER_CORPUS = [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[], {}], {"b": [[{}]]}],
+    [(1, 2), [3, 4], (5, 6, 7), (8,), []],
+    {"edges": [(0, 1), (0, 2)], "deeper": {"pairs": [[-1, 2]], "n": 3}},
+    [(1, True), [False, 2], (None, 1), (1.0, 2), (Small.ONE, 2), ("1", 2)],
+    [-1, -(2**70), 2**64, 2**64 + 1, (2**65, -(2**65))],
+    [0.1, -0.0, 1e16, 1e-7, 2.5, float("nan"), float("inf"), float("-inf")],
+    ["é", "\u2603 snow", "\x00\x1f\t\n\"\\/", "\U0001f600", ""],
+    {"é": 1, "b": {"\n": None}, "": True},
+    "top-level string", 7, None, True, 1.5, (3, 4),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30,
+)
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("obj", WRITER_CORPUS)
+    def test_matches_json_dumps(self, obj):
+        assert cli._dumps(obj) == reference_dumps(obj)
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps_on_random_values(self, obj):
+        assert cli._dumps(obj) == reference_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [Fraction(1, 2), {"a": {1, 2}}, {(1, 2): 3}, [b"x"]])
+    def test_refuses_what_json_dumps_refuses(self, obj):
+        with pytest.raises(TypeError):
+            reference_dumps(obj)
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
+
+    def test_refuses_keys_that_are_no_strings(self):
+        # json.dumps would write the key 1 as "1"; no result has such a key
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._dumps({"a": {1: 2}})
+
+    def test_no_json_encoder_calls_on_the_16x16_visgraph(self):
+        # a deterministic work counter: json.dumps with an indent made
+        # 302,085 calls into json/encoder.py on this result
+        result = cli.task_visgraph(grid_set(16, 16), None).result
+        prof = cProfile.Profile()
+        prof.enable()
+        text = cli._dumps(result)
+        prof.disable()
+        calls = sum(
+            stat[0]
+            for (path, _, _), stat in pstats.Stats(prof).stats.items()
+            if Path(path).parts[-2:] == ("json", "encoder.py")
+        )
+        assert calls == 0
+        assert result["edge_count"] == 20_074 and text == reference_dumps(result)
 
 
 FROZEN_DIGESTS = {

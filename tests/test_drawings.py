@@ -228,6 +228,19 @@ class TestBlockingVerification:
             "edge (1,2) passes through vertex ['-1/1', '2/1']",
         )
 
+    def test_extra_vertex_at_diameter_ends_detected(self):
+        d = construct_kn_arc_drawing(4)
+        # (-5, 0) is the pivot, a diameter end, of both (1,4) and (2,3);
+        # (-9/2, 0) lies between diameter ends and on no edge
+        tampered = dataclasses.replace(
+            d, vertices=d.vertices + (Point(-5, 0), Point(Fraction(-9, 2), 0))
+        )
+        assert verify_drawing_blocking(tampered).failures == (
+            "blocker ['-5/1', '0/1'] coincides with a vertex",
+            "edge (1,4) passes through vertex ['-5/1', '0/1']",
+            "edge (2,3) passes through vertex ['-5/1', '0/1']",
+        )
+
     def test_few_fractions_at_n20(self):
         # a deterministic work counter: the verifier decides on one integer
         # view and builds a Fraction only for a failure message (the
@@ -243,6 +256,22 @@ class TestBlockingVerification:
             if name == "__new__" and path.endswith("fractions.py")
         )
         assert report.ok and calls < 1_000
+
+    def test_no_circle_checks_at_n20(self):
+        # a deterministic work counter: every vertex and blocker lies on the
+        # axis and is looked up at the diameter ends (the circle version
+        # made 10,450 ArcEdge.holds calls here)
+        d = construct_kn_arc_drawing(20)
+        prof = cProfile.Profile()
+        prof.enable()
+        report = verify_drawing_blocking(d)
+        prof.disable()
+        calls = sum(
+            stat[0]
+            for (path, _, name), stat in pstats.Stats(prof).stats.items()
+            if name == "holds" and path.endswith("drawings.py")
+        )
+        assert report.ok and calls == 0
 
 
 class TestSimplicity:
