@@ -12,7 +12,7 @@ from operator import or_
 from typing import Iterable, Optional, Sequence, Union
 
 from .cliques import _deadline, min_cover
-from .errors import DegenerateSegment, GeometryError, NotGeneralPosition, SegmentOverlap, _json_int
+from .errors import DegenerateSegment, GeometryError, NotGeneralPosition, SegmentOverlap, _expect
 from .geometry import (
     Point,
     PointSet,
@@ -269,6 +269,9 @@ def midpoint_blocking_set(ps: PointSet) -> BlockingSet:
     return BlockingSet(tuple(_unscaled(distinct, 2 * den)), covers, False, 0)
 
 
+_BUNDLE_KEYS = ("n", "left", "right", "edges", "blockers")  # "name" may be left out
+
+
 @dataclass(frozen=True)
 class BipartiteDrawing(Record):
     """Straight-line K_{n,n} with its stated blocker list."""
@@ -289,8 +292,12 @@ class BipartiteDrawing(Record):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "BipartiteDrawing":
+        for key in _BUNDLE_KEYS:
+            if key not in obj:
+                raise GeometryError(f"drawing bundle missing {key!r}")
+        n = _expect(obj["n"], int, "drawing bundle 'n'")
+        name = _expect(obj.get("name", ""), str, "drawing bundle 'name'")
         try:
-            n, name = obj["n"], obj.get("name", "")
             d = cls(
                 n,
                 tuple(Point.from_obj(p) for p in obj["left"]),
@@ -299,12 +306,8 @@ class BipartiteDrawing(Record):
                 tuple(Point.from_obj(p) for p in obj["blockers"]),
                 name,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise GeometryError(f"malformed drawing bundle: {exc}") from exc
-        if not _json_int(n):
-            raise GeometryError(f"drawing bundle 'n' must be an integer, got {n!r}")
-        if not isinstance(name, str):
-            raise GeometryError(f"drawing bundle 'name' must be a string, got {name!r}")
         if not (len(d.left) == len(d.right) == n
                 and sorted(d.edges) == sorted(product(d.left, d.right))):
             raise GeometryError(

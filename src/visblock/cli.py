@@ -28,6 +28,7 @@ from typing import Optional, Union
 
 from . import __version__
 from .blocking import (
+    _BUNDLE_KEYS,
     BipartiteDrawing,
     is_blocking_set,
     midpoint_blocking_set,
@@ -42,8 +43,8 @@ from .crossing import (
     partition_size_floor,
 )
 from .drawings import construct_kn_arc_drawing, verify_drawing_blocking, verify_simplicity
-from .errors import GeometryError, _json_int
-from .generators import KINDS, GeneratorSpec, _read_json, generate
+from .errors import GeometryError, _expect, _json_int
+from .generators import _PARAMS, KINDS, GeneratorSpec, _read_json, generate
 from .geometry import Point, PointSet, Record, is_general_position, max_collinear
 from .midpoints import _pair_sums
 from .visibility import (
@@ -175,18 +176,11 @@ def task_visgraph(obj, budget_ms: Optional[int]) -> TaskOutcome:
     om = clique_number(g, deadline)
     ch = chromatic_number(g, om, deadline)
     n = len(ps)
-    checks: dict = {}
-    failed = False
-    if n >= 2 and max_collinear(ps) < n:
-        checks["diameter_at_most_two"] = dia <= 2
-        failed |= dia > 2
-    else:
-        checks["diameter_at_most_two"] = None
-    if om.exact and ch.exact:
-        checks["clique_at_most_chromatic"] = om.omega <= ch.chi
-        failed |= om.omega > ch.chi
-    else:
-        checks["clique_at_most_chromatic"] = None
+    # None where a check does not apply
+    checks = {
+        "diameter_at_most_two": dia <= 2 if n >= 2 and max_collinear(ps) < n else None,
+        "clique_at_most_chromatic": om.omega <= ch.chi if om.exact and ch.exact else None,
+    }
     result = {
         "n": n,
         "edge_count": g.edge_count(),
@@ -196,7 +190,7 @@ def task_visgraph(obj, budget_ms: Optional[int]) -> TaskOutcome:
         "chromatic": ch.to_obj(),
         "checks": checks,
     }
-    return TaskOutcome(result, failed, not (om.exact and ch.exact))
+    return TaskOutcome(result, False in checks.values(), not (om.exact and ch.exact))
 
 
 def task_block(obj, budget_ms: Optional[int]) -> TaskOutcome:
@@ -216,12 +210,7 @@ def task_block(obj, budget_ms: Optional[int]) -> TaskOutcome:
     ps = _as_pointset(obj)
     bs = min_blocking_set(ps, budget_ms)
     chk = is_blocking_set(ps, bs.points)
-    failed = not chk.ok
-    lb = None
-    if len(ps) >= 3 and is_general_position(ps):
-        lb = triangulation_lower_bound(ps)
-        if bs.optimal and bs.size < lb:
-            failed = True
+    lb = triangulation_lower_bound(ps) if len(ps) >= 3 and is_general_position(ps) else None
     result = {
         "input": "point-set",
         "n": len(ps),
@@ -229,6 +218,7 @@ def task_block(obj, budget_ms: Optional[int]) -> TaskOutcome:
         "check": chk.to_obj(),
         "lower_bound_triangulation": lb,
     }
+    failed = not chk.ok or bs.optimal and lb is not None and bs.size < lb
     return TaskOutcome(result, failed, not bs.optimal)
 
 
@@ -242,20 +232,19 @@ def task_midpoints(obj, budget_ms: Optional[int]) -> TaskOutcome:
     _, pairs, doubles = _pair_sums(ps)
     sums = set(pairs)
     m, s = len(sums), len(sums | doubles)
-    failed = not (m <= s <= m + n)
-    checks: dict = {"sandwich": m <= s <= m + n}
+    general = is_general_position(ps)
+    # None where a check does not apply
+    checks = {
+        "sandwich": m <= s <= m + n,
+        "midpoints_avoid_set": sums.isdisjoint(doubles) if general else None,
+    }
     result = {"n": n, "midpoints": m, "sumset": s, "checks": checks}
-    if is_general_position(ps):
-        disjoint = sums.isdisjoint(doubles)
-        checks["midpoints_avoid_set"] = disjoint
-        failed |= not disjoint
-        if n >= 3:
-            mbs = midpoint_blocking_set(ps)
-            mchk = is_blocking_set(ps, mbs.points)
-            failed |= not mchk.ok
-            result["midpoint_blocking"] = {"size": mbs.size, "check": mchk.to_obj()}
-    else:
-        checks["midpoints_avoid_set"] = None
+    failed = False in checks.values()
+    if general and n >= 3:
+        mbs = midpoint_blocking_set(ps)
+        mchk = is_blocking_set(ps, mbs.points)
+        failed |= not mchk.ok
+        result["midpoint_blocking"] = {"size": mbs.size, "check": mchk.to_obj()}
     return TaskOutcome(result, failed)
 
 
@@ -385,15 +374,12 @@ class ExperimentConfig(Record):
             tasks = obj["tasks"]
         except KeyError as exc:
             raise GeometryError(f"config missing {exc}") from exc
-        budgets = obj.get("budgets_ms", {})
-        output_dir = obj.get("output_dir", "runs")
-        if not isinstance(tasks, list):
-            raise GeometryError(f"config 'tasks' must be a list, got {tasks!r}")
-        if not isinstance(budgets, dict):
-            raise GeometryError(f"config 'budgets_ms' must be an object, got {budgets!r}")
-        if not isinstance(output_dir, str):
-            raise GeometryError(f"config 'output_dir' must be a string, got {output_dir!r}")
-        return cls(gen, tuple(tasks), dict(budgets), output_dir)
+        return cls(
+            gen,
+            tuple(_expect(tasks, list, "config 'tasks'")),
+            dict(_expect(obj.get("budgets_ms", {}), dict, "config 'budgets_ms'")),
+            _expect(obj.get("output_dir", "runs"), str, "config 'output_dir'"),
+        )
 
 
 def _config_hash(config: ExperimentConfig) -> str:
@@ -519,30 +505,40 @@ def exit_code_from_manifest(manifest: dict) -> int:
 # reporting
 
 REPORT_COLUMNS = ("n", "bound_3n_3_t", "b", "m", "t", "n2_over_14", "n_ln_n")
-_JSON_TYPE_NAMES = {int: "an integer", bool: "a boolean", dict: "an object"}
+# (column, task, dotted path in the task's result) of each count in the
+# summary; a block result counts only on a point set, and a null bound
+# leaves its cell blank
+REPORT_CELLS = (
+    ("b", "block", "blocking.size"),
+    ("bound_3n_3_t", "block", "lower_bound_triangulation"),
+    ("m", "midpoints", "midpoints"),
+    ("t", "crossing", "partition_size"),
+)
 
 
 def _load_run(run_dir: Path) -> dict:
-    manifest = _read_json(run_dir / "manifest.json", "run manifest")
+    _read_json(run_dir / "manifest.json", "run manifest")  # a run without one is no run
     results = {
-        f.stem: _read_json(f, "run result")
+        f.stem: _expect(_read_json(f, "run result"), dict, f"run {run_dir}: {f.stem} result")
         for f in sorted((run_dir / "results").glob("*.json"))
     }
-    for task, obj in results.items():
-        if not isinstance(obj, dict):
-            raise GeometryError(f"run {run_dir}: {task} result must be an object")
-    return {"dir": run_dir, "manifest": manifest, "results": results}
+    return {"dir": run_dir, "results": results}
 
 
-def _typed(r: dict, what: str, value, kind: type):
-    """value, if it has the JSON type kind (a boolean is no integer) and is
-    no negative integer; else the run's results are malformed."""
-    if not (_json_int(value) if kind is int else isinstance(value, kind)):
-        raise GeometryError(
-            f"run {r['dir']}: {what} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}"
-        )
+def _read(r: dict, task: str, path: str, kind: type = int):
+    """The value at the dotted path of a task's result in run r, if it has
+    the JSON type kind and is no negative integer; else the run's results
+    are malformed."""
+    where = f"run {r['dir']}: {task} result"
+    value = r["results"][task]
+    keys = path.split(".")
+    for k, key in enumerate(keys, 1):
+        sub = ".".join(keys[:k])
+        if key not in value:
+            raise GeometryError(f"{where} missing {sub!r}")
+        value = _expect(value[key], kind if k == len(keys) else dict, f"{where} {sub!r}")
     if kind is int and value < 0:
-        raise GeometryError(f"run {r['dir']}: {what} must not be negative, got {value}")
+        raise GeometryError(f"{where} {path!r} must not be negative, got {value}")
     return value
 
 
@@ -554,46 +550,25 @@ def report(run_dirs: list[Path], out_dir: Path) -> dict[str, Path]:
     drawing_rows = []
     for r in runs:
         res = r["results"]
-        ns = {_typed(r, f"{task} result 'n'", v["n"], int) for task, v in res.items() if "n" in v}
+        ns = {_read(r, task, "n") for task, v in res.items() if "n" in v}
         if len(ns) > 1:
             raise GeometryError(f"run {r['dir']}: results disagree on n: {sorted(ns)}")
         if "drawing" in res:
-            d = res["drawing"]
-            for key in ("n", "blocker_count", "blocking", "simplicity"):
-                if key not in d:
-                    raise GeometryError(f"run {r['dir']}: drawing result missing {key!r}")
-            verified = True
-            for key in ("blocking", "simplicity"):
-                check = _typed(r, f"drawing result {key!r}", d[key], dict)
-                verified &= _typed(r, f"drawing result '{key}.ok'", check.get("ok"), bool)
-            count = _typed(r, "drawing result 'blocker_count'", d["blocker_count"], int)
-            drawing_rows.append((d["n"], count, verified))
-        point_tasks = [t for t in ("visgraph", "block", "midpoints", "crossing") if t in res]
-        if not point_tasks:
+            # both checks are read, so a malformed second one is found too
+            ok = [_read(r, "drawing", f"{key}.ok", bool) for key in ("blocking", "simplicity")]
+            count = _read(r, "drawing", "blocker_count")
+            drawing_rows.append((_read(r, "drawing", "n"), count, all(ok)))
+        if not any(t in res for t in ("visgraph", "block", "midpoints", "crossing")):
             continue
         if not ns:
             raise GeometryError(f"run {r['dir']}: no result reports n")
         n = ns.pop()
         row: dict = {"n": n}
-        blk = res.get("block")
-        if blk is not None and blk.get("input") == "point-set":
-            if "blocking" not in blk:
-                raise GeometryError(f"run {r['dir']}: block result missing 'blocking'")
-            blocking = _typed(r, "block result 'blocking'", blk["blocking"], dict)
-            row["b"] = _typed(r, "block result 'blocking.size'", blocking.get("size"), int)
-            lb = blk.get("lower_bound_triangulation")
-            if lb is not None:
-                row["bound_3n_3_t"] = _typed(r, "block result 'lower_bound_triangulation'", lb, int)
-        mid = res.get("midpoints")
-        if mid is not None:
-            if "midpoints" not in mid:
-                raise GeometryError(f"run {r['dir']}: midpoints result missing count")
-            row["m"] = _typed(r, "midpoints result 'midpoints'", mid["midpoints"], int)
-        crs = res.get("crossing")
-        if crs is not None:
-            if "partition_size" not in crs:
-                raise GeometryError(f"run {r['dir']}: crossing result missing size")
-            row["t"] = _typed(r, "crossing result 'partition_size'", crs["partition_size"], int)
+        for col, task, path in REPORT_CELLS:
+            if task not in res or (task == "block" and res[task].get("input") != "point-set"):
+                continue
+            if col != "bound_3n_3_t" or res[task].get(path) is not None:
+                row[col] = _read(r, task, path)
         try:
             row["n2_over_14"] = n * n / 14
             row["n_ln_n"] = n * math.log(n) if n >= 1 else 0.0
@@ -633,22 +608,23 @@ def _input_name(subject: Union[PointSet, BipartiteDrawing]) -> str:
 
 def _load_subject(path: str):
     obj = _read_json(path, "input")
-    if isinstance(obj, dict) and "left" in obj:
-        return BipartiteDrawing.from_obj(obj)
-    if isinstance(obj, dict) and "points" in obj:
+    if isinstance(obj, dict) and "points" in obj and "left" not in obj:
         return PointSet.from_obj(obj)
+    if isinstance(obj, dict) and not obj.keys().isdisjoint(_BUNDLE_KEYS):
+        return BipartiteDrawing.from_obj(obj)
     raise GeometryError(f"input {path} holds neither a point set nor a drawing bundle")
 
 
+# the generator parameters that generate takes as flags of their own; a
+# progression's come as one JSON flag
+_FLAG_PARAMS = tuple(dict.fromkeys(
+    key for kind, keys in _PARAMS.items() if kind != "progression" for key in keys
+))
+
+
 def _spec_from_args(args) -> GeneratorSpec:
-    params: dict = {}
-    for key in ("n", "w", "h", "bound", "seed"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    if getattr(args, "path", None):
-        params["path"] = args.path
-    if getattr(args, "progression", None):
+    params = {k: getattr(args, k) for k in _FLAG_PARAMS if getattr(args, k) is not None}
+    if args.progression:
         try:
             progression = json.loads(args.progression)
         except json.JSONDecodeError as exc:
@@ -656,12 +632,7 @@ def _spec_from_args(args) -> GeneratorSpec:
         if not isinstance(progression, dict):
             raise GeometryError("--progression must be a JSON object")
         params.update(progression)
-    return GeneratorSpec(
-        args.kind,
-        params,
-        getattr(args, "max_collinear", None),
-        bool(getattr(args, "dedupe_symmetry", False)),
-    )
+    return GeneratorSpec(args.kind, params, args.max_collinear, args.dedupe_symmetry)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -675,12 +646,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit a point set or drawing bundle")
     gen.add_argument("--kind", required=True, choices=list(KINDS))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--w", type=int)
-    gen.add_argument("--h", type=int)
-    gen.add_argument("--bound", type=int)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--path")
+    for key in _FLAG_PARAMS:
+        gen.add_argument(f"--{key}", type=str if key == "path" else int)
     gen.add_argument("--progression", help="JSON with v0, generators, extents")
     gen.add_argument("--max-collinear", type=int, dest="max_collinear")
     gen.add_argument("--dedupe-symmetry", action="store_true", dest="dedupe_symmetry")

@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
+from .blocking import triangulation_lower_bound
 from .cliques import _deadline, chromatic_number
 from .errors import GeometryError, NotGeneralPosition
 from .geometry import (
@@ -24,7 +25,6 @@ from .geometry import (
     PointSet,
     Record,
     _first_blockers,
-    convex_hull_size,
     is_general_position,
     orientation,
 )
@@ -119,10 +119,8 @@ def crossing_family_partition(source: Union[PointSet, CrossingGraph],
     full = (1 << g.m) - 1
     comp = tuple(full ^ a ^ (1 << s) for s, a in enumerate(g.adj))
     # a clique of comp is a non-crossing segment set; on n >= 3 points in
-    # general position every maximal one is a triangulation, 3n - 3 - h
-    # segments with h hull points
-    n = len(g.source)
-    lower = 3 * n - 3 - convex_hull_size(g.source) if n >= 3 else g.m
+    # general position every maximal one is a triangulation
+    lower = triangulation_lower_bound(g.source) if len(g.source) >= 3 else g.m
     colouring, exact, _, _ = chromatic_number(g.m, comp, lower, deadline)
     buckets: dict[int, list[int]] = {}
     for s, c in enumerate(colouring):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 from .blocking import BipartiteDrawing, construct_knn_grid, construct_knn_parabola
-from .errors import GeometryError, _json_int
+from .errors import GeometryError, _expect, _json_int
 from .geometry import (
     Point,
     PointSet,
@@ -79,16 +79,13 @@ class GeneratorSpec(Record):
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise GeometryError(f"generator spec has unknown keys {sorted(unknown)}")
-        params = obj.get("params", {})
         bound = obj.get("max_collinear_bound")
-        dedupe = obj.get("dedupe_symmetry", False)
-        if not isinstance(params, dict):
-            raise GeometryError(f"generator 'params' must be an object, got {params!r}")
-        if bound is not None and not _json_int(bound):
-            raise GeometryError(f"'max_collinear_bound' must be an integer, got {bound!r}")
-        if not isinstance(dedupe, bool):
-            raise GeometryError(f"'dedupe_symmetry' must be true or false, got {dedupe!r}")
-        return cls(obj["kind"], dict(params), bound, dedupe)
+        return cls(
+            obj["kind"],
+            dict(_expect(obj.get("params", {}), dict, "generator 'params'")),
+            None if bound is None else _expect(bound, int, "'max_collinear_bound'"),
+            _expect(obj.get("dedupe_symmetry", False), bool, "'dedupe_symmetry'"),
+        )
 
 
 def _positive(v, what: str) -> int:

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import DegenerateHull, GeometryError
+from .errors import DegenerateHull, GeometryError, _expect
 
 Rational = Union[int, str, Fraction]
 
@@ -217,12 +217,8 @@ class PointSet(Record):
     def from_obj(cls, obj) -> "PointSet":
         if not isinstance(obj, dict) or "points" not in obj:
             raise GeometryError("point set object needs a 'points' field")
-        name = obj.get("name", "")
-        if not isinstance(name, str):
-            raise GeometryError("point set 'name' must be a string")
-        pts = obj["points"]
-        if not isinstance(pts, list):
-            raise GeometryError("'points' must be a list")
+        name = _expect(obj.get("name", ""), str, "point set 'name'")
+        pts = _expect(obj["points"], list, "point set 'points'")
         return cls(tuple(Point.from_obj(p) for p in pts), name)
 
 

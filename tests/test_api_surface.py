@@ -12,13 +12,15 @@ of the search engine calls itself: its searches run on explicit stacks.
 A budget turns into a deadline once, as the first statement of the
 function that takes it. The package imports nothing but the standard
 library and itself, and no JSON write in it takes an indent, which would
-send it to the pure-Python encoder.
+send it to the pure-Python encoder. No module but `errors.py` words a JSON
+type error itself.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -230,3 +232,11 @@ def test_benchmark_tracer_reads_real_results(tmp_path):
         got = read(calls[name]())
         assert sorted(got) == sorted(counts), name
         assert all(type(v) is int for v in got.values()), (name, got)
+
+
+def test_json_type_errors_are_worded_in_errors_only():
+    # every type check of outside JSON goes through errors._expect
+    wording = re.compile(r"must be (an integer|an object|a list|a string|a boolean), got")
+    found = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "errors.py" and wording.search(p.read_text())]
+    assert not found, f"modules that word a JSON type error themselves: {found}"

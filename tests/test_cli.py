@@ -659,10 +659,14 @@ class TestReport:
         ("drawing", {"n": 5, "blocker_count": -2, "blocking": {"ok": True},
                      "simplicity": {"ok": True}},
          "drawing result 'blocker_count' must not be negative, got -2"),
+        ("drawing", {"n": 5, "blocker_count": 3, "blocking": {"ok": False},
+                     "simplicity": {"ok": "yes"}},
+         "drawing result 'simplicity.ok' must be a boolean, got 'yes'"),
     ], ids=["drawing-blocking-list", "midpoints-n-string", "block-blocking-int",
             "block-n-bool", "crossing-list", "midpoints-n-huge", "midpoints-n-negative",
             "midpoints-count-negative", "block-size-negative", "block-bound-negative",
-            "crossing-size-negative", "drawing-blockers-negative"])
+            "crossing-size-negative", "drawing-blockers-negative",
+            "drawing-unverified-simplicity-str"])
     def test_result_of_the_wrong_shape_rejected(self, tmp_path, capsys, task, result, complaint):
         (d,) = self.make_runs(tmp_path, sizes=(4,))
         for f in (d / "results").glob("*.json"):
@@ -681,10 +685,15 @@ class TestReport:
          "drawing result missing 'simplicity'"),
         ({"midpoints": {"midpoints": 6}}, "no result reports n"),
         ({"block": {"n": 4, "input": "point-set"}}, "block result missing 'blocking'"),
-        ({"midpoints": {"n": 4}}, "midpoints result missing count"),
-        ({"crossing": {"n": 4}}, "crossing result missing size"),
+        ({"midpoints": {"n": 4}}, "midpoints result missing 'midpoints'"),
+        ({"crossing": {"n": 4}}, "crossing result missing 'partition_size'"),
+        ({"block": {"n": 4, "input": "point-set", "blocking": {}}},
+         "block result missing 'blocking.size'"),
+        ({"drawing": {"n": 5, "blocker_count": 3, "blocking": {"ok": True}, "simplicity": {}}},
+         "drawing result missing 'simplicity.ok'"),
     ], ids=["n-disagrees", "drawing-missing-key", "no-n", "block-missing-blocking",
-            "midpoints-missing-count", "crossing-missing-size"])
+            "midpoints-missing-count", "crossing-missing-size", "block-missing-size",
+            "drawing-missing-simplicity-ok"])
     def test_result_missing_a_field_rejected(self, tmp_path, capsys, results, complaint):
         (d,) = self.make_runs(tmp_path, sizes=(4,))
         for f in (d / "results").glob("*.json"):
@@ -824,8 +833,10 @@ class TestMainEntry:
         (["generate", "--kind", "random_general_position", "--n", "3", "--seed", "1",
           "--bound", "1"], "coordinate bound too small"),
         (["drawing", "--n", "1"], "arc drawing needs n >= 2"),
+        (["generate", "--kind", "grid", "--w", "2", "--h", "2", "--path", ""],
+         "generator kind 'grid' has unknown parameters ['path']"),
     ], ids=["progression-not-json", "config-list", "input-neither", "midpoints-one-point",
-            "block-one-point", "bound-too-small", "drawing-n-1"])
+            "block-one-point", "bound-too-small", "drawing-n-1", "grid-empty-path"])
     def test_bad_input_message(self, tmp_path, capsys, args, message):
         files = {"LIST": "[1, 2]", "NEITHER": '{"foo": 1}', "ONE": '{"points": [[0, 0]]}'}
         for name, text in files.items():
@@ -1088,14 +1099,22 @@ class TestMainEntry:
         assert proc.stderr.startswith("error: segment 0 has both endpoints at")
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("key,value", [("n", 2.7), ("n", "3"), ("n", True), ("name", 5)],
-                             ids=["n-float", "n-str", "n-bool", "name-int"])
+    @pytest.mark.parametrize("key,value", [
+        ("n", 2.7), ("n", "3"), ("n", True), ("name", 5),
+        ("n", None), ("left", None), ("right", None), ("edges", None), ("blockers", None),
+    ], ids=["n-float", "n-str", "n-bool", "name-int",
+            "missing-n", "missing-left", "missing-right", "missing-edges", "missing-blockers"])
     def test_bundle_field_types(self, tmp_path, capsys, key, value):
+        # a value of None stands for a bundle without the key
+        obj = construct_knn_parabola(2).to_obj() | {key: value}
+        if value is None:
+            del obj[key]
         path = tmp_path / "bundle.json"
-        path.write_text(json.dumps(construct_knn_parabola(2).to_obj() | {key: value}))
+        path.write_text(json.dumps(obj))
         assert main(["block", "--input", str(path)]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert f"error: drawing bundle {key!r} must be" in err
+        complaint = f"missing {key!r}" if value is None else f"{key!r} must be"
+        assert f"error: drawing bundle {complaint}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("task", ["block", "drawing"])
