@@ -229,7 +229,9 @@ def min_blocking_set(
     """Minimum hitting set over the candidate space, branch and bound.
 
     Budget exhaustion returns the best feasible set found with optimal=False
-    and the best proven lower bound.
+    and the best proven lower bound. When no candidate lies inside three
+    segments, it returns instead the m - nu blockers read off the root
+    matching, optimal by Gallai's identity b = m - nu.
     """
     deadline = _deadline(budget_ms)
     inst = candidate_blockers(source)

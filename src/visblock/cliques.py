@@ -184,7 +184,10 @@ def k_colourable(
             v, i, avail, used, tmask = stack.pop()
             bit = 1 << (colours[v] - 1)
             sat[colours[v] - 1] ^= tmask
-            for u in _bits(tmask):
+            while tmask:  # _bits inlined, here and below: the search's hot spot
+                low = tmask & -tmask
+                tmask ^= low
+                u = low.bit_length() - 1
                 ncmask[u] ^= bit
                 rank[u] -= n
             colours[v] = 0
@@ -193,10 +196,13 @@ def k_colourable(
         colours[v] = c
         tmask = adj[v] & fmask & ~sat[c - 1]
         sat[c - 1] |= tmask
-        for u in _bits(tmask):
+        stack.append((v, i, avail ^ bit, used, tmask))
+        while tmask:
+            low = tmask & -tmask
+            tmask ^= low
+            u = low.bit_length() - 1
             ncmask[u] |= bit
             rank[u] += n
-        stack.append((v, i, avail ^ bit, used, tmask))
         if c > used:
             used = c
 
@@ -396,21 +402,26 @@ def min_cover(
 ) -> tuple[list[int], bool, int]:
     """Fewest masks whose union is 0..m-1; returns (chosen mask indices,
     optimal, lower). At the deadline, chosen is the best cover found and
-    lower the best proven bound. Raises ValueError when some element lies
-    in no mask."""
+    lower the best proven bound, except when no mask covers three elements:
+    then chosen is the cover read off the root matching, which is optimal.
+    Raises ValueError when some element lies in no mask."""
     all_mask = (1 << m) - 1
-    cands_of = [
-        [c for c, cm in enumerate(cover_masks) if (cm >> s) & 1] for s in range(m)
-    ]
+    # cands_of[s]: the masks covering s, ascending; H joins elements s ~ t
+    # when one mask covers both; big masks cover 3+
+    cands_of: list[list[int]] = [[] for _ in range(m)]
+    share = [0] * m
+    for c, cm in enumerate(cover_masks):
+        bits = cm
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            s = low.bit_length() - 1
+            cands_of[s].append(c)
+            share[s] |= cm ^ low
     missing = [s for s in range(m) if not cands_of[s]]
     if missing:
         raise ValueError(f"elements {missing} lie in no mask")
     lb_order = sorted(range(m), key=lambda s: (len(cands_of[s]), s))
-    # H: elements s ~ t when one mask covers both; big masks cover 3+
-    share = [0] * m
-    for cm in cover_masks:
-        for s in _bits(cm):
-            share[s] |= cm & ~(1 << s)
     big = [cm for cm in cover_masks if cm.bit_count() >= 3]
 
     def lower_bound(uncov: int) -> int:
@@ -431,22 +442,24 @@ def min_cover(
         _maximise(m, adj, mate)
         return mate
 
-    mate, barrier = max_matching(m, share)
-    nu = _certified_matching_size(share, mate, barrier)
+    root_mate, barrier = max_matching(m, share)
+    nu = _certified_matching_size(share, root_mate, barrier)
     root_lb = max(lower_bound(all_mask), _matching_bound(all_mask, nu, big))
 
     # greedy incumbent: most new coverage, lowest index on ties
     uncov = all_mask
     greedy: list[int] = []
     while uncov:
-        best_c = max(
-            range(len(cover_masks)),
-            key=lambda c: ((cover_masks[c] & uncov).bit_count(), -c),
-        )
+        gain = [(cm & uncov).bit_count() for cm in cover_masks]
+        best_c = gain.index(max(gain))
         greedy.append(best_c)
         uncov &= ~cover_masks[best_c]
     best = greedy
     best_size = len(greedy)
+    if not big and best_size > m - nu:
+        # Gallai: with no big mask the optimum is m - nu, so only leaves of
+        # that size are sought; a valid bound keeps the first such leaf
+        best_size = m - nu + 1
     frontier_min: Optional[int] = None
     # one frame per open node: (its uncovered set, its matching, the masks
     # covering its first uncovered element, the place of the next to try);
@@ -475,12 +488,22 @@ def min_cover(
         frames.append((uncov, mate, cands_of[s], 0))  # the node stays open
 
     if best_size > root_lb:
-        visit(all_mask, mate)
+        visit(all_mask, root_mate)
     while frames and best_size > root_lb:  # a cover of root_lb masks ends the search
         uncov, mate, cands, i = frames.pop()
         if i < len(cands):  # else every child is done: back up to the parent
             frames.append((uncov, mate, cands, i + 1))
             visit(uncov & ~cover_masks[cands[i]], mate)
-    if frontier_min is not None:
-        return best, False, max(min(frontier_min, best_size), root_lb)
-    return best, True, best_size
+    if frontier_min is None:
+        return best, True, best_size
+    if not big:
+        # the lowest mask covering each matched pair, and the lowest mask
+        # covering each exposed element: m - nu masks, distinct, as a mask
+        # covers at most two elements and no two exposed elements share one
+        cover = [
+            cands_of[s][0] if t < 0 else next(c for c in cands_of[s] if (cover_masks[c] >> t) & 1)
+            for s, t in enumerate(root_mate)
+            if t < 0 or s < t
+        ]
+        return cover, True, m - nu
+    return best, False, max(min(frontier_min, best_size), root_lb)

@@ -301,7 +301,9 @@ def recursive_min_cover(cover_masks, m, deadline=None, clock=time.monotonic):
     clock. A node is pruned by the independent-elements bound, then by the
     matching bound, then cut by the deadline; else it branches on the masks
     covering its first uncovered element (fewest masks, then lowest index),
-    and the search ends at a cover of the root bound. Returns (chosen,
+    and the search ends at a cover of the root bound. With no mask covering
+    three elements the search seeks only covers of m - nu masks, and a cut
+    search returns the cover read off the root matching. Returns (chosen,
     optimal, lower) as min_cover does."""
     cands_of = [[c for c, cm in enumerate(cover_masks) if cm >> s & 1] for s in range(m)]
     order = sorted(range(m), key=lambda s: (len(cands_of[s]), s))
@@ -327,27 +329,30 @@ def recursive_min_cover(cover_masks, m, deadline=None, clock=time.monotonic):
 
     full = (1 << m) - 1
     root_mate, _ = max_matching(m, share)
-    root_lb = max(independent(full), _matching_bound(full, (m - root_mate.count(-1)) // 2, big))
+    nu = (m - root_mate.count(-1)) // 2
+    root_lb = max(independent(full), _matching_bound(full, nu, big))
     best, uncov = [], full
     while uncov:  # greedy: most new coverage, lowest index on ties
         c = max(range(len(cover_masks)), key=lambda c: ((cover_masks[c] & uncov).bit_count(), -c))
         best.append(c)
         uncov &= ~cover_masks[c]
+    # the size a leaf must beat: the greedy cover's, or m - nu + 1 by Gallai
+    limit = len(best) if big else min(len(best), m - nu + 1)
     frontier = []
     chosen = []
 
     def rec(uncov, warm):
-        nonlocal best
+        nonlocal best, limit
         if uncov == 0:
-            if len(chosen) < len(best):
-                best = list(chosen)
+            if len(chosen) < limit:
+                best, limit = list(chosen), len(chosen)
             return
         lb = independent(uncov)
-        if len(chosen) + lb >= len(best):
+        if len(chosen) + lb >= limit:
             return
         bound, mate = matching_bound(uncov, warm)
         lb = max(lb, bound)
-        if len(chosen) + lb >= len(best):
+        if len(chosen) + lb >= limit:
             return
         if deadline is not None and clock() > deadline:
             frontier.append(len(chosen) + lb)
@@ -357,14 +362,22 @@ def recursive_min_cover(cover_masks, m, deadline=None, clock=time.monotonic):
             chosen.append(c)
             rec(uncov & ~cover_masks[c], mate)
             chosen.pop()
-            if len(best) == root_lb:
+            if limit == root_lb:
                 return
 
-    if len(best) > root_lb:
+    if limit > root_lb:
         rec(full, root_mate)
-    if frontier:
-        return best, False, max(min(min(frontier), len(best)), root_lb)
-    return best, True, len(best)
+    if not frontier:
+        return best, True, len(best)
+    if not big:
+        cover = []
+        for s, t in enumerate(root_mate):
+            if t < 0:
+                cover.append(cands_of[s][0])
+            elif s < t:
+                cover.append(min(set(cands_of[s]) & set(cands_of[t])))
+        return cover, True, m - nu
+    return best, False, max(min(min(frontier), len(best)), root_lb)
 
 
 def convex_cyclic_order(points):

@@ -275,8 +275,9 @@ class TestMinBlockingSet:
                 assert got.optimal and got.size == want
 
     def test_budget_degrades_honestly(self):
-        # greedy takes 24 blockers here, above the root bound m - nu = 22
-        ps = random_general_position_set(9, None, 8)
+        # 5 candidates cover three segments each; greedy takes 27 blockers,
+        # above the root bound 22
+        ps = regular_ngon_set(10)
         bs = min_blocking_set(ps, budget_ms=0)
         assert not bs.optimal
         assert bs.lower_bound <= bs.size
@@ -318,7 +319,15 @@ class TestMatchingBound:
         assert all(mask.bit_count() <= 2 for mask in inst.masks)
         assert gallai_number(inst) == want
 
-    @pytest.mark.parametrize("n", range(4, 11))
+    @pytest.mark.parametrize("n, seed, want", [
+        (20, 0, 102), (20, 1, 101), (20, 2, 101), (24, 0, 145), (24, 1, 147), (24, 2, 145)])
+    def test_large_random_sets_solved(self, n, seed, want):
+        ps = random_general_position_set(n, None, seed)
+        bs = min_blocking_set(ps)
+        assert bs.optimal and bs.size == bs.lower_bound == want
+        assert is_blocking_set(ps, bs.points).ok
+
+    @pytest.mark.parametrize("n", range(4, 21))
     def test_convex_sets(self, n):
         ps = convex_parabola_set(n)
         inst = candidate_blockers(ps)
@@ -329,9 +338,26 @@ class TestMatchingBound:
         assert all(mask.bit_count() <= 2 for mask in inst.masks)
         assert gallai_number(inst) == want
 
+    @pytest.mark.parametrize("n", range(21, 31))
+    def test_convex_identity(self, n):
+        # m - nu = n + ceil(n(n - 3) / 4), checked without the search
+        inst = candidate_blockers(convex_parabola_set(n))
+        assert all(mask.bit_count() <= 2 for mask in inst.masks)
+        assert gallai_number(inst) == n + -(-n * (n - 3) // 4)
+
     def test_budget_keeps_the_root_bound(self):
-        bs = min_blocking_set(random_general_position_set(9, None, 8), budget_ms=0)
+        bs = min_blocking_set(regular_ngon_set(10), budget_ms=0)
         assert not bs.optimal and bs.lower_bound == 22 < bs.size
+
+    def test_budget_without_big_candidates_is_exact(self):
+        # no candidate covers three segments, so the cut search returns the
+        # m - nu blockers read off the root matching; greedy takes 24
+        ps = random_general_position_set(9, None, 8)
+        inst = candidate_blockers(ps)
+        assert all(mask.bit_count() <= 2 for mask in inst.masks)
+        bs = min_blocking_set(inst, budget_ms=0)
+        assert bs.optimal and bs.size == bs.lower_bound == gallai_number(inst) == 22
+        assert is_blocking_set(ps, bs.points).ok
 
     def test_same_leaves_without_the_matching_bound(self, monkeypatch):
         # a valid bound prunes only subtrees without a better leaf, so the

@@ -380,12 +380,27 @@ class TestMinCover:
 
     def test_deep_cover_cut_by_the_deadline(self, monkeypatch):
         # cut 50 reads in, the search still returns the greedy cover and a
-        # bound no larger than the optimum
+        # bound no larger than the optimum; a mask {a, b, c} in the first
+        # copy makes greedy take three masks there, and keeps the search
+        # from the cover of the root matching
         m, masks = self.traps(60)
+        masks.append(0b111)
         counting_clock(monkeypatch)
         chosen, optimal, lower = min_cover(masks, m, deadline=50.5)
         union = 0
         for c in chosen:
             union |= masks[c]
         assert union == (1 << m) - 1
-        assert not optimal and lower == 180 < len(chosen) == 240
+        assert not optimal and lower == 180 < len(chosen) == 239
+
+    def test_deep_cover_without_big_masks_cut_by_the_deadline(self, monkeypatch):
+        # with no mask covering three elements, the cut search returns the
+        # cover read off the root matching, m - nu masks, which is optimal
+        m, masks = self.traps(60)
+        counting_clock(monkeypatch)
+        chosen, optimal, lower = min_cover(masks, m, deadline=50.5)
+        union = 0
+        for c in chosen:
+            union |= masks[c]
+        assert union == (1 << m) - 1 and len(set(chosen)) == len(chosen)
+        assert optimal and lower == len(chosen) == 180
