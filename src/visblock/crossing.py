@@ -101,9 +101,6 @@ def _check_partition(g: CrossingGraph, classes: Sequence[Sequence[int]]) -> None
                 )
     if sorted(s for cls in classes for s in cls) != list(range(g.m)):
         raise GeometryError("classes do not partition the segments")
-    n = len(g.source)
-    if len(classes) < partition_size_floor(n):
-        raise GeometryError("partition smaller than the counting floor; solver bug")
 
 
 def crossing_family_partition(source: Union[PointSet, CrossingGraph],
@@ -201,7 +198,6 @@ def _packed_residues(n: int) -> tuple[int, list[int]]:
         rows.append(r)
     bound = 16 * max(abs(c) for row in rows for c in row)
     width = bound.bit_length() + 1
-    assert bound < 1 << (width - 1), "a sum of 16 residues would overflow a digit"
     return width, [sum(c << (width * t) for t, c in enumerate(row)) for row in rows]
 
 
@@ -224,20 +220,18 @@ def _events_equal(e1, e2, n: int, res: list[int]) -> bool:
 @dataclass(frozen=True)
 class NgonCensus(Record):
     """histogram holds the pairs (k, a_k), a_k > 0 the number of interior
-    points where exactly k chords meet, centre included; it is empty when
-    the census is not certified. Neither it nor ambiguous_clusters is part
-    of the JSON shape."""
+    points where exactly k chords meet, centre included; it is not part of
+    the JSON shape. Every census is certified."""
 
     n: int
     center_multiplicity: int
     max_multiplicity_excluding_center: int
     certified: bool
-    ambiguous_clusters: tuple[tuple[tuple[int, int, int, int], ...], ...] = ()
-    histogram: tuple[tuple[int, int], ...] = ()
+    histogram: tuple[tuple[int, int], ...]
 
     def to_obj(self) -> dict:
         obj = super().to_obj()
-        del obj["ambiguous_clusters"], obj["histogram"]
+        del obj["histogram"]
         return obj
 
 
@@ -252,7 +246,6 @@ class NgonCensus(Record):
 # that stretch is far below the gap 9.3e-10, so equal events always share a
 # cluster and the exact checks see every coincidence.
 _GAP_EXP = 30
-_CHECK_BUDGET = 2_000_000
 
 
 def _chord_clusters(n: int, k: int) -> list[list[tuple[int, int, int, int]]]:
@@ -294,8 +287,6 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
         raise GeometryError("census needs n >= 4")
     center_mult = n // 2 if n % 2 == 0 else 0
     _, res = _packed_residues(n)
-    checks = 0
-    ambiguous: list[tuple] = []
     groups_by_mult: dict[int, int] = {}
     for k in range(2, n // 2 + 1):
         weight = 1 if 2 * k == n else 2
@@ -304,49 +295,34 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
                 groups_by_mult[2] = groups_by_mult.get(2, 0) + weight
                 continue
             members: list[list[tuple[int, int, int, int]]] = []
-            overran = False
             for ev in cluster:
                 for grp in members:
-                    checks += 1
-                    if checks > _CHECK_BUDGET:
-                        overran = True
-                        break
                     if _events_equal(ev, grp[0], n, res):
                         grp.append(ev)
                         break
                 else:
                     members.append([ev])
-                if overran:
-                    break
-            if overran:
-                ambiguous.append(tuple(cluster))
-                if weight == 2:
-                    ambiguous.append(tuple((0, n - l, n - k, n - j) for _, j, _, l in cluster))
-                continue
             for grp in members:
                 mult = len(grp) + 1
                 groups_by_mult[mult] = groups_by_mult.get(mult, 0) + weight
+    # A point of multiplicity m has 2m distinct chord endpoints, so exactly
+    # 2m points of its rotation orbit lie on chords through vertex 0.
     histogram: dict[int, int] = {}
-    if not ambiguous:
-        # A point of multiplicity m has 2m distinct chord endpoints, so
-        # exactly 2m points of its rotation orbit lie on chords through
-        # vertex 0; with clusters left undecided the counts are partial.
-        for mult, count in groups_by_mult.items():
-            if count % (2 * mult):
-                raise AssertionError(
-                    f"{count} points of multiplicity {mult} on the chords through "
-                    f"vertex 0, not a multiple of {2 * mult}"
-                )
-            histogram[mult] = count * n // (2 * mult)
-        if center_mult:
-            histogram[center_mult] = histogram.get(center_mult, 0) + 1
-        # each 4-subset of the vertices is one crossing pair of chords
-        pairs = sum(a * k * (k - 1) // 2 for k, a in histogram.items())
-        if pairs != math.comb(n, 4):
+    for mult, count in groups_by_mult.items():
+        if count % (2 * mult):
             raise AssertionError(
-                f"the histogram holds {pairs} crossing chord pairs, not C({n}, 4) = "
-                f"{math.comb(n, 4)}"
+                f"{count} points of multiplicity {mult} on the chords through "
+                f"vertex 0, not a multiple of {2 * mult}"
             )
+        histogram[mult] = count * n // (2 * mult)
+    if center_mult:
+        histogram[center_mult] = histogram.get(center_mult, 0) + 1
+    # each 4-subset of the vertices is one crossing pair of chords
+    pairs = sum(a * k * (k - 1) // 2 for k, a in histogram.items())
+    if pairs != math.comb(n, 4):
+        raise AssertionError(
+            f"the histogram holds {pairs} crossing chord pairs, not C({n}, 4) = "
+            f"{math.comb(n, 4)}"
+        )
     max_excl = max(groups_by_mult, default=0)
-    return NgonCensus(n, center_mult, max_excl, not ambiguous, tuple(ambiguous),
-                      tuple(sorted(histogram.items())))
+    return NgonCensus(n, center_mult, max_excl, True, tuple(sorted(histogram.items())))

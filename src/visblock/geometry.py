@@ -100,11 +100,22 @@ def _first_blockers(
 ) -> Iterator[Optional[int]]:
     """Per segment, a pair of distinct vertex indices, lazily: the index of
     the first blocker strictly inside it, or None."""
-    _, xy = _scale([*vertices, *blockers])
-    bxy = xy[len(vertices):]
+    # one lcm over every blocker grows with their number: each blocker is
+    # instead put at (X/e, Y/e) on the vertex view and tested against that
+    # view scaled by its own e, one scaled copy per distinct e
+    den, xy = _scale(vertices)
+    views = {1: xy}
+    placed = []
+    for b in blockers:
+        q = lcm(b.x.denominator, b.y.denominator)
+        e = q // gcd(den, q)  # the least e that makes den * e * b integral
+        if e not in views:
+            views[e] = tuple((e * u, e * v) for u, v in xy)
+        s = den * e
+        x = (b.x.numerator * (s // b.x.denominator), b.y.numerator * (s // b.y.denominator))
+        placed.append((x, views[e]))
     for i, j in segments:
-        pa, pb = xy[i], xy[j]
-        yield next((k for k, x in enumerate(bxy) if on_open_segment(x, pa, pb)), None)
+        yield next((k for k, (x, v) in enumerate(placed) if on_open_segment(x, v[i], v[j])), None)
 
 
 # segment_intersection's outcome for segments sharing a whole open subsegment

@@ -13,7 +13,7 @@ A budget turns into a deadline once, as the first statement of the
 function that takes it. The package imports nothing but the standard
 library and itself, and no JSON write in it takes an indent, which would
 send it to the pure-Python encoder. No module but `errors.py` words a JSON
-type error itself.
+type error itself. No invariant is a bare assert, which `python -O` strips.
 """
 
 import ast
@@ -240,3 +240,10 @@ def test_json_type_errors_are_worded_in_errors_only():
     found = [p.name for p in sorted(PACKAGE.glob("*.py"))
              if p.name != "errors.py" and wording.search(p.read_text())]
     assert not found, f"modules that word a JSON type error themselves: {found}"
+
+
+def test_no_bare_assert_in_the_package():
+    # an invariant raises AssertionError itself, so `python -O` keeps it
+    found = [f"{p.name}:{node.lineno}" for p in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"

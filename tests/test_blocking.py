@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from visblock import blocking, cliques
+from visblock import blocking, cliques, geometry
 from visblock.blocking import (
     BlockingInstance,
     BlockingSet,
@@ -72,6 +72,23 @@ class TestIsBlockingSet:
         chk = is_blocking_set(TRIANGLE, [P(0, 0), P(1, 1)])
         assert not chk.ok and chk.vertex_clash == P(0, 0)
         assert chk.to_obj() == {"ok": False, "uncovered": None, "vertex_clash": ["0/1", "0/1"]}
+
+    def test_check_works_on_small_integers(self, monkeypatch):
+        # each blocker is tested on the vertex view scaled by its own
+        # denominator, not by one lcm over all the blockers
+        ps = random_general_position_set(12, None, 0)
+        cands = candidate_blockers(ps).candidates
+        widest = []
+        on_open_segment = geometry.on_open_segment
+
+        def spy(x, a, b):
+            widest.append(max(abs(c).bit_length() for q in (x, a, b) for c in q))
+            return on_open_segment(x, a, b)
+
+        monkeypatch.setattr(geometry, "on_open_segment", spy)
+        assert len(cands) == 426
+        assert is_blocking_set(ps, cands).ok
+        assert widest and max(widest) < 64
 
 
 class TestCandidateBlockers:

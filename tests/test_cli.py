@@ -556,6 +556,19 @@ class TestSubcommandMatchesRun:
         rc = self.agree(tmp_path, capsys, generator, "visgraph", budget=0, input_file=path)
         assert rc == EXIT_BUDGET
 
+    def test_partition_below_the_floor_fails_verification(self, tmp_path, capsys, monkeypatch):
+        # the task's verdict is the one floor check: a partition below it
+        # is a failed verification, not bad input
+        monkeypatch.setattr(crossing, "partition_size_floor", lambda n: 10**9)
+        monkeypatch.setattr(cli, "partition_size_floor", lambda n: 10**9)
+        path = write_points(tmp_path / "points.json", convex_parabola_set(7))
+        generator = {"kind": "file", "params": {"path": str(path)}}
+        rc = self.agree(tmp_path, capsys, generator, "crossing", input_file=path)
+        assert rc == EXIT_VERIFICATION
+        (manifest,) = (tmp_path / "runs").glob("*/manifest.json")
+        status = json.loads(manifest.read_text())["tasks"]["crossing"]["status"]
+        assert status == "verification_failed"
+
     def test_verification_failed(self, tmp_path, capsys, monkeypatch):
         def failing(obj, budget_ms):
             return TaskOutcome({"n": len(obj)}, verification_failed=True, budget_exhausted=True)

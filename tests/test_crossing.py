@@ -381,7 +381,8 @@ class TestNgonCensus:
             assert dict(regular_ngon_multiplicity(n).histogram) == oracle, n
 
     def test_histogram_counts_a006561_points(self):
-        for n in range(4, 91):
+        # a006561(120) = 7,726,081 and a006561(210) = 76,524,421
+        for n in [*range(4, 91), 120, 210]:
             c = regular_ngon_multiplicity(n)
             hist = dict(c.histogram)
             assert sum(hist.values()) == a006561(n), n
@@ -390,18 +391,6 @@ class TestNgonCensus:
                 c.max_multiplicity_excluding_center
             assert hist.get(n // 2, 0) >= (n % 2 == 0)
             assert "histogram" not in c.to_obj()
-
-    @pytest.mark.parametrize("n", [12, 30])
-    def test_budget_leaves_mirrored_clusters(self, monkeypatch, n):
-        monkeypatch.setattr(crossing, "_CHECK_BUDGET", 5)
-        c = regular_ngon_multiplicity(n)
-        assert c.certified is False and c.histogram == ()
-        clusters = {frozenset(cl) for cl in c.ambiguous_clusters}
-        mirrored = {frozenset((0, n - l, n - k, n - j) for _, j, k, l in cl) for cl in clusters}
-        assert mirrored == clusters
-        chords = {ev[2] for cl in c.ambiguous_clusters for ev in cl}
-        assert any(2 * k < n for k in chords) and any(2 * k > n for k in chords)
-        assert all(len(cl) > 1 for cl in c.ambiguous_clusters)
 
     def test_packed_check_agrees_with_division(self):
         for n in range(4, 41):
@@ -447,7 +436,7 @@ class TestNgonCensus:
                             events_equal_by_division(e1, e2, n, cyclotomic(n)))
         for n, c in zip(range(4, 31), base):
             oracle = regular_ngon_multiplicity(n)
-            assert (c.to_obj(), c.ambiguous_clusters) == (oracle.to_obj(), oracle.ambiguous_clusters)
+            assert (c.to_obj(), c.histogram) == (oracle.to_obj(), oracle.histogram)
 
     def test_cyclotomic_degrees(self):
         # degree = Euler phi; spot values
