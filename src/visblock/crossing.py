@@ -248,26 +248,50 @@ class NgonCensus(Record):
 _GAP_EXP = 30
 
 
-def _chord_clusters(n: int, k: int) -> list[list[tuple[int, int, int, int]]]:
-    zeta = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
-    keyed = []
+def _chord_clusters(n: int, k: int, zeta: list[complex],
+                    ) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
+    """The float clusters of the events (0, j, k, l) on the chord (0, k):
+    the number of one-event clusters, and the other clusters in key order,
+    each with its events in key order, ties by (j, l). zeta[t] is the root
+    of unity at vertex t. A key is
+    Re((((z0 + zk) - zj) - zl) / (z0 zk - zj zl)), the same IEEE operations
+    in the same order whichever sums a row shares."""
+    diameter = 2 * k == n
+    s = zeta[0] + zeta[k]
+    p = zeta[0] * zeta[k]
+    tail = zeta[k + 1:]
+    keys: list[float] = []
     for j in range(1, k):
-        for l in range(k + 1, n):
-            if 2 * k == n and 2 * (l - j) == n:
-                continue  # two diameters, meeting at the center
-            num = zeta[0] + zeta[k] - zeta[j] - zeta[l]
-            den = zeta[0] * zeta[k] - zeta[j] * zeta[l]
-            keyed.append(((num / den).real, (0, j, k, l)))
-    keyed.sort()
+        zj = zeta[j]
+        a = s - zj
+        row = [((a - z) / (p - zj * z)).real for z in tail]
+        if diameter:
+            del row[j - 1]  # (0, j, k, j + k): two diameters, meeting at the center
+        keys += row
+    width = n - k - 1 - diameter  # events per j
+
+    def event(i: int) -> tuple[int, int, int, int]:
+        j, t = divmod(i, width)
+        l = k + 1 + t
+        if diameter and l > j + k:
+            l += 1
+        return (0, j + 1, k, l)
+
+    # a stable sort keeps equal keys in (j, l) order
     gap = 2.0 ** -_GAP_EXP
     clusters: list[list[tuple[int, int, int, int]]] = []
-    prev = -math.inf
-    for x, ev in keyed:
+    prev, last, cluster = -math.inf, 0, None
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        x = keys[i]
         if x - prev > gap:
-            clusters.append([])
-        clusters[-1].append(ev)
-        prev = x
-    return clusters
+            cluster = None
+        elif cluster is None:
+            cluster = [event(last), event(i)]
+            clusters.append(cluster)
+        else:
+            cluster.append(event(i))
+        prev, last = x, i
+    return len(keys) - sum(map(len, clusters)), clusters
 
 
 def regular_ngon_multiplicity(n: int) -> NgonCensus:
@@ -287,13 +311,14 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
         raise GeometryError("census needs n >= 4")
     center_mult = n // 2 if n % 2 == 0 else 0
     _, res = _packed_residues(n)
+    zeta = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
     groups_by_mult: dict[int, int] = {}
     for k in range(2, n // 2 + 1):
         weight = 1 if 2 * k == n else 2
-        for cluster in _chord_clusters(n, k):
-            if len(cluster) == 1:
-                groups_by_mult[2] = groups_by_mult.get(2, 0) + weight
-                continue
+        singles, clusters = _chord_clusters(n, k, zeta)
+        if singles:
+            groups_by_mult[2] = groups_by_mult.get(2, 0) + weight * singles
+        for cluster in clusters:
             members: list[list[tuple[int, int, int, int]]] = []
             for ev in cluster:
                 for grp in members:

@@ -11,6 +11,8 @@ bounds its nodes with the package's matchings, because what it checks is
 the order of the nodes and of the deadline reads, not the bounds.
 """
 
+import cmath
+import math
 import time
 from fractions import Fraction
 from functools import cmp_to_key
@@ -717,6 +719,34 @@ def events_equal_by_division(e1, e2, n, phi):
     n2, d2 = event_fraction(e2, n)
     diff = [x - y for x, y in zip(mul_mod_xn(n1, d2, n), mul_mod_xn(n2, d1, n))]
     return not any(remainder_monic(diff, phi))
+
+
+# The census's float clustering written plainly: one root table per chord,
+# every event keyed on its own and sorted as a (key, event) tuple, every
+# cluster a list, one-event clusters included. _GAP_EXP is the census's.
+_GAP_EXP = 30
+
+
+def chord_clusters(n: int, k: int) -> list[list[tuple[int, int, int, int]]]:
+    zeta = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
+    keyed = []
+    for j in range(1, k):
+        for l in range(k + 1, n):
+            if 2 * k == n and 2 * (l - j) == n:
+                continue  # two diameters, meeting at the center
+            num = zeta[0] + zeta[k] - zeta[j] - zeta[l]
+            den = zeta[0] * zeta[k] - zeta[j] * zeta[l]
+            keyed.append(((num / den).real, (0, j, k, l)))
+    keyed.sort()
+    gap = 2.0 ** -_GAP_EXP
+    clusters: list[list[tuple[int, int, int, int]]] = []
+    prev = -math.inf
+    for x, ev in keyed:
+        if x - prev > gap:
+            clusters.append([])
+        clusters[-1].append(ev)
+        prev = x
+    return clusters
 
 
 def full_chord_histogram(n, chord_clusters, events_equal):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import random
@@ -28,6 +29,7 @@ from oracles import (
     a006561,
     brute_hull_size,
     brute_min_clique_cover,
+    chord_clusters,
     circle_graph_cover,
     convex_cyclic_order,
     events_equal_by_division,
@@ -277,16 +279,16 @@ def split_first_cluster(monkeypatch, on_chord):
     """Make _chord_clusters split the first multi-event cluster on a chord
     (0, k) with on_chord(n, k) into its first event and the rest; returns
     the list that receives the split cluster."""
-    chord_clusters = crossing._chord_clusters
+    census_clusters = crossing._chord_clusters
     split = []
 
-    def split_first(n, k):
-        clusters = chord_clusters(n, k)
-        for i, cl in enumerate(clusters):
-            if len(cl) > 1 and not split and on_chord(n, k):
-                split.append(cl)
-                return clusters[:i] + [cl[:1], cl[1:]] + clusters[i + 1:]
-        return clusters
+    def split_first(n, k, zeta):
+        singles, clusters = census_clusters(n, k, zeta)
+        if clusters and not split and on_chord(n, k):
+            cl = clusters[0]
+            split.append(cl)
+            return singles, [cl[:1], cl[1:], *clusters[1:]]
+        return singles, clusters
 
     monkeypatch.setattr(crossing, "_chord_clusters", split_first)
     return split
@@ -366,18 +368,65 @@ class TestNgonCensus:
         # for odd n every chord (0, k) with k < n/2 holds an even number of
         # events, so dropping one keeps the rotation count; the histogram
         # then misses crossing pairs
-        chord_clusters = crossing._chord_clusters
-        monkeypatch.setattr(crossing, "_chord_clusters",
-                            lambda n, k: [] if k == 3 else chord_clusters(n, k))
+        census_clusters = crossing._chord_clusters
+        monkeypatch.setattr(crossing, "_chord_clusters", lambda n, k, zeta:
+                            (0, []) if k == 3 else census_clusters(n, k, zeta))
         with pytest.raises(AssertionError, match="crossing chord pairs, not C"):
             regular_ngon_multiplicity(13)
+
+    def test_chord_clusters_match_the_sorted_tuple_oracle(self):
+        # one-event clusters are only counted; the others keep their events
+        # and their order
+        for n in range(4, 61):
+            zeta = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
+            for k in range(2, n // 2 + 1):
+                expected = chord_clusters(n, k)
+                singles = sum(len(cl) == 1 for cl in expected)
+                assert crossing._chord_clusters(n, k, zeta) == \
+                    (singles, [cl for cl in expected if len(cl) > 1]), (n, k)
+
+    @pytest.mark.parametrize("exp", [0, -1])
+    def test_floats_only_propose(self, monkeypatch, exp):
+        # keys lie in [-1, 1]: a gap of 1.0 leaves 2 of the 14,105 events of
+        # n = 4..30 on their own, and a gap of 2.0 makes every chord one
+        # cluster, so that every event goes through the exact checks
+        base = [regular_ngon_multiplicity(n) for n in range(4, 31)]
+        census_clusters = crossing._chord_clusters
+        singles = []
+
+        def record(n, k, zeta):
+            found = census_clusters(n, k, zeta)
+            singles.append(found[0])
+            return found
+
+        monkeypatch.setattr(crossing, "_GAP_EXP", exp)
+        monkeypatch.setattr(crossing, "_chord_clusters", record)
+        for n, c in zip(range(4, 31), base):
+            wide = regular_ngon_multiplicity(n)
+            assert (wide.to_obj(), wide.histogram) == (c.to_obj(), c.histogram), n
+        assert sum(singles) == (2 if exp == 0 else 0)
+
+    def test_work_counters(self, monkeypatch):
+        # one root table per call, the same exact checks as a census that
+        # keyed each chord on its own; a cache surviving a call would cut
+        # the second call's counts
+        exps, checks = [], []
+        exp, events_equal = cmath.exp, crossing._events_equal
+        monkeypatch.setattr(crossing.cmath, "exp", lambda z: exps.append(z) or exp(z))
+        monkeypatch.setattr(crossing, "_events_equal",
+                            lambda *args: checks.append(args) or events_equal(*args))
+        for n, expected in ((30, 608), (60, 2343)):
+            for _ in range(2):
+                exps.clear()
+                checks.clear()
+                regular_ngon_multiplicity(n)
+                assert (len(exps), len(checks)) == (n, expected), n
 
     def test_histogram_matches_the_full_chord_oracle(self):
         for n in range(4, 61):
             _, res = crossing._packed_residues(n)
             oracle = full_chord_histogram(
-                n, crossing._chord_clusters,
-                lambda e1, e2: crossing._events_equal(e1, e2, n, res))
+                n, chord_clusters, lambda e1, e2: crossing._events_equal(e1, e2, n, res))
             assert dict(regular_ngon_multiplicity(n).histogram) == oracle, n
 
     def test_histogram_counts_a006561_points(self):
@@ -397,7 +446,7 @@ class TestNgonCensus:
             phi = cyclotomic(n)
             _, res = crossing._packed_residues(n)
             for k in range(2, n - 1):
-                for cluster in crossing._chord_clusters(n, k):
+                for cluster in chord_clusters(n, k):
                     for e1, e2 in combinations(cluster, 2):
                         assert crossing._events_equal(e1, e2, n, res) == \
                             events_equal_by_division(e1, e2, n, phi), (n, e1, e2)
