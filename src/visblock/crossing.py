@@ -268,7 +268,7 @@ def _chord_clusters(n: int, k: int, zeta: list[complex],
         if diameter:
             del row[j - 1]  # (0, j, k, j + k): two diameters, meeting at the center
         keys += row
-    width = n - k - 1 - diameter  # events per j
+    width = n - k - 2 if diameter else n - k - 1  # events per j
 
     def event(i: int) -> tuple[int, int, int, int]:
         j, t = divmod(i, width)
@@ -277,10 +277,10 @@ def _chord_clusters(n: int, k: int, zeta: list[complex],
             l += 1
         return (0, j + 1, k, l)
 
-    # a stable sort keeps equal keys in (j, l) order
     gap = 2.0 ** -_GAP_EXP
     clusters: list[list[tuple[int, int, int, int]]] = []
     prev, last, cluster = -math.inf, 0, None
+    # a stable sort keeps equal keys in (j, l) order
     for i in sorted(range(len(keys)), key=keys.__getitem__):
         x = keys[i]
         if x - prev > gap:
