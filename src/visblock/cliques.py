@@ -48,6 +48,23 @@ def _clique_count(mask: int, adj: Sequence[int]) -> int:
     return count
 
 
+def _clique_weight(mask: int, adj: Sequence[int], weights: Sequence[int]) -> int:
+    """The largest weight in each clique of _clique_count's partition of
+    mask, summed; an independent set weighs at most that inside mask."""
+    total = 0
+    while mask:
+        top = 0
+        cand = mask
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            mask ^= 1 << v
+            cand &= adj[v]
+            if weights[v] > top:
+                top = weights[v]
+        total += top
+    return total
+
+
 def _greedy_colour_sort(p_mask: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
     # order candidates into greedy colour classes; colours come out ascending
     order: list[int] = []
@@ -118,7 +135,8 @@ def greedy_colouring(n: int, adj: Sequence[int]) -> list[int]:
 
 
 def k_colourable(
-    n: int, adj: Sequence[int], k: int, deadline: Optional[float] = None
+    n: int, adj: Sequence[int], k: int, deadline: Optional[float] = None,
+    fractional: Optional[tuple[Sequence[int], int]] = None,
 ) -> tuple[Optional[list[int]], bool]:
     """Search for a proper colouring with at most k colours.
 
@@ -126,6 +144,9 @@ def k_colourable(
     colour may only be opened one step past the largest in use, which kills
     colour-permutation symmetry. A node without room for its free vertices
     has no leaf below it, so backing up there keeps the first leaf found.
+    fractional is an optional fractional clique (weights, den): integer
+    weights under which every independent set weighs at most den. Then a
+    colour also has room only for den less its class's weight.
     """
     if n == 0:
         return [], False
@@ -143,9 +164,16 @@ def k_colourable(
     # yet tried, colours in use before it, the free neighbours it saturated)
     stack: list[tuple[int, int, int, int, int]] = []
     used = 0
-    # the search meets few distinct masks many times over; the memo is
-    # cleared when full, so its memory does not grow with the run time
+    # the search meets few distinct masks many times over; the memos are
+    # cleared when full, so their memory does not grow with the run time
     memo: dict[int, int] = {}
+    weights, den = fractional or ([0] * n, 1)
+    total = sum(weights)
+    # the weight bound pays off only when the k colours have less than one
+    # colour's worth of weight to spare; elsewhere it almost never fires
+    weighted = fractional is not None and k * den - total < den
+    cw = [0] * k  # cw[c-1]: the weight of the vertices coloured c
+    wmemo: dict[int, int] = {}
 
     def capacity(mask: int) -> int:
         count = memo.get(mask)
@@ -154,6 +182,14 @@ def k_colourable(
                 memo.clear()
             count = memo[mask] = _clique_count(mask, adj)
         return count
+
+    def wcapacity(mask: int) -> int:
+        cap = wmemo.get(mask)
+        if cap is None:
+            if len(wmemo) >= _MEMO_CAP:
+                wmemo.clear()
+            cap = wmemo[mask] = _clique_weight(mask, adj, weights)
+        return cap
 
     while True:  # one pass per search node
         if deadline is not None and time.monotonic() > deadline:
@@ -171,6 +207,18 @@ def k_colourable(
                 if room >= need:
                     break
                 room += capacity(fmask & ~sat[c])
+            if weighted and room >= need:
+                # the same by weight: colour c takes at most den - cw[c-1]
+                # more, and at most _clique_weight of the vertices it may
+                # go to; the free vertices weigh total - sum(cw)
+                wneed = total - sum(cw)
+                wroom = (k - used) * min(den, wcapacity(fmask))
+                for c in range(used):
+                    if wroom >= wneed:
+                        break
+                    wroom += min(den - cw[c], wcapacity(fmask & ~sat[c]))
+                if wroom < wneed:
+                    room = 0
         v = max(free, key=rank.__getitem__)
         i = free.index(v)
         del free[i]
@@ -184,6 +232,7 @@ def k_colourable(
             v, i, avail, used, tmask = stack.pop()
             bit = 1 << (colours[v] - 1)
             sat[colours[v] - 1] ^= tmask
+            cw[colours[v] - 1] -= weights[v]
             while tmask:  # _bits inlined, here and below: the search's hot spot
                 low = tmask & -tmask
                 tmask ^= low
@@ -194,6 +243,7 @@ def k_colourable(
         bit = avail & -avail
         c = bit.bit_length()
         colours[v] = c
+        cw[c - 1] += weights[v]
         tmask = adj[v] & fmask & ~sat[c - 1]
         sat[c - 1] |= tmask
         stack.append((v, i, avail ^ bit, used, tmask))
@@ -208,23 +258,37 @@ def k_colourable(
 
 
 def chromatic_number(
-    n: int, adj: Sequence[int], lower: int, deadline: Optional[float] = None
+    n: int, adj: Sequence[int], lower: int, deadline: Optional[float] = None,
+    fractional: Optional[tuple[Sequence[int], int]] = None,
 ) -> tuple[list[int], bool, int, int]:
     """Exact chromatic number when the budget allows.
 
     lower is the size of a clique the caller holds, found by an exact
-    search or not. Returns (colouring, exact, lower, upper). When exact,
-    lower == upper and the colouring uses that many colours; otherwise the
-    colouring is the greedy upper-bound witness. The search fails at each
-    k below the chromatic number and meets the same first leaf at it, so
-    without a deadline the result does not depend on lower.
+    search or not. fractional, a fractional clique (weights, den) as in
+    k_colourable, raises lower to ceil(sum(weights) / den) and bounds the
+    search; ValueError when that exceeds the greedy colouring, which only
+    a set of weights that is no fractional clique can do. Returns
+    (colouring, exact, lower, upper). When exact, lower == upper and the
+    colouring uses that many colours; otherwise the colouring is the greedy
+    upper-bound witness. The search fails at each k below the chromatic
+    number and meets the same first leaf at it, so without a deadline the
+    result does not depend on lower.
     """
     if n == 0:
         return [], True, 0, 0
     greedy = greedy_colouring(n, adj)
     upper = max(greedy)
+    if fractional is not None:
+        weights, den = fractional
+        bound = -(-sum(weights) // den)
+        if bound > upper:
+            raise ValueError(
+                f"weights summing to {sum(weights)}/{den} need {bound} colours, more than "
+                f"the {upper} of a greedy colouring: not a fractional clique"
+            )
+        lower = max(lower, bound)
     while lower < upper:
-        result, budget_hit = k_colourable(n, adj, lower, deadline)
+        result, budget_hit = k_colourable(n, adj, lower, deadline, fractional)
         if budget_hit:
             return greedy, False, lower, upper
         if result is not None:

@@ -32,8 +32,12 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class CrossingGraph:
+    """smaller_side[s] counts the points on the smaller side of segment s's
+    line: s is a j-edge for j = smaller_side[s]."""
+
     segments: tuple[tuple[int, int], ...]
     adj: tuple[int, ...]
+    smaller_side: tuple[int, ...]
     source: PointSet
 
     @property
@@ -60,7 +64,7 @@ def crossing_graph(ps: PointSet) -> CrossingGraph:
         sum(1 << k for k, p in enumerate(xy) if orientation(xy[i], xy[j], p) > 0)
         for i, j in segs
     ]
-    m = len(segs)
+    n, m = len(ps), len(segs)
     adj = [0] * m
     for s, t in combinations(range(m), 2):
         (i, j), (k, l) = segs[s], segs[t]
@@ -71,7 +75,8 @@ def crossing_graph(ps: PointSet) -> CrossingGraph:
         ):
             adj[s] |= 1 << t
             adj[t] |= 1 << s
-    return CrossingGraph(tuple(segs), tuple(adj), ps)
+    smaller = tuple(min(row.bit_count(), n - 2 - row.bit_count()) for row in left)
+    return CrossingGraph(tuple(segs), tuple(adj), smaller, ps)
 
 
 @dataclass(frozen=True)
@@ -103,14 +108,27 @@ def _check_partition(g: CrossingGraph, classes: Sequence[Sequence[int]]) -> None
         raise GeometryError("classes do not partition the segments")
 
 
+def _j_edge_weights(g: CrossingGraph) -> tuple[list[int], int]:
+    """(weights, den): the fractional clique w_s = 1 / (1 + smaller_side[s])
+    of the non-crossing graph, as integers over their common denominator.
+
+    The other members of a crossing family holding s each cross s, so they
+    have one endpoint on either side of its line, and no two share one: the
+    family holds at most 1 + smaller_side[s] segments and weighs at most 1."""
+    den = math.lcm(*(1 + j for j in g.smaller_side))
+    return [den // (1 + j) for j in g.smaller_side], den
+
+
 def crossing_family_partition(source: Union[PointSet, CrossingGraph],
                               budget_ms: Optional[int] = None,
                               ) -> CrossingFamilyPartition:
     """Minimum partition of all segments into pairwise-crossing classes,
     found as an exact colouring of the complement of the crossing graph,
-    classes ordered by colour. On budget exhaustion the best greedy
-    partition is returned, exact=False. A CrossingGraph is used as given;
-    a PointSet gets its graph built."""
+    classes ordered by colour, bounded below by the j-edge fractional
+    clique (Erdős, Lovász, Simmons & Straus, "Dissection graphs of planar
+    point sets", 1973). On budget exhaustion the best greedy partition is
+    returned, exact=False. A CrossingGraph is used as given; a PointSet
+    gets its graph built."""
     deadline = _deadline(budget_ms)
     g = source if isinstance(source, CrossingGraph) else crossing_graph(source)
     full = (1 << g.m) - 1
@@ -118,7 +136,7 @@ def crossing_family_partition(source: Union[PointSet, CrossingGraph],
     # a clique of comp is a non-crossing segment set; on n >= 3 points in
     # general position every maximal one is a triangulation
     lower = triangulation_lower_bound(g.source) if len(g.source) >= 3 else g.m
-    colouring, exact, _, _ = chromatic_number(g.m, comp, lower, deadline)
+    colouring, exact, _, _ = chromatic_number(g.m, comp, lower, deadline, _j_edge_weights(g))
     buckets: dict[int, list[int]] = {}
     for s, c in enumerate(colouring):
         buckets.setdefault(c, []).append(s)

@@ -78,21 +78,25 @@ def diameter(g: VisibilityGraph) -> int:
     worst = 0
     for s in range(n):
         # bitset BFS: each level is the union of the frontier's neighbour
-        # masks minus what is already seen; d counts the non-empty levels
+        # masks minus what is already seen; d counts the non-empty levels.
+        # Once the union covers every vertex, the level is every unseen
+        # vertex, so the rest of the frontier is not read.
         seen = frontier = 1 << s
         d = 0
         while seen != full:
-            reach = 0
+            reach = seen
             for v in _bits(frontier):
                 reach |= adj[v]
-            frontier = reach & ~seen
+                if reach == full:
+                    break
+            frontier = reach ^ seen
             if not frontier:
                 missing = [v for v in range(n) if not (seen >> v) & 1]
                 raise DisconnectedVisibility(
                     f"visibility graph disconnected: {missing} unreachable from {s}; "
                     "this indicates a geometry bug"
                 )
-            seen |= frontier
+            seen = reach
             d += 1
         worst = max(worst, d)
     return worst

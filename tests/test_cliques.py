@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from visblock import cliques
+from visblock import cliques, crossing
 from visblock.blocking import candidate_blockers
 from visblock.cliques import (
     chromatic_number,
@@ -97,6 +97,36 @@ def ngon10_complement():
     return m, tuple(((1 << m) - 1) ^ a ^ (1 << s) for s, a in enumerate(adj))
 
 
+@cache
+def ngon10_fractional():
+    """The j-edge weights of the 10-gon, a fractional clique of its
+    complement: sum 21 5/6, so 22 colours at least."""
+    weights, den = crossing._j_edge_weights(crossing_graph(regular_ngon_set(10)))
+    return tuple(weights), den
+
+
+def clique_weighted_graphs(seed, count):
+    """(n, adj, weights, den): random graphs whose weights are a random
+    integer combination of greedy maximal cliques and den the sum of its
+    coefficients. An independent set meets each clique at most once, so
+    it weighs at most den: the weights are a fractional clique."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(6, 17)
+        p = rng.uniform(0.3, 0.9)
+        adj = adjacency(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        weights, den = [0] * n, 0
+        for _ in range(rng.randrange(1, 2 * n)):
+            coef = rng.randrange(1, 4)
+            den += coef
+            cand = (1 << n) - 1
+            for v in rng.sample(range(n), n):
+                if cand >> v & 1:
+                    weights[v] += coef
+                    cand &= adj[v]
+        yield n, adj, weights, den
+
+
 def counting_clock(monkeypatch):
     """Replace the clock of cliques by one that returns how often it was
     read, and return that count as a one-element list."""
@@ -160,10 +190,29 @@ class TestKColourable:
                 assert k_colourable(n, adj, k) == oracles.dsatur_k_colourable(n, adj, k)
 
     def test_ngon10_clique_cover_complement(self):
+        # 22 is the cover number; with or without the j-edge weights the
+        # search meets the oracle's first leaf, or fails with it
         m, comp = ngon10_complement()
-        # 22 is the cover number; chromatic_number tries 17..21 first
-        for k in (1, 12, 17, 18, 19, 20, 21, 22):
-            assert k_colourable(m, comp, k) == oracles.dsatur_k_colourable(m, comp, k)
+        for k in range(1, 26):
+            want = oracles.dsatur_k_colourable(m, comp, k)
+            assert k_colourable(m, comp, k) == want, k
+            assert k_colourable(m, comp, k, fractional=ngon10_fractional()) == want, k
+
+    def test_clique_weighted_graphs_match_the_dsatur_oracle(self, monkeypatch):
+        # a fractional clique never cuts a subtree that holds a leaf; on
+        # some calls the weight bound prunes below the root
+        reads = counting_clock(monkeypatch)
+        pruned = 0
+        for n, adj, weights, den in clique_weighted_graphs(11, 300):
+            for k in range(1, n + 1):
+                want = oracles.dsatur_k_colourable(n, adj, k)
+                reads[0] = 0
+                assert k_colourable(n, adj, k, float("inf")) == want
+                plain = reads[0]
+                reads[0] = 0
+                assert k_colourable(n, adj, k, float("inf"), (weights, den)) == want
+                pruned += 1 < reads[0] < plain
+        assert pruned > 0
 
     def test_dense_graphs_match_the_dsatur_oracle(self):
         # the capacity bound fires on dense graphs; it must never cut a
@@ -186,6 +235,31 @@ class TestKColourable:
             colours, budget_hit = k_colourable(m, comp, k, deadline=float("inf"))
             assert (colours is not None, budget_hit) == (k == 22, False)
             assert reads[0] == nodes
+
+    def test_weighted_node_count(self, monkeypatch):
+        # a deterministic work counter: the j-edge weights of the 10-gon
+        # prove k = 21 infeasible at the root, and cut k = 22 from 2,221
+        # nodes to 287
+        m, comp = ngon10_complement()
+        for k, nodes in ((21, 1), (22, 287)):
+            reads = counting_clock(monkeypatch)
+            colours, budget_hit = k_colourable(m, comp, k, float("inf"), ngon10_fractional())
+            assert (colours is not None, budget_hit) == (k == 22, False)
+            assert reads[0] == nodes
+
+    def test_weight_capacities_memoised(self, monkeypatch):
+        m, comp = ngon10_complement()
+        asked = []
+
+        def clique_weight(mask, adj, weights):
+            asked.append(mask)
+            return weigh(mask, adj, weights)
+
+        weigh = cliques._clique_weight
+        want = k_colourable(m, comp, 22)
+        monkeypatch.setattr(cliques, "_clique_weight", clique_weight)
+        assert k_colourable(m, comp, 22, fractional=ngon10_fractional()) == want
+        assert 0 < len(asked) == len(set(asked))
 
     def test_capacity_counts_memoised(self, monkeypatch):
         # a deterministic work counter: the 2,221 nodes at k = 22 ask the
@@ -255,6 +329,37 @@ class TestChromaticNumber:
         assert (exact, lower, upper) == (True, 3, 3)
         assert max(colouring) == 3
         assert all(colouring[v] != colouring[(v + 1) % n] for v in range(n))
+
+    def test_fractional_clique_raises_the_lower_bound(self, monkeypatch):
+        # the 10-gon's weights sum to 21 5/6, so the search starts at 22
+        # where the triangulation bound 17 would start it
+        m, comp = ngon10_complement()
+        tried = []
+
+        def colourable(n, adj, k, deadline=None, fractional=None):
+            tried.append(k)
+            return search(n, adj, k, deadline, fractional)
+
+        search = cliques.k_colourable
+        monkeypatch.setattr(cliques, "k_colourable", colourable)
+        plain = chromatic_number(m, comp, 17)
+        assert tried[1:] == [17, 18, 19, 20, 21, 22]  # after the greedy colouring
+        tried.clear()
+        assert chromatic_number(m, comp, 17, None, ngon10_fractional()) == plain
+        assert tried[1:] == [22] and plain[1:] == (True, 22, 22)
+
+    def test_overweight_weights_rejected(self):
+        # weights 2 / 1 on a triangle need 6 colours, and greedy uses 3:
+        # no fractional clique weighs that much, so the bound would be false
+        adj = adjacency(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="not a fractional clique"):
+            chromatic_number(3, adj, 1, None, ([2, 2, 2], 1))
+        assert chromatic_number(3, adj, 1, None, ([1, 1, 1], 1))[1:] == (True, 3, 3)
+
+    def test_weights_do_not_change_the_result(self):
+        for n, adj, weights, den in clique_weighted_graphs(23, 200):
+            assert chromatic_number(n, adj, 1, None, (weights, den))[:2] == \
+                chromatic_number(n, adj, 1)[:2]
 
     def test_result_does_not_depend_on_the_lower_bound(self):
         # every k below chi fails and the search at chi meets the same first

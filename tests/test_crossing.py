@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -134,6 +135,87 @@ class TestFamilyPartition:
     def test_json_shape(self):
         obj = crossing_family_partition(TRIANGLE).to_obj()
         assert obj == {"classes": [[0], [1], [2]], "exact": True}
+
+
+def crossing_families(g):
+    """Every non-empty crossing family of g, as a list of segment indices:
+    every clique of the crossing graph."""
+    out = []
+
+    def grow(family, cand):
+        out.append(family)
+        while cand:
+            s = (cand & -cand).bit_length() - 1
+            cand ^= 1 << s
+            grow(family + [s], cand & g.adj[s])
+
+    for s in range(g.m):
+        grow([s], g.adj[s] >> (s + 1) << (s + 1))
+    return out
+
+
+def j_edge_bound(n):
+    """The j-edge bound on convex n points in closed form: n H_((n-1)/2) for
+    odd n, n H_(n/2-1) + 1 for even n, H_r the r-th harmonic number."""
+    def harmonic(r):
+        return sum(Fraction(1, i) for i in range(1, r + 1))
+
+    return n * harmonic((n - 1) // 2) if n % 2 else n * harmonic(n // 2 - 1) + 1
+
+
+WEIGHT_SETS = (
+    [("random", n, seed) for n in range(3, 9) for seed in range(4)]
+    + [("convex", n, None) for n in range(3, 10)]
+)
+
+
+class TestJEdgeWeights:
+    """w_s = 1 / (1 + j_s), j_s the points on the smaller side of segment
+    s's line, load every crossing family by at most 1, so the partition
+    needs at least ceil(sum w_s) classes."""
+
+    @pytest.mark.parametrize("kind,n,seed", WEIGHT_SETS)
+    def test_every_crossing_family_weighs_at_most_one(self, kind, n, seed):
+        ps = random_general_position_set(n, None, seed) if kind == "random" else convex_parabola(n)
+        g = crossing_graph(ps)
+        for s, (i, j) in enumerate(g.segments):
+            a, b = ps[i], ps[j]
+            left = sum((b.x - a.x) * (p.y - a.y) > (b.y - a.y) * (p.x - a.x) for p in ps)
+            assert g.smaller_side[s] == min(left, n - 2 - left)
+        weights, den = crossing._j_edge_weights(g)
+        families = crossing_families(g)
+        assert len(families) >= g.m
+        for family in families:
+            assert sum(weights[s] for s in family) <= den, family
+
+    def test_convex_bound_closed_form(self):
+        for n in range(4, 31):
+            weights, den = crossing._j_edge_weights(crossing_graph(convex_parabola(n)))
+            assert Fraction(sum(weights), den) == j_edge_bound(n), n
+
+    @pytest.mark.parametrize("n,size", [(4, 5), (5, 8), (6, 10), (7, 13), (8, 16), (9, 19),
+                                        (10, 22), (11, 26), (12, 29)])
+    def test_convex_partitions_meet_the_bound(self, n, size):
+        ps = convex_parabola(n)
+        p = crossing_family_partition(ps, budget_ms=120_000)
+        assert p.exact and p.size == size == math.ceil(j_edge_bound(n))
+        g = crossing_graph(ps)
+        for cls in p.classes:
+            for s, t in combinations(cls, 2):
+                (i, j), (k, l) = g.segments[s], g.segments[t]
+                assert proper_crossing(ps[i], ps[j], ps[k], ps[l])
+
+    def test_weights_keep_every_partition(self, monkeypatch):
+        # the weights prune only subtrees without a leaf, so the first leaf
+        # and every finished partition stay as they were without them
+        sets = [convex_parabola(n) for n in range(4, 12)]
+        sets += [random_general_position_set(n, None, seed)
+                 for n in range(4, 11) for seed in range(4)]
+        weighted = [crossing_family_partition(ps).to_obj() for ps in sets]
+        colour = crossing.chromatic_number
+        monkeypatch.setattr(crossing, "chromatic_number", lambda n, adj, lower, deadline, _:
+                            colour(n, adj, lower, deadline))
+        assert [crossing_family_partition(ps).to_obj() for ps in sets] == weighted
 
 
 TRIANGULATION_SETS = (
