@@ -250,8 +250,8 @@ def task_midpoints(obj, budget_ms: Optional[int]) -> TaskOutcome:
 
 def task_crossing(obj, budget_ms: Optional[int]) -> TaskOutcome:
     ps = _as_pointset(obj)
-    g = crossing_graph(ps)
-    part = crossing_family_partition(g, budget_ms)
+    part = crossing_family_partition(ps, budget_ms)
+    g = crossing_graph(ps)  # after the search, which builds its own under the budget
     floor = partition_size_floor(len(ps))
     result = {
         "n": len(ps),

@@ -17,7 +17,7 @@ index, so results are deterministic.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
 def _deadline(budget_ms: Optional[int]) -> Optional[float]:
@@ -31,26 +31,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-_MEMO_CAP = 1 << 15  # masks in k_colourable's memo: 2.3 MiB full of 45-bit masks
-
-
-def _clique_count(mask: int, adj: Sequence[int]) -> int:
-    """Cliques in the greedy clique partition of mask, lowest index first;
-    an independent set holds at most that many vertices of mask."""
-    count = 0
-    while mask:
-        count += 1
-        cand = mask
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            mask ^= 1 << v
-            cand &= adj[v]
-    return count
+_MEMO_CAP = 1 << 15  # masks in a capacity memo: 2.3 MiB full of 45-bit masks
 
 
 def _clique_weight(mask: int, adj: Sequence[int], weights: Sequence[int]) -> int:
-    """The largest weight in each clique of _clique_count's partition of
-    mask, summed; an independent set weighs at most that inside mask."""
+    """The largest weight in each clique of the greedy clique partition of
+    mask, lowest index first, summed; an independent set weighs at most
+    that inside mask. Under unit weights it counts the cliques."""
     total = 0
     while mask:
         top = 0
@@ -63,6 +50,23 @@ def _clique_weight(mask: int, adj: Sequence[int], weights: Sequence[int]) -> int
                 top = weights[v]
         total += top
     return total
+
+
+def _capacities(adj: Sequence[int], weights: Sequence[int]) -> Callable[[int], int]:
+    """_clique_weight under these weights, memoised by mask: the colouring
+    search meets few distinct masks many times over. The memo is cleared
+    when full, so its memory does not grow with the run time."""
+    memo: dict[int, int] = {}
+
+    def capacity(mask: int) -> int:
+        cap = memo.get(mask)
+        if cap is None:
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            cap = memo[mask] = _clique_weight(mask, adj, weights)
+        return cap
+
+    return capacity
 
 
 def _greedy_colour_sort(p_mask: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -164,32 +168,14 @@ def k_colourable(
     # yet tried, colours in use before it, the free neighbours it saturated)
     stack: list[tuple[int, int, int, int, int]] = []
     used = 0
-    # the search meets few distinct masks many times over; the memos are
-    # cleared when full, so their memory does not grow with the run time
-    memo: dict[int, int] = {}
     weights, den = fractional or ([0] * n, 1)
     total = sum(weights)
     # the weight bound pays off only when the k colours have less than one
     # colour's worth of weight to spare; elsewhere it almost never fires
     weighted = fractional is not None and k * den - total < den
     cw = [0] * k  # cw[c-1]: the weight of the vertices coloured c
-    wmemo: dict[int, int] = {}
-
-    def capacity(mask: int) -> int:
-        count = memo.get(mask)
-        if count is None:
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            count = memo[mask] = _clique_count(mask, adj)
-        return count
-
-    def wcapacity(mask: int) -> int:
-        cap = wmemo.get(mask)
-        if cap is None:
-            if len(wmemo) >= _MEMO_CAP:
-                wmemo.clear()
-            cap = wmemo[mask] = _clique_weight(mask, adj, weights)
-        return cap
+    capacity = _capacities(adj, [1] * n)
+    wcapacity = _capacities(adj, weights)
 
     while True:  # one pass per search node
         if deadline is not None and time.monotonic() > deadline:
@@ -197,9 +183,9 @@ def k_colourable(
         need = len(free)
         if not need:
             return colours, False
-        # capacity bound: colour c can take at most _clique_count of the
-        # free vertices it may still go to, so the k colours must have room
-        # for all of them; it cannot fire while k - used >= need
+        # capacity bound: colour c can take at most one vertex of each clique
+        # of the free vertices it may still go to, so the k colours must
+        # have room for all of them; it cannot fire while k - used >= need
         room = need
         if k - used < need:
             room = (k - used) * capacity(fmask)

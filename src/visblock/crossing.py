@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .blocking import triangulation_lower_bound
 from .cliques import _deadline, chromatic_number
@@ -119,23 +119,22 @@ def _j_edge_weights(g: CrossingGraph) -> tuple[list[int], int]:
     return [den // (1 + j) for j in g.smaller_side], den
 
 
-def crossing_family_partition(source: Union[PointSet, CrossingGraph],
-                              budget_ms: Optional[int] = None,
-                              ) -> CrossingFamilyPartition:
+def crossing_family_partition(
+    ps: PointSet, budget_ms: Optional[int] = None
+) -> CrossingFamilyPartition:
     """Minimum partition of all segments into pairwise-crossing classes,
     found as an exact colouring of the complement of the crossing graph,
     classes ordered by colour, bounded below by the j-edge fractional
     clique (Erdős, Lovász, Simmons & Straus, "Dissection graphs of planar
     point sets", 1973). On budget exhaustion the best greedy partition is
-    returned, exact=False. A CrossingGraph is used as given; a PointSet
-    gets its graph built."""
+    returned, exact=False. The budget counts the graph's build."""
     deadline = _deadline(budget_ms)
-    g = source if isinstance(source, CrossingGraph) else crossing_graph(source)
+    g = crossing_graph(ps)
     full = (1 << g.m) - 1
     comp = tuple(full ^ a ^ (1 << s) for s, a in enumerate(g.adj))
     # a clique of comp is a non-crossing segment set; on n >= 3 points in
     # general position every maximal one is a triangulation
-    lower = triangulation_lower_bound(g.source) if len(g.source) >= 3 else g.m
+    lower = triangulation_lower_bound(ps) if len(ps) >= 3 else g.m
     colouring, exact, _, _ = chromatic_number(g.m, comp, lower, deadline, _j_edge_weights(g))
     buckets: dict[int, list[int]] = {}
     for s, c in enumerate(colouring):
@@ -197,8 +196,9 @@ def cyclotomic(n: int) -> tuple[int, ...]:
 
 
 def _packed_residues(n: int) -> tuple[int, list[int]]:
-    """(width, res): res[e] is x^e mod Phi_n for e = 0..n-1, its coefficients
-    packed low degree first into one int as signed digits of width bits.
+    """(width, res): res[e] is x^e mod Phi_n for e = 0..3n-1, its coefficients
+    packed low degree first into one int as signed digits of width bits;
+    Phi_n divides x^n - 1, so the n rows repeat three times.
 
     An equality check adds 16 of these with signs. If every coefficient is
     at most M in size, each digit of that sum is below 16 M < 2^(width - 1)
@@ -216,22 +216,22 @@ def _packed_residues(n: int) -> tuple[int, list[int]]:
         rows.append(r)
     bound = 16 * max(abs(c) for row in rows for c in row)
     width = bound.bit_length() + 1
-    return width, [sum(c << (width * t) for t, c in enumerate(row)) for row in rows]
+    return width, [sum(c << (width * t) for t, c in enumerate(row)) for row in rows] * 3
 
 
-def _events_equal(e1, e2, n: int, res: list[int]) -> bool:
+def _events_equal(e1, e2, res: list[int]) -> bool:
     """Whether two events meet at one point: with num = x^i + x^k - x^j - x^l
     and den = x^(i+k) - x^(j+l), num1 den2 - num2 den1 vanishes mod Phi_n.
-    Phi_n divides x^n - 1, so every exponent is taken mod n and the product
-    is a signed sum of 16 residues."""
+    Every exponent is below 3n, so the product is a signed sum of 16
+    entries of res."""
     i1, j1, k1, l1 = e1
     i2, j2, k2, l2 = e2
     s1, t1, s2, t2 = i1 + k1, j1 + l1, i2 + k2, j2 + l2
     return not (
-        res[(i1 + s2) % n] + res[(k1 + s2) % n] - res[(j1 + s2) % n] - res[(l1 + s2) % n]
-        - res[(i1 + t2) % n] - res[(k1 + t2) % n] + res[(j1 + t2) % n] + res[(l1 + t2) % n]
-        - res[(i2 + s1) % n] - res[(k2 + s1) % n] + res[(j2 + s1) % n] + res[(l2 + s1) % n]
-        + res[(i2 + t1) % n] + res[(k2 + t1) % n] - res[(j2 + t1) % n] - res[(l2 + t1) % n]
+        res[i1 + s2] + res[k1 + s2] - res[j1 + s2] - res[l1 + s2]
+        - res[i1 + t2] - res[k1 + t2] + res[j1 + t2] + res[l1 + t2]
+        - res[i2 + s1] - res[k2 + s1] + res[j2 + s1] + res[l2 + s1]
+        + res[i2 + t1] + res[k2 + t1] - res[j2 + t1] - res[l2 + t1]
     )
 
 
@@ -340,7 +340,7 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
             members: list[list[tuple[int, int, int, int]]] = []
             for ev in cluster:
                 for grp in members:
-                    if _events_equal(ev, grp[0], n, res):
+                    if _events_equal(ev, grp[0], res):
                         grp.append(ev)
                         break
                 else:

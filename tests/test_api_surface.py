@@ -14,6 +14,9 @@ function that takes it. The package imports nothing but the standard
 library and itself, and no JSON write in it takes an indent, which would
 send it to the pure-Python encoder. No module but `errors.py` words a JSON
 type error itself. No invariant is a bare assert, which `python -O` strips.
+No two package functions share three consecutive identical lines of more
+than 12 characters, counting only each function's own code: not its
+docstring, comments or nested functions.
 """
 
 import ast
@@ -22,6 +25,7 @@ import importlib.util
 import json
 import re
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import visblock
@@ -193,6 +197,85 @@ def test_no_json_write_takes_an_indent():
         "json.dumps(x, indent=2)\nj.dump(x, f, **kw)\nd(x, sort_keys=True, indent=1)\n"
         "json.dumps(x, sort_keys=True)\njson.loads(s)\n"
     ) == [4, 5, 6]
+
+
+def _own_lines(fn, lines: list[str]) -> list[str]:
+    """The stripped lines of fn's body, without its docstring, its nested
+    functions and classes, comments and blank lines."""
+    skip = set()
+    if ast.get_docstring(fn) is not None:
+        skip.update(range(fn.body[0].lineno, fn.body[0].end_lineno + 1))
+    for node in ast.walk(fn):
+        if node is not fn and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            skip.update(range(first, node.end_lineno + 1))
+    own = (lines[i - 1].strip() for i in range(fn.body[0].lineno, fn.end_lineno + 1) if i not in skip)
+    return [line for line in own if line and not line.startswith("#")]
+
+
+def _shared_runs(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """The pairs of functions, named file:function, whose own lines share
+    three consecutive identical lines of more than 12 characters each."""
+    holders: dict[tuple[str, ...], set[str]] = {}
+    for name, source in sources.items():
+        lines = source.splitlines()
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = _own_lines(fn, lines)
+                for i in range(len(own) - 2):
+                    run = tuple(own[i:i + 3])
+                    if min(map(len, run)) > 12:
+                        holders.setdefault(run, set()).add(f"{name}:{fn.name}")
+    return sorted({pair for fns in holders.values() for pair in combinations(sorted(fns), 2)})
+
+
+SHARED_RUNS = '''
+def a(mask):
+    total = first_value(mask)
+    mask ^= low_bit(mask)
+    return total + 1
+
+def b(mask):
+    """One line."""
+    total = first_value(mask)
+    # a comment between two of the lines
+    mask ^= low_bit(mask)
+
+    return total + 1
+
+def c(mask):
+    """
+    total = first_value(mask)
+    mask ^= low_bit(mask)
+    return total + 1
+    """
+    def inner(mask):
+        total = first_value(mask)
+        mask ^= low_bit(mask)
+        return total + 1
+    return inner
+
+def d(mask):
+    total = first_value(mask)
+    mask ^= 1
+    return total + 1
+
+def e(mask):
+    total = first_value(mask)
+    mask ^= 1
+    return total + 1
+'''
+
+
+def test_no_function_repeats_another():
+    # a walk or a loop written out twice is a helper duplicated
+    found = _shared_runs({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))})
+    assert not found, f"functions sharing three lines: {found}"
+    # comments and blank lines do not part a run; docstrings and nested
+    # functions are not their enclosing function's lines; d and e share
+    # a line too short to count
+    assert _shared_runs({"m.py": SHARED_RUNS}) == [
+        ("m.py:a", "m.py:b"), ("m.py:a", "m.py:inner"), ("m.py:b", "m.py:inner")]
 
 
 def test_benchmark_layer_names_resolve():

@@ -415,6 +415,10 @@ class TestTriangulationBound:
         with pytest.raises(NotGeneralPosition):
             triangulation_lower_bound(pset((0, 0), (1, 0), (2, 0), (0, 1)))
 
+    def test_too_few_rejected(self):
+        with pytest.raises(GeometryError, match="at least 3 points"):
+            triangulation_lower_bound(pset((0, 0), (1, 0)))
+
 
 class TestMidpointBlockingSet:
     def test_triangle(self):
@@ -496,6 +500,7 @@ class TestKnnConstructions:
             for d in (construct_knn_grid(n), construct_knn_parabola(n)):
                 assert not set(d.blockers) & set(d.left + d.right)
 
-    def test_bad_n(self):
+    @pytest.mark.parametrize("construct", [construct_knn_grid, construct_knn_parabola])
+    def test_bad_n(self, construct):
         with pytest.raises(GeometryError):
-            construct_knn_grid(0)
+            construct(0)

@@ -175,7 +175,7 @@ class TestRunHarness:
         b = read_result(run_dir, "block")["blocking"]["size"]
         assert t <= b
 
-    def test_block_and_crossing_build_the_crossing_graph_twice(self, tmp_path, monkeypatch):
+    def test_block_and_crossing_build_the_crossing_graph_three_times(self, tmp_path, monkeypatch):
         builds = []
         build = crossing.crossing_graph
 
@@ -191,7 +191,9 @@ class TestRunHarness:
         )
         manifest = json.loads((run(cfg) / "manifest.json").read_text())
         assert manifest["cross_checks"]["partition_at_most_blocking"] is True
-        assert len(builds) == 2  # task_crossing, then the blocker-induced cover
+        # the partition's, under the budget; task_crossing's, for its counts;
+        # the blocker-induced cover's
+        assert len(builds) == 3
 
     @pytest.mark.parametrize("task,budget,searches", [
         ("visgraph", None, 1), ("ramsey", None, 1), ("crossing", None, 0),
@@ -1345,13 +1347,15 @@ class TestOneDeadlinePerTask:
             assert past or not outcome.budget_exhausted
         assert outcome.status == "ok" and not past  # 119 ticks outlast both searches
 
-    @pytest.mark.parametrize("module, fn, build", [
-        (blocking, "min_blocking_set", "candidate_blockers"),
-        (crossing, "crossing_family_partition", "crossing_graph"),
-    ], ids=["block", "crossing"])
-    def test_deadline_taken_before_the_build(self, monkeypatch, module, fn, build):
+    @pytest.mark.parametrize("module, fn, builds", [
+        (blocking, "min_blocking_set", [(blocking, "candidate_blockers")]),
+        (crossing, "crossing_family_partition", [(crossing, "crossing_graph")]),
+        (cli, "task_crossing", [(crossing, "crossing_graph"), (cli, "crossing_graph")]),
+    ], ids=["block", "crossing", "crossing-task"])
+    def test_deadline_taken_before_the_build(self, monkeypatch, module, fn, builds):
         watch = Watch(monkeypatch)
-        watch.builds(module, build)
+        for owner, build in builds:
+            watch.builds(owner, build)
         getattr(module, fn)(convex_parabola_set(6), 10**9)
         assert watch.order[0] == "clock" and "build" in watch.order
 

@@ -140,6 +140,20 @@ def counting_clock(monkeypatch):
     return reads
 
 
+def spy_clique_weight(monkeypatch):
+    """Log each walk of cliques._clique_weight as (mask, weights), in call
+    order; the list is returned."""
+    asked = []
+    weigh = cliques._clique_weight
+
+    def clique_weight(mask, adj, weights):
+        asked.append((mask, tuple(weights)))
+        return weigh(mask, adj, weights)
+
+    monkeypatch.setattr(cliques, "_clique_weight", clique_weight)
+    return asked
+
+
 class TestMaxClique:
     """max_clique must visit the nodes of the recursive reference in its
     order and return what it returns."""
@@ -248,58 +262,51 @@ class TestKColourable:
             assert reads[0] == nodes
 
     def test_weight_capacities_memoised(self, monkeypatch):
+        # one memo for the unit weights and one for the fractional clique;
+        # neither walks a mask twice
         m, comp = ngon10_complement()
-        asked = []
-
-        def clique_weight(mask, adj, weights):
-            asked.append(mask)
-            return weigh(mask, adj, weights)
-
-        weigh = cliques._clique_weight
         want = k_colourable(m, comp, 22)
-        monkeypatch.setattr(cliques, "_clique_weight", clique_weight)
+        asked = spy_clique_weight(monkeypatch)
         assert k_colourable(m, comp, 22, fractional=ngon10_fractional()) == want
-        assert 0 < len(asked) == len(set(asked))
+        assert {w for _, w in asked} == {(1,) * m, ngon10_fractional()[0]}
+        assert len(asked) == len(set(asked))
 
     def test_capacity_counts_memoised(self, monkeypatch):
         # a deterministic work counter: the 2,221 nodes at k = 22 ask the
-        # capacity bound 49,290 times about 742 distinct masks
+        # capacity bound 49,290 times about 742 distinct masks, all under
+        # unit weights
         m, comp = ngon10_complement()
-        asked = []
-
-        def clique_count(mask, adj):
-            asked.append(mask)
-            return count(mask, adj)
-
-        count = cliques._clique_count
         want = k_colourable(m, comp, 22)  # the oracle's, by the test above
-        monkeypatch.setattr(cliques, "_clique_count", clique_count)
+        asked = spy_clique_weight(monkeypatch)
         assert k_colourable(m, comp, 22) == want
+        assert {w for _, w in asked} == {(1,) * m}
         assert 0 < len(asked) <= 1_000
         assert len(asked) == len(set(asked))
 
-    def test_capacity_memo_is_capped(self, monkeypatch):
-        # with the cap at 16 the memo is cleared at every 16th miss, so the
+    @pytest.mark.parametrize("fractional", [None, ngon10_fractional()], ids=["unit", "weighted"])
+    def test_capacity_memo_is_capped(self, monkeypatch, fractional):
+        # with the cap at 16 each memo is cleared at every 16th miss, so its
         # misses come in runs of 16 distinct masks; runs of 17 would hold a
         # repeat here, so a memo cleared later, or never, fails
         m, comp = ngon10_complement()
-        asked = []
-
-        def clique_count(mask, adj):
-            asked.append(mask)
-            return count(mask, adj)
-
-        count = cliques._clique_count
         want = k_colourable(m, comp, 22)
-        monkeypatch.setattr(cliques, "_clique_count", clique_count)
+        asked = spy_clique_weight(monkeypatch)
         monkeypatch.setattr(cliques, "_MEMO_CAP", 16)
-        assert k_colourable(m, comp, 22) == want
+        assert k_colourable(m, comp, 22, fractional=fractional) == want
+        memos = {w for _, w in asked}
+        assert len(memos) == (1 if fractional is None else 2)
 
-        def runs(size):
-            return [asked[i:i + size] for i in range(0, len(asked), size)]
+        def runs(misses, size):
+            return [misses[i:i + size] for i in range(0, len(misses), size)]
 
-        assert all(len(set(run)) == len(run) for run in runs(16))
-        assert any(len(set(run)) < len(run) for run in runs(17))
+        for weights in memos:
+            misses = [mask for mask, w in asked if w == weights]
+            assert all(len(set(run)) == len(run) for run in runs(misses, 16))
+            assert any(len(set(run)) < len(run) for run in runs(misses, 17))
+
+    def test_empty_graph(self):
+        assert k_colourable(0, [], 0) == ([], False)
+        assert chromatic_number(0, [], 0) == ([], True, 0, 0)
 
     def test_budget_hit(self):
         adj = adjacency(6, list(combinations(range(6), 2)))

@@ -126,6 +126,7 @@ class TestFamilyPartition:
         for n in range(3, 8):
             p = crossing_family_partition(convex_parabola(n), budget_ms=120_000)
             assert p.size >= partition_size_floor(n) >= n - 1
+        assert [partition_size_floor(n) for n in range(4)] == [0, 0, 1, 3]
 
     def test_budget_zero_still_valid(self):
         p = crossing_family_partition(convex_parabola(6), budget_ms=0)
@@ -508,7 +509,7 @@ class TestNgonCensus:
         for n in range(4, 61):
             _, res = crossing._packed_residues(n)
             oracle = full_chord_histogram(
-                n, chord_clusters, lambda e1, e2: crossing._events_equal(e1, e2, n, res))
+                n, chord_clusters, lambda e1, e2: crossing._events_equal(e1, e2, res))
             assert dict(regular_ngon_multiplicity(n).histogram) == oracle, n
 
     def test_histogram_counts_a006561_points(self):
@@ -530,7 +531,7 @@ class TestNgonCensus:
             for k in range(2, n - 1):
                 for cluster in chord_clusters(n, k):
                     for e1, e2 in combinations(cluster, 2):
-                        assert crossing._events_equal(e1, e2, n, res) == \
+                        assert crossing._events_equal(e1, e2, res) == \
                             events_equal_by_division(e1, e2, n, phi), (n, e1, e2)
 
     def test_packed_check_agrees_with_division_on_random_pairs(self):
@@ -542,7 +543,7 @@ class TestNgonCensus:
             e1, e2 = (tuple(rng.randrange(n) for _ in range(4)) for _ in range(2))
             # (j, i, l, k) negates num and den, so it is the same point
             for f in (e2, (e1[1], e1[0], e1[3], e1[2])):
-                packed = crossing._events_equal(e1, f, n, residues[n])
+                packed = crossing._events_equal(e1, f, residues[n])
                 assert packed == events_equal_by_division(e1, f, n, cyclotomic(n)), (n, e1, f)
                 verdicts.append(packed)
         assert verdicts.count(False) > 2500 and verdicts.count(True) >= 3000
@@ -552,7 +553,7 @@ class TestNgonCensus:
             phi = list(cyclotomic(n))
             d = len(phi) - 1
             width, res = crossing._packed_residues(n)
-            assert len(res) == n
+            assert len(res) == 3 * n  # x^e for every exponent a check forms
             for e, r in enumerate(res):
                 rem = crossing._poly_divmod_monic([0] * e + [1], phi)[1]
                 coeffs = rem + [0] * (d - len(rem))
@@ -563,8 +564,10 @@ class TestNgonCensus:
 
     def test_census_matches_the_division_census(self, monkeypatch):
         base = [regular_ngon_multiplicity(n) for n in range(4, 31)]
-        monkeypatch.setattr(crossing, "_events_equal", lambda e1, e2, n, res:
-                            events_equal_by_division(e1, e2, n, cyclotomic(n)))
+        # res holds 3n rows
+        monkeypatch.setattr(crossing, "_events_equal", lambda e1, e2, res:
+                            events_equal_by_division(e1, e2, len(res) // 3,
+                                                     cyclotomic(len(res) // 3)))
         for n, c in zip(range(4, 31), base):
             oracle = regular_ngon_multiplicity(n)
             assert (c.to_obj(), c.histogram) == (oracle.to_obj(), oracle.histogram)

@@ -141,6 +141,10 @@ class TestRandom:
         assert is_general_position(ps)
         assert all(0 <= p.x <= bound and 0 <= p.y <= bound for p in ps)
 
+    def test_bad_n_rejected(self):
+        with pytest.raises(GeometryError, match="n >= 1"):
+            random_general_position_set(0, None, 0)
+
     def test_infeasible_bound_gives_up(self):
         # a 3x3 grid holds at most six points with no three in line
         with pytest.raises(GeometryError, match="resamples"):

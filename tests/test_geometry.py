@@ -400,6 +400,10 @@ class TestPointSet:
         with pytest.raises(GeometryError):
             pset((0, 0), (1, 1), (0, 0))
 
+    def test_non_point_rejected(self):
+        with pytest.raises(GeometryError, match="must be Points"):
+            PointSet((P(0, 0), (1, 1)))
+
     def test_fraction_normalisation(self):
         p = P(Fraction(2, 4), Fraction(-3, -6))
         assert p.x.denominator == 2 and p.x.numerator == 1

@@ -61,6 +61,14 @@ class TestVisibilityGraph:
         with pytest.raises(GeometryError):
             visibility_graph(pset((0, 0)))
 
+    @pytest.mark.parametrize("adj, message", [
+        ((0b010, 0b011, 0), "self-loop at vertex 1"),
+        ((0b010, 0b1001, 0), "mask of 1 out of range"),
+    ], ids=["self-loop", "past-n"])
+    def test_bad_adjacency_rejected(self, adj, message):
+        with pytest.raises(GeometryError, match=message):
+            VisibilityGraph(adj, pset((0, 0), (1, 0), (2, 0)))
+
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=6),
                               st.integers(min_value=0, max_value=6)),
                     min_size=2, max_size=8, unique=True))
@@ -308,6 +316,10 @@ class TestMonochromaticLine:
 
     def test_collinear_alternating_absent(self):
         assert monochromatic_line_check(COLL3, Colouring(2, (1, 2, 1))) is None
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(GeometryError, match="length"):
+            monochromatic_line_check(COLL3, Colouring(2, (1, 2)))
 
     def test_grid_all_two_colourings(self):
         # every 2-colouring of the (non-collinear) grid has a monochromatic line
