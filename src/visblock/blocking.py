@@ -24,9 +24,9 @@ from .geometry import (
     convex_hull_size,
     is_general_position,
     segment_intersection,
-    sorted_along_line,
 )
 from .midpoints import _pair_sums
+from .visibility import visibility_graph
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def _build_instance(
 
     view is the integer view (L, xy) of the vertices, and segments are
     distinct pairs of distinct vertex indices. gap_segments lists the
-    segment indices that need a schedule-placed candidate of their own (gaps
-    of multi-point lines, private positions of drawing edges); pairwise
+    segment indices that need a schedule-placed candidate of their own (gaps,
+    the visible pairs of a set; private positions of drawing edges); pairwise
     meeting points contribute the rest. A drawing's edges must not overlap
     along a line; all-pairs segments may.
 
@@ -128,17 +128,15 @@ def _build_instance(
 def all_pairs_instance(ps: PointSet) -> BlockingInstance:
     """Hitting-set instance over every pair of the set, collinear pairs
     included: blockers must come from outside the set, so a pair whose
-    segment already holds other set points still needs covering."""
+    segment already holds other set points still needs covering. The gaps
+    are the visible pairs; two share no free point (only a vertex or a
+    covered meeting point), so their order cannot change a placement."""
     n = len(ps)
     if n < 2:
         raise GeometryError("need at least 2 points")
     segments = list(combinations(range(n), 2))
-    seg_index = {lab: k for k, lab in enumerate(segments)}
-    gap_segments = []
-    for rec in ps.lines:
-        order = sorted_along_line(ps, rec)
-        for a, b in zip(order, order[1:]):
-            gap_segments.append(seg_index[(a, b) if a < b else (b, a)])
+    adj = visibility_graph(ps).adj
+    gap_segments = [s for s, (i, j) in enumerate(segments) if adj[i] >> j & 1]
     return _build_instance(ps.points, ps.integer_view, segments, gap_segments, drawing=False)
 
 

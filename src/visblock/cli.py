@@ -36,12 +36,7 @@ from .blocking import (
     triangulation_lower_bound,
 )
 from .cliques import _deadline
-from .crossing import (
-    cover_from_blockers,
-    crossing_family_partition,
-    crossing_graph,
-    partition_size_floor,
-)
+from .crossing import _min_partition, cover_from_blockers, crossing_graph, partition_size_floor
 from .drawings import construct_kn_arc_drawing, verify_drawing_blocking, verify_simplicity
 from .errors import GeometryError, _expect, _json_int
 from .generators import _PARAMS, KINDS, GeneratorSpec, _read_json, generate
@@ -71,8 +66,6 @@ STATUS_EXIT = {
     "budget_exhausted": EXIT_BUDGET,
     "ok": EXIT_OK,
 }
-
-TASKS = ("visgraph", "block", "midpoints", "crossing", "drawing", "ramsey")
 
 MONO_LINE_CAP = 12  # 2^(n-1) colourings checked exhaustively up to here
 
@@ -169,6 +162,7 @@ def _as_pointset(obj) -> PointSet:
 
 
 def task_visgraph(obj, budget_ms: Optional[int]) -> TaskOutcome:
+    """visibility graph, diameter, clique and colouring"""
     deadline = _deadline(budget_ms)
     ps = _as_pointset(obj)
     g = visibility_graph(ps)
@@ -194,6 +188,7 @@ def task_visgraph(obj, budget_ms: Optional[int]) -> TaskOutcome:
 
 
 def task_block(obj, budget_ms: Optional[int]) -> TaskOutcome:
+    """minimum blocking set or bundle verification"""
     if isinstance(obj, BipartiteDrawing):
         chk = obj.check()
         result = {
@@ -223,6 +218,7 @@ def task_block(obj, budget_ms: Optional[int]) -> TaskOutcome:
 
 
 def task_midpoints(obj, budget_ms: Optional[int]) -> TaskOutcome:
+    """midpoint and sumset arithmetic"""
     ps = _as_pointset(obj)
     n = len(ps)
     if n < 2:
@@ -249,9 +245,11 @@ def task_midpoints(obj, budget_ms: Optional[int]) -> TaskOutcome:
 
 
 def task_crossing(obj, budget_ms: Optional[int]) -> TaskOutcome:
+    """crossing graph and family partition"""
+    deadline = _deadline(budget_ms)  # the budget counts the build
     ps = _as_pointset(obj)
-    part = crossing_family_partition(ps, budget_ms)
-    g = crossing_graph(ps)  # after the search, which builds its own under the budget
+    g = crossing_graph(ps)
+    part = _min_partition(g, deadline)
     floor = partition_size_floor(len(ps))
     result = {
         "n": len(ps),
@@ -265,6 +263,7 @@ def task_crossing(obj, budget_ms: Optional[int]) -> TaskOutcome:
 
 
 def task_drawing(obj, budget_ms: Optional[int]) -> TaskOutcome:
+    """arc drawing construction and verification"""
     n = obj.n if isinstance(obj, BipartiteDrawing) else len(_as_pointset(obj))
     if n < 2:
         raise GeometryError("arc drawing needs n >= 2")
@@ -283,6 +282,7 @@ def task_drawing(obj, budget_ms: Optional[int]) -> TaskOutcome:
 
 
 def task_ramsey(obj, budget_ms: Optional[int]) -> TaskOutcome:
+    """line-or-clique and colouring certificates"""
     deadline = _deadline(budget_ms)
     ps = _as_pointset(obj)
     n = len(ps)
@@ -330,6 +330,7 @@ TASK_FNS = {
     "drawing": task_drawing,
     "ramsey": task_ramsey,
 }
+TASKS = tuple(TASK_FNS)
 
 
 def _check_budget(what: str, budget) -> None:
@@ -473,8 +474,7 @@ def _cross_checks(subject, outcomes: dict[str, TaskOutcome], manifest: dict) -> 
     block = outcomes.get("block")
     cross = outcomes.get("crossing")
     if (
-        isinstance(subject, PointSet)
-        and block is not None
+        block is not None
         and cross is not None
         and block.result.get("input") == "point-set"
         and block.result["blocking"]["optimal"]
@@ -653,15 +653,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dedupe-symmetry", action="store_true", dest="dedupe_symmetry")
     gen.add_argument("--output-dir")
 
-    for name, blurb in (
-        ("visgraph", "visibility graph, diameter, clique and colouring"),
-        ("block", "minimum blocking set or bundle verification"),
-        ("midpoints", "midpoint and sumset arithmetic"),
-        ("crossing", "crossing graph and family partition"),
-        ("drawing", "arc drawing construction and verification"),
-        ("ramsey", "line-or-clique and colouring certificates"),
-    ):
-        p = sub.add_parser(name, help=blurb)
+    for name, fn in TASK_FNS.items():
+        p = sub.add_parser(name, help=fn.__doc__)
         if name == "drawing":
             p.add_argument("--input", help="point set JSON (its size sets n)")
             p.add_argument("--n", type=int, help="number of vertices, instead of --input")

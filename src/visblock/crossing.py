@@ -14,7 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from operator import lshift
 from typing import Optional, Sequence
 
 from .blocking import triangulation_lower_bound
@@ -119,6 +120,26 @@ def _j_edge_weights(g: CrossingGraph) -> tuple[list[int], int]:
     return [den // (1 + j) for j in g.smaller_side], den
 
 
+def _classes(g: CrossingGraph, labels: Sequence[int], exact: bool) -> CrossingFamilyPartition:
+    """Segment s in class labels[s], classes in label order, checked to cross."""
+    buckets: dict[int, list[int]] = {}
+    for s, label in enumerate(labels):
+        buckets.setdefault(label, []).append(s)
+    classes = tuple(tuple(b) for _, b in sorted(buckets.items()))
+    _check_partition(g, classes)
+    return CrossingFamilyPartition(classes, exact)
+
+
+def _min_partition(g: CrossingGraph, deadline: Optional[float]) -> CrossingFamilyPartition:
+    full = (1 << g.m) - 1
+    comp = tuple(full ^ a ^ (1 << s) for s, a in enumerate(g.adj))
+    # a clique of comp is a non-crossing segment set; on n >= 3 points in
+    # general position every maximal one is a triangulation
+    lower = triangulation_lower_bound(g.source) if len(g.source) >= 3 else g.m
+    colouring, exact, _, _ = chromatic_number(g.m, comp, lower, deadline, _j_edge_weights(g))
+    return _classes(g, colouring, exact)
+
+
 def crossing_family_partition(
     ps: PointSet, budget_ms: Optional[int] = None
 ) -> CrossingFamilyPartition:
@@ -129,19 +150,7 @@ def crossing_family_partition(
     point sets", 1973). On budget exhaustion the best greedy partition is
     returned, exact=False. The budget counts the graph's build."""
     deadline = _deadline(budget_ms)
-    g = crossing_graph(ps)
-    full = (1 << g.m) - 1
-    comp = tuple(full ^ a ^ (1 << s) for s, a in enumerate(g.adj))
-    # a clique of comp is a non-crossing segment set; on n >= 3 points in
-    # general position every maximal one is a triangulation
-    lower = triangulation_lower_bound(ps) if len(ps) >= 3 else g.m
-    colouring, exact, _, _ = chromatic_number(g.m, comp, lower, deadline, _j_edge_weights(g))
-    buckets: dict[int, list[int]] = {}
-    for s, c in enumerate(colouring):
-        buckets.setdefault(c, []).append(s)
-    classes = tuple(tuple(b) for _, b in sorted(buckets.items()))
-    _check_partition(g, classes)
-    return CrossingFamilyPartition(classes, exact)
+    return _min_partition(crossing_graph(ps), deadline)
 
 
 def cover_from_blockers(ps: PointSet, blockers: Sequence[Point]) -> CrossingFamilyPartition:
@@ -150,15 +159,11 @@ def cover_from_blockers(ps: PointSet, blockers: Sequence[Point]) -> CrossingFami
     partition of the same size or smaller; this is the witness behind
     comparing partition sizes with blocking numbers."""
     g = crossing_graph(ps)
-    owners = _first_blockers(ps.points, g.segments, blockers)
-    classes: dict[int, list[int]] = {}
+    owners = list(_first_blockers(ps.points, g.segments, blockers))
     for s, owner in enumerate(owners):
         if owner is None:
             raise GeometryError(f"segment {g.segments[s]} is not blocked; cover impossible")
-        classes.setdefault(owner, []).append(s)
-    out = tuple(tuple(cls) for _, cls in sorted(classes.items()))
-    _check_partition(g, out)
-    return CrossingFamilyPartition(out, False)
+    return _classes(g, owners, False)
 
 
 # Regular polygon census. Positions 0..n-1 on the unit circle; every 4-subset
@@ -214,9 +219,9 @@ def _packed_residues(n: int) -> tuple[int, list[int]]:
         if top:
             r = [c - top * p for c, p in zip(r, phi)]
         rows.append(r)
-    bound = 16 * max(abs(c) for row in rows for c in row)
+    bound = 16 * max(map(abs, chain.from_iterable(rows)))
     width = bound.bit_length() + 1
-    return width, [sum(c << (width * t) for t, c in enumerate(row)) for row in rows] * 3
+    return width, [sum(map(lshift, row, range(0, width * len(row), width))) for row in rows] * 3
 
 
 def _events_equal(e1, e2, res: list[int]) -> bool:

@@ -1,6 +1,7 @@
 import cProfile
 import os
 import pstats
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -234,6 +235,41 @@ class TestScanOracle:
         )
         assert len(inst.candidates) == 423
         assert 0 < calls <= 2 * len(inst.candidates)
+
+
+def gap_corpus():
+    """Grids up to 6x6 (w <= h), random, snapped polygon and convex sets,
+    and 300 random subsets of the 4x4 grid."""
+    yield from (grid_set(w, h) for h in range(2, 7) for w in range(1, h + 1))
+    yield from (random_general_position_set(n, None, seed) for n in range(2, 11) for seed in (0, 1))
+    yield from map(regular_ngon_set, range(3, 13))
+    yield from map(convex_parabola_set, range(2, 11))
+    rng = random.Random(5)
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    for _ in range(300):
+        yield PointSet.build(rng.sample(grid, rng.randint(2, 16)))
+
+
+def line_gaps(ps):
+    """The pairs next to each other on a maximal line, line by line, as
+    segment indices: found in Fractions, without the visibility graph."""
+    index = {pair: s for s, pair in enumerate(combinations(range(len(ps)), 2))}
+    gaps = []
+    for members, direction in oracles.fraction_lines_of(ps.points):
+        order = oracles.fraction_sorted_along_line(ps.points, members, direction)
+        gaps += [index[min(a, b), max(a, b)] for a, b in zip(order, order[1:])]
+    return gaps
+
+
+class TestGapsAreVisiblePairs:
+    def test_matches_the_line_walk(self):
+        # the gaps come from the visibility graph in segment order; the
+        # reference walks every line, and the instances must agree
+        for ps in gap_corpus():
+            segments = list(combinations(range(len(ps)), 2))
+            want = blocking._build_instance(ps.points, ps.integer_view, segments,
+                                            line_gaps(ps), drawing=False)
+            assert candidate_blockers(ps) == want, ps.points
 
 
 class TestMinBlockingSet:

@@ -175,7 +175,8 @@ class TestRunHarness:
         b = read_result(run_dir, "block")["blocking"]["size"]
         assert t <= b
 
-    def test_block_and_crossing_build_the_crossing_graph_three_times(self, tmp_path, monkeypatch):
+    @staticmethod
+    def count_builds(monkeypatch, tmp_path, tasks):
         builds = []
         build = crossing.crossing_graph
 
@@ -186,14 +187,20 @@ class TestRunHarness:
         monkeypatch.setattr(crossing, "crossing_graph", counted)
         monkeypatch.setattr(cli, "crossing_graph", counted)
         cfg = ExperimentConfig(
-            GeneratorSpec("convex_parabola", {"n": 5}), ("block", "crossing"),
-            output_dir=str(tmp_path),
+            GeneratorSpec("convex_parabola", {"n": 5}), tasks, output_dir=str(tmp_path),
         )
-        manifest = json.loads((run(cfg) / "manifest.json").read_text())
+        return json.loads((run(cfg) / "manifest.json").read_text()), builds
+
+    def test_block_and_crossing_build_the_crossing_graph_twice(self, tmp_path, monkeypatch):
+        manifest, builds = self.count_builds(monkeypatch, tmp_path, ("block", "crossing"))
         assert manifest["cross_checks"]["partition_at_most_blocking"] is True
-        # the partition's, under the budget; task_crossing's, for its counts;
-        # the blocker-induced cover's
-        assert len(builds) == 3
+        # the crossing task's, under its budget; the blocker-induced cover's
+        assert len(builds) == 2
+
+    def test_crossing_alone_builds_the_crossing_graph_once(self, tmp_path, monkeypatch):
+        manifest, builds = self.count_builds(monkeypatch, tmp_path, ("crossing",))
+        assert manifest["tasks"]["crossing"]["status"] == "ok"
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("task,budget,searches", [
         ("visgraph", None, 1), ("ramsey", None, 1), ("crossing", None, 0),

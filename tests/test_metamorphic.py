@@ -25,16 +25,16 @@ from oracles import proper_crossing
 
 GRID_4X4 = [(x, y) for x in range(4) for y in range(4)]
 RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=7)
-# far above what any n <= 8 search takes, so a cut is rare but stays legal
+# far above what any n <= 9 search takes, so a cut is rare but stays legal
 BUDGET_MS = 2000
 
 
 @st.composite
 def mapped_pairs(draw):
     """(coords, image): a random rational set or a 4x4 grid subset with
-    n <= 8 points, and its image under x -> M x / den + shift with an
+    n <= 9 points, and its image under x -> M x / den + shift with an
     integer matrix M, det M != 0, listed in shuffled order."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(2, 9))
     points = st.tuples(RATIONAL, RATIONAL) if draw(st.booleans()) else st.sampled_from(GRID_4X4)
     coords = draw(st.lists(points, min_size=n, max_size=n, unique=True))
     entry = st.integers(-3, 3)
