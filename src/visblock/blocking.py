@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import gcd
 from operator import or_
 from typing import Iterable, Optional, Sequence, Union
@@ -49,15 +49,12 @@ class BlockingInstance:
 
 
 def _private_params():
-    # deterministic schedule of interior parameters num/den: midpoint first,
-    # then proper fractions by growing denominator
-    yield 1, 2
-    den = 3
-    while True:
+    # deterministic schedule of interior parameters num/den: proper
+    # fractions by growing denominator, so the midpoint comes first
+    for den in count(2):
         for num in range(1, den):
             if gcd(num, den) == 1:
                 yield num, den
-        den += 1
 
 
 def _build_instance(

@@ -758,7 +758,3 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     raise GeometryError(f"unknown command {args.command!r}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,9 +9,10 @@ their depth is not bounded by the recursion limit; the greedy colouring is
 the first leaf of the colouring search at k = n. That search backs up when
 the k colours lack room for the free vertices, a colour holding at most
 one vertex of each clique of a greedy clique partition of the free
-vertices it may take. Graphs are given as lists of neighbour bitmasks;
-vertex v must not appear in its own mask. All tie-breaking is by lowest
-index, so results are deterministic.
+vertices it may take. Graphs are given as lists of neighbour bitmasks, one
+per vertex, so a graph's size is the length of its list; vertex v must not
+appear in its own mask. All tie-breaking is by lowest index, so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _greedy_colour_sort(p_mask: int, adj: Sequence[int]) -> tuple[list[int], lis
 
 
 def max_clique(
-    n: int, adj: Sequence[int], deadline: Optional[float] = None
+    adj: Sequence[int], deadline: Optional[float] = None
 ) -> tuple[int, list[int], bool]:
     """Maximum clique size with witness; exact unless the deadline cuts in.
 
@@ -99,7 +100,7 @@ def max_clique(
     no longer beat the best. Reads the deadline once per node. Returns
     (size, sorted witness, exact).
     """
-    if n == 0:
+    if not adj:
         return 0, [], True
     best: list[int] = []
     best_size = 0
@@ -107,7 +108,7 @@ def max_clique(
     # one frame per open node below the current one: (its order, its
     # colours, the place of the vertex it is trying, its untried candidates)
     frames: list[tuple[list[int], list[int], int, int]] = []
-    sub = (1 << n) - 1
+    sub = (1 << len(adj)) - 1
     while True:
         if sub:  # open a node on the candidates sub
             if deadline is not None and time.monotonic() > deadline:
@@ -132,14 +133,14 @@ def max_clique(
         m &= ~(1 << clique.pop())
 
 
-def greedy_colouring(n: int, adj: Sequence[int]) -> list[int]:
+def greedy_colouring(adj: Sequence[int]) -> list[int]:
     """DSATUR greedy proper colouring; colours are 1-based. It is the first
     leaf of the colouring search at k = n, where no colour runs out."""
-    return k_colourable(n, adj, n)[0]
+    return k_colourable(adj, len(adj))[0]
 
 
 def k_colourable(
-    n: int, adj: Sequence[int], k: int, deadline: Optional[float] = None,
+    adj: Sequence[int], k: int, deadline: Optional[float] = None,
     fractional: Optional[tuple[Sequence[int], int]] = None,
 ) -> tuple[Optional[list[int]], bool]:
     """Search for a proper colouring with at most k colours.
@@ -152,6 +153,7 @@ def k_colourable(
     weights under which every independent set weighs at most den. Then a
     colour also has room only for den less its class's weight.
     """
+    n = len(adj)
     if n == 0:
         return [], False
     colours = [0] * n
@@ -244,7 +246,7 @@ def k_colourable(
 
 
 def chromatic_number(
-    n: int, adj: Sequence[int], lower: int, deadline: Optional[float] = None,
+    adj: Sequence[int], lower: int, deadline: Optional[float] = None,
     fractional: Optional[tuple[Sequence[int], int]] = None,
 ) -> tuple[list[int], bool, int, int]:
     """Exact chromatic number when the budget allows.
@@ -260,9 +262,9 @@ def chromatic_number(
     number and meets the same first leaf at it, so without a deadline the
     result does not depend on lower.
     """
-    if n == 0:
+    if not adj:
         return [], True, 0, 0
-    greedy = greedy_colouring(n, adj)
+    greedy = greedy_colouring(adj)
     upper = max(greedy)
     if fractional is not None:
         weights, den = fractional
@@ -274,7 +276,7 @@ def chromatic_number(
             )
         lower = max(lower, bound)
     while lower < upper:
-        result, budget_hit = k_colourable(n, adj, lower, deadline, fractional)
+        result, budget_hit = k_colourable(adj, lower, deadline, fractional)
         if budget_hit:
             return greedy, False, lower, upper
         if result is not None:
@@ -284,7 +286,7 @@ def chromatic_number(
 
 
 def _alternating_forest(
-    n: int, adj: Sequence[int], mate: Sequence[int], roots: Sequence[int]
+    adj: Sequence[int], mate: Sequence[int], roots: Sequence[int]
 ) -> tuple[int, list[int], list[bool]]:
     """Edmonds' search: grow alternating trees from the exposed roots,
     shrinking odd cycles (blossoms) onto their base.
@@ -295,6 +297,7 @@ def _alternating_forest(
     then even marks every vertex that an even alternating path reaches from
     a root.
     """
+    n = len(adj)
     base = list(range(n))
     parent = [-1] * n
     even = [False] * n
@@ -353,14 +356,14 @@ def _alternating_forest(
     return -1, parent, even
 
 
-def _maximise(n: int, adj: Sequence[int], mate: list[int]) -> None:
+def _maximise(adj: Sequence[int], mate: list[int]) -> None:
     """Grow the matching mate, in place, to a maximum one: first each free
     vertex takes its lowest free neighbour, then one augmenting search runs
     from every vertex still exposed (a vertex with no augmenting path keeps
     none after later augmentations, so one pass suffices)."""
     free = 0
-    for v in range(n):
-        if mate[v] < 0 and adj[v]:
+    for v, nbrs in enumerate(adj):
+        if mate[v] < 0 and nbrs:
             free |= 1 << v
     for v in _bits(free):
         nbrs = adj[v] & free
@@ -371,7 +374,7 @@ def _maximise(n: int, adj: Sequence[int], mate: list[int]) -> None:
     for root in _bits(free):
         if mate[root] >= 0:
             continue
-        v, parent, _ = _alternating_forest(n, adj, mate, [root])
+        v, parent, _ = _alternating_forest(adj, mate, [root])
         while v >= 0:
             u = parent[v]
             nxt = mate[u]
@@ -379,7 +382,7 @@ def _maximise(n: int, adj: Sequence[int], mate: list[int]) -> None:
             v = nxt
 
 
-def max_matching(n: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
+def max_matching(adj: Sequence[int]) -> tuple[list[int], list[int]]:
     """Maximum-cardinality matching by Edmonds' blossom algorithm ("Paths,
     trees, and flowers", 1965).
 
@@ -389,9 +392,10 @@ def max_matching(n: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
     Tutte–Berge barrier: the matching has (n + |A| - odd(G - A)) / 2 edges,
     odd(G - A) being the number of odd components of G - A.
     """
+    n = len(adj)
     mate = [-1] * n
-    _maximise(n, adj, mate)
-    _, _, even = _alternating_forest(n, adj, mate, [v for v in range(n) if mate[v] < 0])
+    _maximise(adj, mate)
+    _, _, even = _alternating_forest(adj, mate, [v for v in range(n) if mate[v] < 0])
     d_mask = sum(1 << v for v in range(n) if even[v])
     barrier = [v for v in range(n) if not even[v] and adj[v] & d_mask]
     return mate, barrier
@@ -489,10 +493,10 @@ def min_cover(
         # ancestor's matching that stay inside U
         adj = [share[s] & uncov if (uncov >> s) & 1 else 0 for s in range(m)]
         mate = [t if t >= 0 and (adj[s] >> t) & 1 else -1 for s, t in enumerate(warm)]
-        _maximise(m, adj, mate)
+        _maximise(adj, mate)
         return mate
 
-    root_mate, barrier = max_matching(m, share)
+    root_mate, barrier = max_matching(share)
     nu = _certified_matching_size(share, root_mate, barrier)
     root_lb = max(lower_bound(all_mask), _matching_bound(all_mask, nu, big))
 

@@ -136,7 +136,7 @@ def _min_partition(g: CrossingGraph, deadline: Optional[float]) -> CrossingFamil
     # a clique of comp is a non-crossing segment set; on n >= 3 points in
     # general position every maximal one is a triangulation
     lower = triangulation_lower_bound(g.source) if len(g.source) >= 3 else g.m
-    colouring, exact, _, _ = chromatic_number(g.m, comp, lower, deadline, _j_edge_weights(g))
+    colouring, exact, _, _ = chromatic_number(comp, lower, deadline, _j_edge_weights(g))
     return _classes(g, colouring, exact)
 
 
@@ -271,14 +271,15 @@ class NgonCensus(Record):
 _GAP_EXP = 30
 
 
-def _chord_clusters(n: int, k: int, zeta: list[complex],
+def _chord_clusters(k: int, zeta: list[complex],
                     ) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
     """The float clusters of the events (0, j, k, l) on the chord (0, k):
     the number of one-event clusters, and the other clusters in key order,
     each with its events in key order, ties by (j, l). zeta[t] is the root
-    of unity at vertex t. A key is
+    of unity at vertex t of the n-gon, n = len(zeta). A key is
     Re((((z0 + zk) - zj) - zl) / (z0 zk - zj zl)), the same IEEE operations
     in the same order whichever sums a row shares."""
+    n = len(zeta)
     diameter = 2 * k == n
     s = zeta[0] + zeta[k]
     p = zeta[0] * zeta[k]
@@ -338,7 +339,7 @@ def regular_ngon_multiplicity(n: int) -> NgonCensus:
     groups_by_mult: dict[int, int] = {}
     for k in range(2, n // 2 + 1):
         weight = 1 if 2 * k == n else 2
-        singles, clusters = _chord_clusters(n, k, zeta)
+        singles, clusters = _chord_clusters(k, zeta)
         if singles:
             groups_by_mult[2] = groups_by_mult.get(2, 0) + weight * singles
         for cluster in clusters:

@@ -293,23 +293,6 @@ def is_general_position(ps: PointSet) -> bool:
     return max_collinear(ps) <= 2
 
 
-def _hull_vertices(xy: Sequence[tuple[int, int]]) -> list[int]:
-    # monotone chain on an integer view, strict turns only: indices of the
-    # corners of the hull, ccw
-    srt = sorted(range(len(xy)), key=xy.__getitem__)
-    lower: list[int] = []
-    for i in srt:
-        while len(lower) >= 2 and orientation(xy[lower[-2]], xy[lower[-1]], xy[i]) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(srt):
-        while len(upper) >= 2 and orientation(xy[upper[-2]], xy[upper[-1]], xy[i]) <= 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
-
-
 def convex_hull_size(ps: PointSet) -> int:
     """Number of points on the convex hull boundary.
 
@@ -320,12 +303,16 @@ def convex_hull_size(ps: PointSet) -> int:
         raise DegenerateHull("hull needs at least 3 points")
     if max_collinear(ps) == len(ps):
         raise DegenerateHull("all points collinear, hull is degenerate")
+    # monotone chain (Andrew, 1979) on the integer view, popping only at
+    # strict right turns: each half keeps the points inside its hull edges,
+    # and the two halves share only their two ends
     _, xy = ps.integer_view
-    hull = [xy[i] for i in _hull_vertices(xy)]
-    k = len(hull)
-    on_boundary = 0
-    for p in xy:
-        if all(orientation(hull[i], hull[(i + 1) % k], p) > 0 for i in range(k)):
-            continue  # strictly inside
-        on_boundary += 1
-    return on_boundary
+    srt = sorted(xy)
+    lower: list[tuple[int, int]] = []
+    upper: list[tuple[int, int]] = []
+    for chain, order in ((lower, srt), (upper, reversed(srt))):
+        for p in order:
+            while len(chain) >= 2 and orientation(chain[-2], chain[-1], p) < 0:
+                chain.pop()
+            chain.append(p)
+    return len(lower) + len(upper) - 2

@@ -110,7 +110,7 @@ class CliqueResult(Record):
 
 
 def clique_number(g: VisibilityGraph, deadline: Optional[float] = None) -> CliqueResult:
-    size, witness, exact = cliques.max_clique(g.n, g.adj, deadline)
+    size, witness, exact = cliques.max_clique(g.adj, deadline)
     return CliqueResult(size, tuple(witness), exact)
 
 
@@ -149,7 +149,7 @@ def chromatic_number(
 ) -> ChromaticResult:
     """Exact chromatic number unless the deadline cuts in. clique, the result
     of clique_number(g), bounds it from below, even when its search was cut."""
-    colours, exact, lower, upper = cliques.chromatic_number(g.n, g.adj, clique.omega, deadline)
+    colours, exact, lower, upper = cliques.chromatic_number(g.adj, clique.omega, deadline)
     return ChromaticResult(upper, Colouring(max(colours), tuple(colours)), exact, lower, upper)
 
 

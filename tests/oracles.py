@@ -326,11 +326,11 @@ def recursive_min_cover(cover_masks, m, deadline=None, clock=time.monotonic):
     def matching_bound(uncov, warm):
         adj = [share[s] & uncov if uncov >> s & 1 else 0 for s in range(m)]
         mate = [t if t >= 0 and adj[s] >> t & 1 else -1 for s, t in enumerate(warm)]
-        _maximise(m, adj, mate)
+        _maximise(adj, mate)
         return _matching_bound(uncov, (m - mate.count(-1)) // 2, big), mate
 
     full = (1 << m) - 1
-    root_mate, _ = max_matching(m, share)
+    root_mate, _ = max_matching(share)
     nu = (m - root_mate.count(-1)) // 2
     root_lb = max(independent(full), _matching_bound(full, nu, big))
     best, uncov = [], full
@@ -411,7 +411,7 @@ def circle_graph_cover(n, chords):
         sum(1 << t for t in range(m) if t != s and not interleaves(chords[s], chords[t], n))
         for s in range(m)
     ]
-    colouring, exact, _, _ = chromatic_number(m, comp, max_clique(m, comp)[0])
+    colouring, exact, _, _ = chromatic_number(comp, max_clique(comp)[0])
     classes = [[s for s in range(m) if colouring[s] == c] for c in sorted(set(colouring))]
     return CrossingFamilyPartition(tuple(map(tuple, classes)), exact)
 

@@ -8,7 +8,8 @@ used by other package code. Every name a package or test module imports must
 be referenced in that module. Every per-layer metric of the benchmark
 must name a public function the package still defines, and every count
 the benchmark's tracer reads off a result must still be there. No function
-of the search engine calls itself: its searches run on explicit stacks.
+of the search engine calls itself: its searches run on explicit stacks,
+and none takes a vertex count: a graph's size is its adjacency list's length.
 A budget turns into a deadline once, as the first statement of the
 function that takes it. The package imports nothing but the standard
 library and itself, and no JSON write in it takes an indent, which would
@@ -96,6 +97,19 @@ def test_no_search_in_cliques_recurses():
         and call.func.id == fn.name
     )
     assert not recursive, f"functions in cliques.py that call themselves: {recursive}"
+
+
+def test_no_function_in_cliques_takes_a_vertex_count():
+    # a count passed beside the adjacency list can disagree with its length
+    tree = ast.parse((PACKAGE / "cliques.py").read_text())
+    counted = sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if arg.arg == "n"
+    )
+    assert not counted, f"functions in cliques.py with a parameter n: {counted}"
 
 
 def test_a_budget_is_read_once_at_the_start():

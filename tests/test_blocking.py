@@ -357,7 +357,7 @@ def gallai_number(inst):
             for t in covers:
                 if s != t:
                     share[s] |= 1 << t
-    mate, _ = max_matching(inst.m, share)
+    mate, _ = max_matching(share)
     return inst.m - sum(t >= 0 for t in mate) // 2
 
 
@@ -426,9 +426,9 @@ class TestMatchingBound:
 
     def test_root_matching_is_certified(self, monkeypatch):
         # a matching one edge short of maximum fails the barrier check
-        def short(n, adj):
-            mate, barrier = max_matching(n, adj)
-            v = next(v for v in range(n) if mate[v] >= 0)
+        def short(adj):
+            mate, barrier = max_matching(adj)
+            v = next(v for v in range(len(adj)) if mate[v] >= 0)
             mate[mate[v]] = mate[v] = -1
             return mate, barrier
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visblock import blocking, cli, cliques, crossing
+from visblock import __version__, blocking, cli, cliques, crossing
 from visblock.blocking import construct_knn_grid, construct_knn_parabola
 from visblock.cli import (
     EXIT_BUDGET,
@@ -442,7 +442,7 @@ class TestRunHarness:
     def test_cut_clique_search_bounds_the_colouring(self, tmp_path, monkeypatch):
         # a clique search cut at size 2 still bounds chi from below; the
         # colouring search climbs from there and proves chi = 4 on its own
-        monkeypatch.setattr(cliques, "max_clique", lambda n, adj, deadline=None: (2, [0, 1], False))
+        monkeypatch.setattr(cliques, "max_clique", lambda adj, deadline=None: (2, [0, 1], False))
         cfg = ExperimentConfig(
             GeneratorSpec("grid", {"w": 3, "h": 3}), ("visgraph", "ramsey"),
             output_dir=str(tmp_path),
@@ -734,6 +734,10 @@ class TestMainEntry:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "report" in proc.stdout
+
+    def test_python_m_visblock_version(self):
+        proc = run_visblock("--version")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{__version__}\n", "")
 
     def test_generate_to_stdout(self, capsys):
         assert main(["generate", "--kind", "grid", "--w", "2", "--h", "2"]) == EXIT_OK

@@ -46,7 +46,7 @@ def random_graphs(seed, count, max_n):
 def checked_size(n, edges):
     """Matching size after checking that mate is a matching of the graph
     and that the barrier meets the Tutte-Berge bound."""
-    mate, barrier = max_matching(n, adjacency(n, edges))
+    mate, barrier = max_matching(adjacency(n, edges))
     eset = {frozenset(e) for e in edges}
     for v, u in enumerate(mate):
         assert u < 0 or (mate[u] == v and frozenset((u, v)) in eset)
@@ -58,8 +58,8 @@ def checked_size(n, edges):
 
 class TestMaxMatching:
     def test_empty(self):
-        assert max_matching(0, []) == ([], [])
-        assert max_matching(3, [0, 0, 0]) == ([-1, -1, -1], [])
+        assert max_matching([]) == ([], [])
+        assert max_matching([0, 0, 0]) == ([-1, -1, -1], [])
 
     def test_odd_cycle_needs_a_blossom(self):
         # C5 with a pendant 5 at vertex 0: the augmenting path from 5 runs
@@ -68,11 +68,11 @@ class TestMaxMatching:
         assert checked_size(6, edges) == 3
 
     def test_star_barrier_is_the_centre(self):
-        mate, barrier = max_matching(4, adjacency(4, [(0, 1), (0, 2), (0, 3)]))
+        mate, barrier = max_matching(adjacency(4, [(0, 1), (0, 2), (0, 3)]))
         assert mate == [1, 0, -1, -1] and barrier == [0]
 
     def test_lowest_index_tie_breaks(self):
-        assert max_matching(3, adjacency(3, [(0, 1), (1, 2), (0, 2)]))[0] == [1, 0, -1]
+        assert max_matching(adjacency(3, [(0, 1), (1, 2), (0, 2)]))[0] == [1, 0, -1]
 
     def test_matches_brute_force(self):
         for n, edges in random_graphs(0, 300, 9):
@@ -169,28 +169,28 @@ class TestMaxClique:
     def test_matches_the_recursive_reference(self):
         for n, adj in self.random_adjacencies(7, 1000):
             size, witness, _ = oracles.recursive_max_clique(n, adj)
-            assert max_clique(n, adj) == (size, witness, True)
+            assert max_clique(adj) == (size, witness, True)
 
     def test_one_deadline_check_per_node(self, monkeypatch):
         for n, adj in self.random_adjacencies(8, 100):
             size, witness, nodes = oracles.recursive_max_clique(n, adj)
             reads = counting_clock(monkeypatch)
-            assert max_clique(n, adj, deadline=float("inf")) == (size, witness, True)
+            assert max_clique(adj, deadline=float("inf")) == (size, witness, True)
             assert reads[0] == nodes
 
     def test_budget_hit(self, monkeypatch):
         adj = adjacency(6, list(combinations(range(6), 2)))
-        assert max_clique(6, adj, deadline=0.0) == (0, [], False)
+        assert max_clique(adj, deadline=0.0) == (0, [], False)
         # the clock is read once per node, so deadline 3.5 stops at the
         # fourth node, reached by taking 5, 4 and 3, before any leaf
         reads = counting_clock(monkeypatch)
-        assert max_clique(6, adj, deadline=3.5) == (0, [], False)
+        assert max_clique(adj, deadline=3.5) == (0, [], False)
         assert reads[0] == 4
 
     def test_complete_graph_deeper_than_the_recursion_limit(self):
         n = 1200
         adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
-        assert max_clique(n, adj) == (n, list(range(n)), True)
+        assert max_clique(adj) == (n, list(range(n)), True)
 
 
 class TestKColourable:
@@ -201,7 +201,7 @@ class TestKColourable:
         for n, edges in random_graphs(2, 300, 15):
             adj = adjacency(n, edges)
             for k in range(1, n + 1):
-                assert k_colourable(n, adj, k) == oracles.dsatur_k_colourable(n, adj, k)
+                assert k_colourable(adj, k) == oracles.dsatur_k_colourable(n, adj, k)
 
     def test_ngon10_clique_cover_complement(self):
         # 22 is the cover number; with or without the j-edge weights the
@@ -209,8 +209,8 @@ class TestKColourable:
         m, comp = ngon10_complement()
         for k in range(1, 26):
             want = oracles.dsatur_k_colourable(m, comp, k)
-            assert k_colourable(m, comp, k) == want, k
-            assert k_colourable(m, comp, k, fractional=ngon10_fractional()) == want, k
+            assert k_colourable(comp, k) == want, k
+            assert k_colourable(comp, k, fractional=ngon10_fractional()) == want, k
 
     def test_clique_weighted_graphs_match_the_dsatur_oracle(self, monkeypatch):
         # a fractional clique never cuts a subtree that holds a leaf; on
@@ -221,10 +221,10 @@ class TestKColourable:
             for k in range(1, n + 1):
                 want = oracles.dsatur_k_colourable(n, adj, k)
                 reads[0] = 0
-                assert k_colourable(n, adj, k, float("inf")) == want
+                assert k_colourable(adj, k, float("inf")) == want
                 plain = reads[0]
                 reads[0] = 0
-                assert k_colourable(n, adj, k, float("inf"), (weights, den)) == want
+                assert k_colourable(adj, k, float("inf"), (weights, den)) == want
                 pruned += 1 < reads[0] < plain
         assert pruned > 0
 
@@ -237,7 +237,7 @@ class TestKColourable:
             p = rng.uniform(0.2, 0.9)
             adj = adjacency(n, [e for e in combinations(range(n), 2) if rng.random() < p])
             for k in range(1, n + 1):
-                assert k_colourable(n, adj, k) == oracles.dsatur_k_colourable(n, adj, k)
+                assert k_colourable(adj, k) == oracles.dsatur_k_colourable(n, adj, k)
 
     def test_one_deadline_check_per_node(self, monkeypatch):
         # the clock is read once per search node, pruned nodes included:
@@ -246,7 +246,7 @@ class TestKColourable:
         m, comp = ngon10_complement()
         for k, nodes in ((21, 38), (22, 2221)):
             reads = counting_clock(monkeypatch)
-            colours, budget_hit = k_colourable(m, comp, k, deadline=float("inf"))
+            colours, budget_hit = k_colourable(comp, k, deadline=float("inf"))
             assert (colours is not None, budget_hit) == (k == 22, False)
             assert reads[0] == nodes
 
@@ -257,7 +257,7 @@ class TestKColourable:
         m, comp = ngon10_complement()
         for k, nodes in ((21, 1), (22, 287)):
             reads = counting_clock(monkeypatch)
-            colours, budget_hit = k_colourable(m, comp, k, float("inf"), ngon10_fractional())
+            colours, budget_hit = k_colourable(comp, k, float("inf"), ngon10_fractional())
             assert (colours is not None, budget_hit) == (k == 22, False)
             assert reads[0] == nodes
 
@@ -265,9 +265,9 @@ class TestKColourable:
         # one memo for the unit weights and one for the fractional clique;
         # neither walks a mask twice
         m, comp = ngon10_complement()
-        want = k_colourable(m, comp, 22)
+        want = k_colourable(comp, 22)
         asked = spy_clique_weight(monkeypatch)
-        assert k_colourable(m, comp, 22, fractional=ngon10_fractional()) == want
+        assert k_colourable(comp, 22, fractional=ngon10_fractional()) == want
         assert {w for _, w in asked} == {(1,) * m, ngon10_fractional()[0]}
         assert len(asked) == len(set(asked))
 
@@ -276,9 +276,9 @@ class TestKColourable:
         # capacity bound 49,290 times about 742 distinct masks, all under
         # unit weights
         m, comp = ngon10_complement()
-        want = k_colourable(m, comp, 22)  # the oracle's, by the test above
+        want = k_colourable(comp, 22)  # the oracle's, by the test above
         asked = spy_clique_weight(monkeypatch)
-        assert k_colourable(m, comp, 22) == want
+        assert k_colourable(comp, 22) == want
         assert {w for _, w in asked} == {(1,) * m}
         assert 0 < len(asked) <= 1_000
         assert len(asked) == len(set(asked))
@@ -289,10 +289,10 @@ class TestKColourable:
         # misses come in runs of 16 distinct masks; runs of 17 would hold a
         # repeat here, so a memo cleared later, or never, fails
         m, comp = ngon10_complement()
-        want = k_colourable(m, comp, 22)
+        want = k_colourable(comp, 22)
         asked = spy_clique_weight(monkeypatch)
         monkeypatch.setattr(cliques, "_MEMO_CAP", 16)
-        assert k_colourable(m, comp, 22, fractional=fractional) == want
+        assert k_colourable(comp, 22, fractional=fractional) == want
         memos = {w for _, w in asked}
         assert len(memos) == (1 if fractional is None else 2)
 
@@ -305,17 +305,17 @@ class TestKColourable:
             assert any(len(set(run)) < len(run) for run in runs(misses, 17))
 
     def test_empty_graph(self):
-        assert k_colourable(0, [], 0) == ([], False)
-        assert chromatic_number(0, [], 0) == ([], True, 0, 0)
+        assert k_colourable([], 0) == ([], False)
+        assert chromatic_number([], 0) == ([], True, 0, 0)
 
     def test_budget_hit(self):
         adj = adjacency(6, list(combinations(range(6), 2)))
-        assert k_colourable(6, adj, 3, deadline=0.0) == (None, True)
+        assert k_colourable(adj, 3, deadline=0.0) == (None, True)
 
     def test_budget_hit_partway(self, monkeypatch):
         m, comp = ngon10_complement()
         reads = counting_clock(monkeypatch)
-        assert k_colourable(m, comp, 22, deadline=1000.5) == (None, True)
+        assert k_colourable(comp, 22, deadline=1000.5) == (None, True)
         assert reads[0] == 1001  # it stops at the first late read
 
     def test_greedy_is_the_search_without_backtracking(self):
@@ -323,7 +323,7 @@ class TestKColourable:
         # at every step: the DSATUR greedy colouring
         for n, edges in random_graphs(3, 200, 15):
             adj = adjacency(n, edges)
-            assert greedy_colouring(n, adj) == oracles.dsatur_k_colourable(n, adj, n)[0]
+            assert greedy_colouring(adj) == oracles.dsatur_k_colourable(n, adj, n)[0]
 
 
 class TestChromaticNumber:
@@ -332,7 +332,7 @@ class TestChromaticNumber:
         # whole cycle before it fails: far deeper than the recursion limit
         n = 1201
         adj = adjacency(n, [(v, (v + 1) % n) for v in range(n)])
-        colouring, exact, lower, upper = chromatic_number(n, adj, 2)
+        colouring, exact, lower, upper = chromatic_number(adj, 2)
         assert (exact, lower, upper) == (True, 3, 3)
         assert max(colouring) == 3
         assert all(colouring[v] != colouring[(v + 1) % n] for v in range(n))
@@ -343,16 +343,16 @@ class TestChromaticNumber:
         m, comp = ngon10_complement()
         tried = []
 
-        def colourable(n, adj, k, deadline=None, fractional=None):
+        def colourable(adj, k, deadline=None, fractional=None):
             tried.append(k)
-            return search(n, adj, k, deadline, fractional)
+            return search(adj, k, deadline, fractional)
 
         search = cliques.k_colourable
         monkeypatch.setattr(cliques, "k_colourable", colourable)
-        plain = chromatic_number(m, comp, 17)
+        plain = chromatic_number(comp, 17)
         assert tried[1:] == [17, 18, 19, 20, 21, 22]  # after the greedy colouring
         tried.clear()
-        assert chromatic_number(m, comp, 17, None, ngon10_fractional()) == plain
+        assert chromatic_number(comp, 17, None, ngon10_fractional()) == plain
         assert tried[1:] == [22] and plain[1:] == (True, 22, 22)
 
     def test_overweight_weights_rejected(self):
@@ -360,22 +360,22 @@ class TestChromaticNumber:
         # no fractional clique weighs that much, so the bound would be false
         adj = adjacency(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError, match="not a fractional clique"):
-            chromatic_number(3, adj, 1, None, ([2, 2, 2], 1))
-        assert chromatic_number(3, adj, 1, None, ([1, 1, 1], 1))[1:] == (True, 3, 3)
+            chromatic_number(adj, 1, None, ([2, 2, 2], 1))
+        assert chromatic_number(adj, 1, None, ([1, 1, 1], 1))[1:] == (True, 3, 3)
 
     def test_weights_do_not_change_the_result(self):
         for n, adj, weights, den in clique_weighted_graphs(23, 200):
-            assert chromatic_number(n, adj, 1, None, (weights, den))[:2] == \
-                chromatic_number(n, adj, 1)[:2]
+            assert chromatic_number(adj, 1, None, (weights, den))[:2] == \
+                chromatic_number(adj, 1)[:2]
 
     def test_result_does_not_depend_on_the_lower_bound(self):
         # every k below chi fails and the search at chi meets the same first
         # leaf, so the trivial bound 1 gives what the clique number gives
         for n, edges in random_graphs(22, 300, 14):
             adj = adjacency(n, edges)
-            omega, _, exact = max_clique(n, adj)
+            omega, _, exact = max_clique(adj)
             assert exact
-            assert chromatic_number(n, adj, 1) == chromatic_number(n, adj, omega)
+            assert chromatic_number(adj, 1) == chromatic_number(adj, omega)
 
 
 def random_set_systems(seed, count, max_m):

@@ -214,8 +214,8 @@ class TestJEdgeWeights:
                  for n in range(4, 11) for seed in range(4)]
         weighted = [crossing_family_partition(ps).to_obj() for ps in sets]
         colour = crossing.chromatic_number
-        monkeypatch.setattr(crossing, "chromatic_number", lambda n, adj, lower, deadline, _:
-                            colour(n, adj, lower, deadline))
+        monkeypatch.setattr(crossing, "chromatic_number", lambda adj, lower, deadline, _:
+                            colour(adj, lower, deadline))
         assert [crossing_family_partition(ps).to_obj() for ps in sets] == weighted
 
 
@@ -243,7 +243,7 @@ class TestNonCrossingClique:
         g = crossing_graph(ps)
         full = (1 << g.m) - 1
         comp = [full ^ a ^ (1 << s) for s, a in enumerate(g.adj)]
-        size, _, exact = max_clique(g.m, comp)
+        size, _, exact = max_clique(comp)
         assert exact
         assert size == 3 * n - 3 - brute_hull_size([(p.x, p.y) for p in ps])
 
@@ -365,9 +365,9 @@ def split_first_cluster(monkeypatch, on_chord):
     census_clusters = crossing._chord_clusters
     split = []
 
-    def split_first(n, k, zeta):
-        singles, clusters = census_clusters(n, k, zeta)
-        if clusters and not split and on_chord(n, k):
+    def split_first(k, zeta):
+        singles, clusters = census_clusters(k, zeta)
+        if clusters and not split and on_chord(len(zeta), k):
             cl = clusters[0]
             split.append(cl)
             return singles, [cl[:1], cl[1:], *clusters[1:]]
@@ -452,8 +452,8 @@ class TestNgonCensus:
         # events, so dropping one keeps the rotation count; the histogram
         # then misses crossing pairs
         census_clusters = crossing._chord_clusters
-        monkeypatch.setattr(crossing, "_chord_clusters", lambda n, k, zeta:
-                            (0, []) if k == 3 else census_clusters(n, k, zeta))
+        monkeypatch.setattr(crossing, "_chord_clusters", lambda k, zeta:
+                            (0, []) if k == 3 else census_clusters(k, zeta))
         with pytest.raises(AssertionError, match="crossing chord pairs, not C"):
             regular_ngon_multiplicity(13)
 
@@ -465,7 +465,7 @@ class TestNgonCensus:
             for k in range(2, n // 2 + 1):
                 expected = chord_clusters(n, k)
                 singles = sum(len(cl) == 1 for cl in expected)
-                assert crossing._chord_clusters(n, k, zeta) == \
+                assert crossing._chord_clusters(k, zeta) == \
                     (singles, [cl for cl in expected if len(cl) > 1]), (n, k)
 
     @pytest.mark.parametrize("exp", [0, -1])
@@ -477,8 +477,8 @@ class TestNgonCensus:
         census_clusters = crossing._chord_clusters
         singles = []
 
-        def record(n, k, zeta):
-            found = census_clusters(n, k, zeta)
+        def record(k, zeta):
+            found = census_clusters(k, zeta)
             singles.append(found[0])
             return found
 

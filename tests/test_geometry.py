@@ -1,6 +1,7 @@
 import cProfile
 import json
 import pstats
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -393,6 +394,38 @@ class TestConvexHull:
     def test_too_few(self):
         with pytest.raises(DegenerateHull):
             convex_hull_size(pset((0, 0), (1, 0)))
+
+    @staticmethod
+    def edge_heavy_sets(seed):
+        """Shuffled grid subsets, whose hull edges hold collinear points in
+        every direction (vertical ones included), and random polygons with
+        points placed on their edges."""
+        rng = random.Random(seed)
+        for _ in range(600):
+            w, h = rng.randrange(3, 7), rng.randrange(3, 7)
+            pts = [(x, y) for x in range(w) for y in range(h) if rng.random() < 0.5]
+            rng.shuffle(pts)
+            yield pts
+        for _ in range(150):
+            corners = [(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)),
+                        Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))) for _ in range(4)]
+            pts = set(corners)
+            for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+                for _ in range(rng.randrange(3)):
+                    t = Fraction(rng.randrange(1, 6), 6)
+                    pts.add((ax + t * (bx - ax), ay + t * (by - ay)))
+            pts = sorted(pts)
+            rng.shuffle(pts)
+            yield pts
+
+    def test_edge_heavy_corpus_matches_fraction_oracle(self):
+        checked = 0
+        for pts in self.edge_heavy_sets(35):
+            ps = PointSet.build(pts)
+            if len(ps) >= 3 and max_collinear(ps) < len(ps):
+                assert convex_hull_size(ps) == oracles.brute_hull_size(pts), pts
+                checked += 1
+        assert checked > 700
 
 
 class TestPointSet:
